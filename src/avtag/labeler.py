@@ -5,12 +5,23 @@ Every item (tag or unknown token) remembers the set of engines whose label
 produced it; items seen by fewer than two engines are pruned.  The same
 per-engine item extraction, taken before expansion, feeds the co-occurrence
 counters used by the update engine.
+
+Expansion distributes over union, so each token's items are computed once per
+knowledge base and then looked up.  A token index, filled lazily, maps every
+token that hits a tagging rule or a tag name to its (pre-expansion items,
+expanded items), computed by tag_tokens and expand and stored as frozensets of
+canonical item strings (``FAM:zbot``, ``CLASS:worm``).  Other tokens are never
+stored, since they are unbounded; a kept unknown token becomes ``UNK:<token>``.
+Labeling a label is then tokenize, index lookup and set union.  Ranking items
+and the endpoints of the relations that labeling produces are therefore
+canonical strings, not TagPath/UnknownToken objects; see analyze_sample for
+when the index is rebuilt.
 '''
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 
-from .taxonomy import TagPath, UnknownToken, render_item
+from .taxonomy import UNKNOWN_CATEGORY, render_item
 from .tokenizer import tokenize
 
 #: unknown tokens shorter than this are dropped (after tagging, not before)
@@ -20,6 +31,11 @@ MIN_UNKNOWN_LEN = 4
 MIN_ENGINES = 2
 
 STATS_HEADER = 't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji'
+
+_UNKNOWN_PREFIX = UNKNOWN_CATEGORY + ':'
+
+#: characters that would break a line or a field of the TSV outputs
+_ID_FORBIDDEN = ('\t', '\r', '\n')
 
 
 class SampleReport:
@@ -46,6 +62,8 @@ class SampleReport:
                 break
         if sample_id is None:
             raise ValueError('no usable hash field (%s)' % '/'.join(cls.HASH_FIELDS))
+        if any(char in sample_id for char in _ID_FORBIDDEN):
+            raise ValueError('sample id contains a TAB, CR or LF')
         raw_labels = obj.get('av_labels')
         if raw_labels is None:
             raw_labels = {}
@@ -99,7 +117,7 @@ class TagRanking:
         '''`<sample_id>\\t<item>|<count>,...`; bare sample_id when empty.'''
         if not self.assignments:
             return self.sample_id
-        items = ','.join('%s|%d' % (render_item(a.item), a.count) for a in self.assignments)
+        items = ','.join('%s|%d' % (a.item, a.count) for a in self.assignments)
         return '%s\t%s' % (self.sample_id, items)
 
 
@@ -107,7 +125,9 @@ class Relation:
     '''Seven-value co-occurrence record for one unordered item pair.
 
     t_i is the less frequent item (ties broken lexicographically), therefore
-    rel_ij >= rel_ji always holds.
+    rel_ij >= rel_ji always holds.  The endpoints are canonical item strings
+    when counted by CooccurrenceCounter, TagPath/UnknownToken items when
+    parsed by the updater.
     '''
 
     __slots__ = ('t_i', 't_j', 'count_i', 'count_j', 'count_ij', 'rel_ij', 'rel_ji')
@@ -122,11 +142,15 @@ class Relation:
         self.rel_ji = rel_ji
 
     def key(self):
-        return (render_item(self.t_i), render_item(self.t_j))
+        '''Canonical (t_i, t_j) strings.'''
+        t_i, t_j = self.t_i, self.t_j
+        if t_i.__class__ is str and t_j.__class__ is str:
+            return (t_i, t_j)
+        return (render_item(t_i), render_item(t_j))
 
     def as_tuple(self):
-        return (render_item(self.t_i), render_item(self.t_j),
-                self.count_i, self.count_j, self.count_ij, self.rel_ij, self.rel_ji)
+        return self.key() + (self.count_i, self.count_j, self.count_ij,
+                             self.rel_ij, self.rel_ji)
 
     def __eq__(self, other):
         return isinstance(other, Relation) and self.as_tuple() == other.as_tuple()
@@ -135,14 +159,10 @@ class Relation:
         return hash(self.as_tuple())
 
     def __repr__(self):
-        return 'Relation(%s, %s, %d/%d/%d)' % (
-            render_item(self.t_i), render_item(self.t_j),
-            self.count_i, self.count_j, self.count_ij)
+        return 'Relation(%s, %s, %d/%d/%d)' % self.as_tuple()[:5]
 
     def format_row(self):
-        return '%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f' % (
-            render_item(self.t_i), render_item(self.t_j),
-            self.count_i, self.count_j, self.count_ij, self.rel_ij, self.rel_ji)
+        return '%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f' % self.as_tuple()
 
 
 def tag_tokens(tokens, rules, taxonomy):
@@ -152,6 +172,7 @@ def tag_tokens(tokens, rules, taxonomy):
     otherwise a token equal to a unique tag name maps implicitly; otherwise the
     token is unknown.  Unknown tokens shorter than MIN_UNKNOWN_LEN are dropped
     only at this point, so short tokens can still match rules and tag names.
+    This is the reference the token index is filled from.
     '''
     tags = set()
     unknowns = set()
@@ -187,13 +208,27 @@ def expand(tags, rules, taxonomy):
     return result
 
 
-def _engine_items(report, rules, taxonomy, allowlist=None):
-    '''Yields (engine, tags, unknown token strings) per processed engine label.'''
-    for engine, label in report.av_labels.items():
-        if allowlist is not None and engine.lower() not in allowlist:
-            continue
-        tags, unknowns = tag_tokens(tokenize(label), rules, taxonomy)
-        yield engine, tags, unknowns
+def _token_index(rules, taxonomy):
+    '''The token index kept on the rule set; a new, empty one if the knowledge base changed.'''
+    # holding the objects keeps their ids from being reused by new ones; threads
+    # that race here lose at most some entries, which are then recomputed
+    kb = (taxonomy, rules.tagging, rules.expansion)
+    sizes = (len(taxonomy), len(rules.tagging), len(rules.expansion))
+    cached = rules.token_index
+    if cached is None or cached[1] != sizes or any(a is not b for a, b in zip(cached[0], kb)):
+        cached = rules.token_index = (kb, sizes, {})
+    return cached[2]
+
+
+def _index_token(index, token, rules, taxonomy):
+    '''Stores and returns the entry of a token that hits a rule or a tag name, else None.'''
+    if token not in rules.tagging and taxonomy.resolve_name(token) is None:
+        return None
+    tags, _ = tag_tokens((token,), rules, taxonomy)
+    entry = (frozenset(map(render_item, tags)),
+             frozenset(map(render_item, expand(tags, rules, taxonomy))))
+    index[token] = entry
+    return entry
 
 
 def analyze_sample(report, rules, taxonomy, allowlist=None, with_stats=False):
@@ -201,26 +236,49 @@ def analyze_sample(report, rules, taxonomy, allowlist=None, with_stats=False):
 
     The ranking uses post-expansion items; the statistics item set uses the
     pre-expansion union, both under the same >= MIN_ENGINES presence filter.
-    The second element is None unless with_stats is set.
+    The second element is None unless with_stats is set.  Items are canonical
+    strings.
+
+    Token entries are cached on `rules` (RuleSet.token_index).  The index is
+    dropped when `taxonomy`, `rules.tagging` or `rules.expansion` is another
+    object than in the previous call with these rules, or when one of them
+    changed size.  Adding a rule or a taxonomy node in place is therefore
+    seen; replacing an existing rule or node in place is not, so label with a
+    copy() of the edited object after such an edit.
     '''
-    expanded_engines = {}
-    raw_engines = {} if with_stats else None
-    for engine, tags, unknowns in _engine_items(report, rules, taxonomy, allowlist):
-        unknown_items = [UnknownToken(u) for u in unknowns]
-        for item in itertools.chain(expand(tags, rules, taxonomy), unknown_items):
-            expanded_engines.setdefault(item, set()).add(engine)
+    index = _token_index(rules, taxonomy)
+    expanded_engines = defaultdict(list)
+    raw_items = []
+    for engine, label in report.av_labels.items():
+        if allowlist is not None and engine.lower() not in allowlist:
+            continue
+        raw = set()
+        expanded = set()
+        for token in tokenize(label):
+            entry = index.get(token)
+            if entry is None:
+                entry = _index_token(index, token, rules, taxonomy)
+                if entry is None:
+                    if len(token) >= MIN_UNKNOWN_LEN:
+                        unknown = _UNKNOWN_PREFIX + token
+                        raw.add(unknown)
+                        expanded.add(unknown)
+                    continue
+            raw |= entry[0]
+            expanded |= entry[1]
+        for item in expanded:
+            expanded_engines[item].append(engine)
         if with_stats:
-            for item in itertools.chain(tags, unknown_items):
-                raw_engines.setdefault(item, set()).add(engine)
-    assignments = [TagAssignment(item, engines)
-                   for item, engines in expanded_engines.items()
-                   if len(engines) >= MIN_ENGINES]
-    assignments.sort(key=lambda a: (-a.count, render_item(a.item)))
-    ranking = TagRanking(report.sample_id, assignments)
+            raw_items.extend(raw)
+    ranked = sorted((-len(engines), item, engines)
+                    for item, engines in expanded_engines.items()
+                    if len(engines) >= MIN_ENGINES)
+    ranking = TagRanking(report.sample_id,
+                         [TagAssignment(item, engines) for _, item, engines in ranked])
     stat_items = None
     if with_stats:
-        stat_items = {item for item, engines in raw_engines.items()
-                      if len(engines) >= MIN_ENGINES}
+        stat_items = {item for item, count in Counter(raw_items).items()
+                      if count >= MIN_ENGINES}
     return ranking, stat_items
 
 
@@ -234,24 +292,21 @@ def compat_family(ranking):
     '''Single most likely family: best-ranked FAM tag or unknown token, or None.
 
     At equal engine count a family tag beats an unknown token, then the
-    lexicographically smallest name wins.
+    lexicographically smallest name wins.  Ranking items are item strings,
+    as analyze_sample produces them.
     '''
-    best = None
     best_key = None
     for assignment in ranking:
-        item = assignment.item
-        if isinstance(item, TagPath):
-            if item.category != 'FAM':
-                continue
-            candidate = (-assignment.count, 0, item.name)
-        elif isinstance(item, UnknownToken):
-            candidate = (-assignment.count, 1, item.text)
+        category, _, rest = assignment.item.partition(':')
+        if category == 'FAM':
+            candidate = (-assignment.count, 0, rest.rpartition(':')[2])
+        elif category == UNKNOWN_CATEGORY:
+            candidate = (-assignment.count, 1, rest)
         else:
             continue
         if best_key is None or candidate < best_key:
             best_key = candidate
-            best = candidate[2]
-    return best
+    return None if best_key is None else best_key[2]
 
 
 def format_compat_line(sample_id, family):
@@ -274,11 +329,11 @@ class CooccurrenceCounter:
         self.pair_counts = Counter()
 
     def add_items(self, items):
-        ordered = sorted(items, key=render_item)
-        for item in ordered:
-            self.item_counts[item] += 1
-        for pair in itertools.combinations(ordered, 2):
-            self.pair_counts[pair] += 1
+        '''Counts one sample's item set; TagPath/UnknownToken items are rendered first.'''
+        ordered = sorted(item if item.__class__ is str else render_item(item)
+                         for item in items)
+        self.item_counts.update(ordered)
+        self.pair_counts.update(itertools.combinations(ordered, 2))
 
     def merge(self, other):
         self.item_counts.update(other.item_counts)
@@ -287,18 +342,20 @@ class CooccurrenceCounter:
 
     def relations(self):
         '''Finalizes orientation (t_i least frequent) and joint frequencies.'''
-        relations = []
+        item_counts = self.item_counts
+        rows = []
         for (a, b), count_ab in self.pair_counts.items():
-            count_a = self.item_counts[a]
-            count_b = self.item_counts[b]
-            if (count_a, render_item(a)) <= (count_b, render_item(b)):
-                t_i, t_j, count_i, count_j = a, b, count_a, count_b
+            count_a = item_counts[a]
+            count_b = item_counts[b]
+            # a < b, since add_items counts each pair in sorted order
+            if count_a <= count_b:
+                rows.append((a, b, count_a, count_b, count_ab))
             else:
-                t_i, t_j, count_i, count_j = b, a, count_b, count_a
-            relations.append(Relation(t_i, t_j, count_i, count_j, count_ab,
-                                      count_ab / count_i, count_ab / count_j))
-        relations.sort(key=Relation.key)
-        return relations
+                rows.append((b, a, count_b, count_a, count_ab))
+        rows.sort()
+        return [Relation(t_i, t_j, count_i, count_j, count_ij,
+                         count_ij / count_i, count_ij / count_j)
+                for t_i, t_j, count_i, count_j, count_ij in rows]
 
 
 def cooccurrence_stats(reports, rules, taxonomy, allowlist=None):

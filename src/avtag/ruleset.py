@@ -74,6 +74,9 @@ class RuleSet:
     def __init__(self, tagging=None, expansion=None):
         self.tagging = dict(tagging or {})
         self.expansion = dict(expansion or {})
+        #: the labeler's lazily filled token index for these rules (see
+        #: labeler.analyze_sample); a copy starts without one
+        self.token_index = None
 
     def copy(self):
         return RuleSet(self.tagging, self.expansion)

@@ -107,6 +107,8 @@ def is_strong(relation, config):
 
 
 def _under_os(item):
+    if isinstance(item, str):  # endpoints counted by the labeler are item strings
+        item = parse_item(item)
     return isinstance(item, TagPath) and item.components[:2] == ('FILE', 'OS')
 
 
@@ -133,7 +135,10 @@ def resolve_item(item, taxonomy, rules):
     up in the taxonomy's name index; a name with no home is an unknown token.
     Returns None when the name hits a generic or multi-destination rule: such a
     token is already fully covered, so relations about it carry no news.
+    The item may also be given as its canonical string.
     '''
+    if isinstance(item, str):
+        item = parse_item(item)
     if isinstance(item, TagPath) and item in taxonomy:
         return item
     name = item_name(item)

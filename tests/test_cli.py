@@ -106,6 +106,21 @@ class TestLabelCommand:
         assert tags.read_text().startswith(sample_id(3))
         assert capsys.readouterr().err.count('skipping malformed line') == 3
 
+    def test_sample_ids_with_tab_cr_or_lf_skipped(self, data_dir, capsys):
+        inp = data_dir / 'samples.jsonl'
+        labels = {'A': 'Zbot', 'B': 'zbot'}
+        write_lines(inp, [sample_line('ab\tcd', labels), sample_line('ab\rcd', labels),
+                          sample_line('ab\ncd', labels), sample_line(sample_id(4), labels)])
+        tags = data_dir / 'tags.out'
+        compat = data_dir / 'compat.out'
+        assert main(label_args(data_dir, '-i', str(inp), '--tags-out', str(tags),
+                               '--compat-out', str(compat))) == 0
+        assert tags.read_text() == sample_id(4) + '\tFAM:zbot|2\n'
+        assert compat.read_text() == sample_id(4) + '\tzbot\n'
+        err = capsys.readouterr().err
+        assert err.count('skipping malformed line (sample id contains a TAB, CR or LF)') == 3
+        assert 'samples read 4, labeled 1, skipped 3' in err
+
     def test_blank_lines_ignored(self, data_dir, capsys):
         inp = data_dir / 'samples.jsonl'
         inp.write_text('\n\n%s\n\n' % sample_line(sample_id(1), {'A': 'Zbot'}))

@@ -45,6 +45,12 @@ class TestSampleReport:
             with pytest.raises(ValueError):
                 SampleReport.from_dict(obj)
 
+    def test_id_with_line_or_field_break_rejected(self):
+        for sid in ('ab\tcd', 'ab\rcd', 'ab\ncd', ' ab\tcd '):
+            with pytest.raises(ValueError):
+                SampleReport.from_dict({'sha256': sid})
+        assert SampleReport.from_dict({'sha256': ' ab cd\t'}).sample_id == 'ab cd'
+
     def test_missing_av_labels_tolerated(self):
         assert SampleReport.from_dict({'sha256': 'aa'}).av_labels == {}
 

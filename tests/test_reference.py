@@ -1,0 +1,292 @@
+'''Differential tests: the indexed labeler against a naive reference labeler.
+
+The reference runs tokenize -> tag_tokens -> expand on every engine label and
+keeps TagPath/UnknownToken items, the way labeling worked before the token
+index.  Hypothesis draws random knowledge bases, labels and engine allowlists;
+every sample's tag line, compat family and statistics items must equal the
+reference exactly.  The rest checks that a token index never outlives the
+knowledge base it was filled from.
+'''
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+from hypothesis import given, settings, strategies as st
+
+from avtag.labeler import (MIN_ENGINES, CooccurrenceCounter, SampleReport, analyze_sample,
+                           compat_family, cooccurrence_stats, expand, format_stats,
+                           tag_tokens)
+from avtag.ruleset import (ExpansionRule, RuleError, TaggingRule, load_rules,
+                           serialize_rules)
+from avtag.taxonomy import (CATEGORIES, TagPath, UnknownToken, is_taggable, load_taxonomy,
+                            parse_item, render_item, serialize_taxonomy)
+from avtag.tokenizer import tokenize
+from avtag.updater import (UpdateConfig, filter_strong, format_unhandled, infer,
+                           parse_stats)
+
+from conftest import (BASE_EXPANSION, BASE_TAGGING, BASE_TAXONOMY, MATRIX_TAXONOMY,
+                      sample_id)
+
+
+def reference_analyze(report, rules, taxonomy, allowlist=None):
+    '''(tag line, compat family, sorted stat items), computed label by label.'''
+    expanded_engines = {}
+    raw_engines = {}
+    for engine, label in report.av_labels.items():
+        if allowlist is not None and engine.lower() not in allowlist:
+            continue
+        tags, unknowns = tag_tokens(tokenize(label), rules, taxonomy)
+        unknown_items = {UnknownToken(token) for token in unknowns}
+        for item in expand(tags, rules, taxonomy) | unknown_items:
+            expanded_engines.setdefault(item, set()).add(engine)
+        for item in tags | unknown_items:
+            raw_engines.setdefault(item, set()).add(engine)
+    ranked = sorted((-len(engines), render_item(item), item)
+                    for item, engines in expanded_engines.items()
+                    if len(engines) >= MIN_ENGINES)
+    line = report.sample_id
+    if ranked:
+        line += '\t' + ','.join('%s|%d' % (text, -negative) for negative, text, _ in ranked)
+    candidates = []
+    for negative, _, item in ranked:
+        if isinstance(item, TagPath) and item.category == 'FAM':
+            candidates.append((negative, 0, item.name))
+        elif isinstance(item, UnknownToken):
+            candidates.append((negative, 1, item.text))
+    family = min(candidates)[2] if candidates else None
+    stat_items = sorted(render_item(item) for item, engines in raw_engines.items()
+                        if len(engines) >= MIN_ENGINES)
+    return line, family, stat_items
+
+
+def indexed_analyze(report, rules, taxonomy, allowlist=None):
+    ranking, stat_items = analyze_sample(report, rules, taxonomy, allowlist,
+                                         with_stats=True)
+    return (ranking.format_line(), compat_family(ranking),
+            sorted(render_item(item) for item in stat_items))
+
+
+def assert_matches_reference(reports, rules, taxonomy, allowlist=None):
+    for report in reports:
+        want = reference_analyze(report, rules, taxonomy, allowlist)
+        assert indexed_analyze(report, rules, taxonomy, allowlist) == want
+
+
+# ---------------------------------------------------------------------------
+# random knowledge bases and labels
+
+#: tag names: plain words, short ones (kept by tokenize, never unknown), and
+#: numeric or long pure-hex ones (dropped by tokenize, reachable only by rules)
+TAG_NAMES = ['zbot', 'virut', 'worm', 'bot', 'irc', 'packed', 'adware', 'miner',
+             'ab', 'x1', 'zz', 'cafe', 'dead', 'beef12', 'a1b2', '2017']
+STRUCTURAL = ['OS', 'WIN', 'X9']
+#: rule tokens; tag names can carry rules too, which builds alias chains
+RULE_TOKENS = ['trojan', 'malware', 'dloader', 'zeus', 'fynloski', 'ircbot', 'qq', 'generic']
+LABEL_WORDS = (TAG_NAMES + RULE_TOKENS
+               + ['newfam', 'skodna', 'abc', 'q', '123', 'deadbeef', '0x1f', 'a1', 'gen7'])
+SEPARATORS = ['.', '/', '!', ':', '-', '_', ' ']
+ENGINES = ['AVa', 'AVb', 'Bav', 'cav', 'DAV', 'e']
+
+
+def _loads(taxonomy, tagging_lines, expansion_lines):
+    try:
+        load_rules('\n'.join(tagging_lines), '\n'.join(expansion_lines), taxonomy)
+    except RuleError:
+        return False
+    return True
+
+
+@st.composite
+def knowledge_bases(draw):
+    '''(taxonomy, rules) with nested and structural nodes, generic rules, alias
+    and expansion chains; each rule line is kept only if the files still load.'''
+    nodes = [(category,) for category in CATEGORIES]
+    lines = []
+    for name in draw(st.lists(st.sampled_from(TAG_NAMES), unique=True, max_size=12)):
+        parent = draw(st.sampled_from(nodes))
+        if len(parent) < 3 and draw(st.integers(0, 3)) == 0:
+            parent += (draw(st.sampled_from(STRUCTURAL)),)
+            nodes.append(parent)
+        nodes.append(parent + (name,))
+        lines.append(':'.join(parent + (name,)))
+    taxonomy = load_taxonomy('\n'.join(lines))
+    tags = [node for node in nodes if len(node) > 1 and is_taggable(node[-1])]
+
+    def destination(node):
+        return ':'.join(node) if draw(st.booleans()) else node[-1]
+
+    tagging = []
+    for token in draw(st.lists(st.sampled_from(RULE_TOKENS + TAG_NAMES),
+                               unique=True, max_size=8)):
+        if not tags or draw(st.integers(0, 3)) == 0:
+            dests = 'GEN'
+        else:
+            chosen = draw(st.lists(st.sampled_from(tags), min_size=1, max_size=3,
+                                   unique=True))
+            dests = ','.join(destination(node) for node in chosen)
+        if _loads(taxonomy, tagging + ['%s\t%s' % (token, dests)], []):
+            tagging.append('%s\t%s' % (token, dests))
+    expansion = []
+    if tags:
+        for source in draw(st.lists(st.sampled_from(tags), unique=True, max_size=6)):
+            chosen = draw(st.lists(st.sampled_from(tags), min_size=1, max_size=2,
+                                   unique=True))
+            line = '%s\t%s' % (':'.join(source), ','.join(destination(n) for n in chosen))
+            if _loads(taxonomy, tagging, expansion + [line]):
+                expansion.append(line)
+    return taxonomy, load_rules('\n'.join(tagging), '\n'.join(expansion), taxonomy)
+
+
+words = st.sampled_from(LABEL_WORDS).flatmap(
+    lambda word: st.sampled_from([word, word.upper(), word.capitalize()]))
+labels = st.builds(lambda parts, sep: sep.join(parts),
+                   st.lists(words, max_size=5), st.sampled_from(SEPARATORS))
+engine_labels = st.dictionaries(st.sampled_from(ENGINES), labels, max_size=6)
+allowlists = st.none() | st.sets(st.sampled_from([e.lower() for e in ENGINES] + ['other']))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kb=knowledge_bases(), samples=st.lists(engine_labels, min_size=1, max_size=6),
+       allowlist=allowlists)
+def test_indexed_labeler_matches_reference(kb, samples, allowlist):
+    taxonomy, rules = kb
+    reports = [SampleReport(sample_id(n), labels) for n, labels in enumerate(samples)]
+    # the second pass reads every known token from the filled index
+    assert_matches_reference(reports + reports, rules, taxonomy, allowlist)
+
+    counted, reference = CooccurrenceCounter(), CooccurrenceCounter()
+    for report in reports:
+        counted.add_items(analyze_sample(report, rules, taxonomy, allowlist,
+                                         with_stats=True)[1])
+        reference.add_items({parse_item(text) for text in
+                             reference_analyze(report, rules, taxonomy, allowlist)[2]})
+    assert format_stats(counted.relations()) == format_stats(reference.relations())
+
+
+# ---------------------------------------------------------------------------
+# the index never outlives the knowledge base it was filled from
+
+def base_kb():
+    '''A private copy of the base knowledge base, safe to edit in place.'''
+    taxonomy = load_taxonomy(BASE_TAXONOMY)
+    return taxonomy, load_rules(BASE_TAGGING, BASE_EXPANSION, taxonomy)
+
+
+def two_engine_report(label, n=1):
+    return SampleReport(sample_id(n), {'A': label, 'B': label.upper()})
+
+
+def test_tagging_rule_added_in_place_after_labeling():
+    taxonomy, rules = base_kb()
+    report = two_engine_report('zbot.worm.zeus')
+    assert_matches_reference([report], rules, taxonomy)
+    rules.tagging['zeus'] = TaggingRule('zeus', {TagPath.parse('FAM:zbot')})
+    rules.tagging['worm'] = TaggingRule('worm', {TagPath.parse('CLASS:virus')})
+    assert_matches_reference([report], rules, taxonomy)
+    assert indexed_analyze(report, rules, taxonomy)[0].endswith(
+        '\tCLASS:virus|2,FAM:zbot|2')
+
+
+def test_expansion_rule_added_in_place_after_labeling():
+    taxonomy, rules = base_kb()
+    report = two_engine_report('zbot')
+    assert_matches_reference([report], rules, taxonomy)
+    zbot = TagPath.parse('FAM:zbot')
+    rules.expansion[zbot] = ExpansionRule(zbot, {TagPath.parse('BEH:infosteal')})
+    assert_matches_reference([report], rules, taxonomy)
+    assert 'BEH:infosteal|2' in indexed_analyze(report, rules, taxonomy)[0]
+
+
+def test_taxonomy_node_added_or_removed_in_place_after_labeling():
+    taxonomy, rules = base_kb()
+    report = two_engine_report('virut.newfam')
+    assert_matches_reference([report], rules, taxonomy)
+    taxonomy.add(TagPath.parse('FAM:virut:newfam'))
+    assert_matches_reference([report], rules, taxonomy)
+    assert indexed_analyze(report, rules, taxonomy)[2] == ['FAM:virut', 'FAM:virut:newfam']
+    taxonomy.remove(TagPath.parse('FAM:virut:newfam'))
+    taxonomy.remove(TagPath.parse('FAM:virut'))
+    assert_matches_reference([report], rules, taxonomy)
+    assert indexed_analyze(report, rules, taxonomy)[2] == ['UNK:newfam', 'UNK:virut']
+
+
+def test_rule_replaced_in_place_is_seen_through_a_copy():
+    taxonomy, rules = base_kb()
+    report = two_engine_report('dloader')
+    assert_matches_reference([report], rules, taxonomy)
+    rules.tagging['dloader'] = TaggingRule('dloader', {TagPath.parse('CLASS:bot')})
+    fresh = rules.copy()
+    assert_matches_reference([report], fresh, taxonomy)
+    assert indexed_analyze(report, fresh, taxonomy)[0].endswith('\tCLASS:bot|2')
+
+
+def test_same_size_replacements_are_seen():
+    taxonomy, rules = base_kb()
+    report = two_engine_report('zbot.dloader')
+    assert_matches_reference([report], rules, taxonomy)
+    rules.tagging = dict(rules.tagging,
+                         dloader=TaggingRule('dloader', {TagPath.parse('CLASS:bot')}))
+    assert_matches_reference([report], rules, taxonomy)
+    other = load_taxonomy(BASE_TAXONOMY.replace('FAM:zbot', 'FAM:zbotx'))
+    assert len(other) == len(taxonomy)
+    assert_matches_reference([report], rules, other)
+    assert indexed_analyze(report, rules, other)[0].endswith('\tCLASS:bot|2,UNK:zbot|2')
+
+
+def test_threads_sharing_one_rule_set_match_reference():
+    '''Threads that fill one index at the same time all see complete entries.'''
+    families = ['fam%03dx' % n for n in range(300)]
+    taxonomy = load_taxonomy(''.join('CLASS:worm:%s\n' % name for name in families))
+    rules = load_rules('', '', taxonomy)
+    reports = [SampleReport(sample_id(n), {'A': families[n], 'B': '.'.join(families[n:n + 3])})
+               for n in range(len(families))]
+    want = [reference_analyze(report, rules, taxonomy) for report in reports]
+    start = threading.Barrier(8)
+
+    def label_all():
+        start.wait(timeout=60)
+        return [indexed_analyze(report, rules, taxonomy) for report in reports]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(label_all) for _ in range(8)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == [want] * 8
+
+
+def test_update_then_relabel_matches_reference():
+    '''Labels, mines the counted relations, updates the KB, labels again.'''
+    taxonomy = load_taxonomy(MATRIX_TAXONOMY)
+    rules = load_rules('', 'FAM:virlock\tvirus\n', taxonomy)
+    corpus = {'fynloski.darkkomet': 30, 'darkkomet': 30, 'virlock.virlocker': 30,
+              'virlocker': 30, 'zeus.zbot': 30, 'zbot': 30, 'virut.virus': 30,
+              'virus': 170, 'virut.virus.windows': 20}
+    reports = []
+    for label, copies in sorted(corpus.items()):
+        reports += [two_engine_report(label, len(reports) + n) for n in range(copies)]
+    assert_matches_reference(reports, rules, taxonomy)
+
+    config = UpdateConfig()
+    relations = cooccurrence_stats(reports, rules, taxonomy)
+    result = infer(filter_strong(relations, config), taxonomy, rules, config)
+    # relations counted by the labeler carry item strings; the updater must
+    # treat them exactly like the ones parsed back from the stats file
+    parsed = parse_stats(format_stats(relations))
+    again = infer(filter_strong(parsed, config), taxonomy, rules, config)
+    assert serialize_taxonomy(result.taxonomy) == serialize_taxonomy(again.taxonomy)
+    assert serialize_rules(result.rules) == serialize_rules(again.rules)
+    assert format_unhandled(result.unhandled) == format_unhandled(again.unhandled)
+
+    assert_matches_reference(reports, result.rules, result.taxonomy)
+    before = [indexed_analyze(r, rules, taxonomy)[0] for r in reports]
+    after = [indexed_analyze(r, result.rules, result.taxonomy)[0] for r in reports]
+    changed = {line.split('\t', 1)[1] for line, old in zip(after, before) if line != old}
+    # virlock and zeus were cached as families of their own before the update
+    assert changed == {'FAM:darkkomet|2',                # fynloski became an alias
+                       'CLASS:virus|2,FAM:virlocker|2',  # virlock retired into virlocker
+                       'FAM:zbot|2'}                     # zeus retired into zbot
