@@ -24,14 +24,43 @@ def _read_text(path):
         return handle.read()
 
 
+def _read_bytes(path):
+    with open(path, 'rb') as handle:
+        return handle.read()
+
+
 def _write_text(path, text):
     with open(path, 'w', encoding='utf-8', newline='') as handle:
         handle.write(text)
 
 
-def _copy_bytes(src, dst):
-    with open(src, 'rb') as fin, open(dst, 'wb') as fout:
-        fout.write(fin.read())
+def _replace_all(contents):
+    '''Writes each path's content (str, written as UTF-8, or bytes) atomically.
+
+    Every content goes to a temporary file next to its path first, and only
+    when all of them are written are they renamed over the paths.  A failure
+    while writing leaves every path as it was; any failure removes the
+    temporary files that were not renamed, so each path holds either its
+    whole old or its whole new content.
+    '''
+    staged = []
+    try:
+        for path, content in contents.items():
+            tmp = os.path.join(os.path.dirname(path),
+                               '.%s.%d.tmp' % (os.path.basename(path), os.getpid()))
+            with open(tmp, 'xb') as handle:
+                staged.append(tmp)
+                handle.write(content if isinstance(content, bytes)
+                             else content.encode('utf-8'))
+        for tmp, path in zip(staged, contents):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:  # already renamed into place
+                pass
+        raise
 
 
 def _load_data_files(taxonomy_path, tagging_path, expansion_path):
@@ -144,28 +173,25 @@ def run_update(args):
             return _fail('refusing to overwrite input file %s' % (out_path,))
 
     strong = [r for r in relations if updater.is_strong(r, config)]
-    kept = [r for r in strong if not updater.involves_os_tag(r)]
+    kept = updater.filter_strong(strong, config)
     os_removed = len(strong) - len(kept)
     result = updater.infer(kept, taxonomy, rules, config)
 
+    tagging_text, expansion_text = serialize_rules(result.rules)
     try:
         os.makedirs(args.outdir, exist_ok=True)
-        if result.taxonomy_dirty:
-            _write_text(outputs['taxonomy'], serialize_taxonomy(result.taxonomy))
-        else:
-            _copy_bytes(args.taxonomy, outputs['taxonomy'])
-        tagging_text, expansion_text = serialize_rules(result.rules)
-        if result.tagging_dirty:
-            _write_text(outputs['tagging'], tagging_text)
-        else:
-            _copy_bytes(args.tagging, outputs['tagging'])
-        if result.expansion_dirty:
-            _write_text(outputs['expansion'], expansion_text)
-        else:
-            _copy_bytes(args.expansion, outputs['expansion'])
-        _write_text(outputs['unhandled.tsv'], updater.format_unhandled(result.unhandled))
-        _write_text(outputs['changelog.txt'],
-                     updater.format_changelog(result, len(relations), len(strong), os_removed))
+        # an artifact the run did not change is copied byte for byte
+        _replace_all({
+            outputs['taxonomy']: (serialize_taxonomy(result.taxonomy) if result.taxonomy_dirty
+                                  else _read_bytes(args.taxonomy)),
+            outputs['tagging']: (tagging_text if result.tagging_dirty
+                                 else _read_bytes(args.tagging)),
+            outputs['expansion']: (expansion_text if result.expansion_dirty
+                                   else _read_bytes(args.expansion)),
+            outputs['unhandled.tsv']: updater.format_unhandled(result.unhandled),
+            outputs['changelog.txt']: updater.format_changelog(
+                result, len(relations), len(strong), os_removed),
+        })
     except OSError as exc:
         return _fail(exc)
 

@@ -93,6 +93,11 @@ class TagPath:
     def child(self, component):
         return TagPath(self.components + (component,))
 
+    def is_ancestor_of(self, other):
+        '''True iff self is a proper prefix of other's path.'''
+        n = len(self.components)
+        return n < len(other.components) and other.components[:n] == self.components
+
     def __str__(self):
         return self._str
 
@@ -170,12 +175,16 @@ class Taxonomy:
 
     Maintains a name index mapping every taggable node's final component to its
     full path; that name is globally unique across the taxonomy, which is what
-    makes implicit tagging (token == tag name) unambiguous.
+    makes implicit tagging (token == tag name) unambiguous.  It also counts
+    each node's direct children, keyed by the node's components, so that
+    has_children is one lookup.
     '''
 
     def __init__(self):
         self._nodes = {TagPath((c,)) for c in CATEGORIES}
         self._name_index = {}
+        #: components of a node -> number of its direct children (only nodes that have some)
+        self._child_counts = {}
 
     def __contains__(self, path):
         return path in self._nodes
@@ -193,7 +202,48 @@ class Taxonomy:
         dup = Taxonomy.__new__(Taxonomy)
         dup._nodes = set(self._nodes)
         dup._name_index = dict(self._name_index)
+        dup._child_counts = dict(self._child_counts)
         return dup
+
+    def _missing(self, path, removed=None, pending=()):
+        '''Prefixes of `path` that adding it would create, root first.
+
+        Raises the TaxonomyError of a name clash.  `removed` counts as already
+        removed and the nodes in `pending` as already added.
+        '''
+        # the taxonomy, less a removed leaf, plus pending nodes is closed under
+        # prefixes, so the missing prefixes are those below the deepest present one
+        missing = []
+        prefix = path
+        while prefix not in pending and (prefix not in self._nodes
+                                         or (removed is not None and prefix == removed)):
+            missing.append(prefix)
+            prefix = prefix.parent()
+        missing.reverse()
+        names = set()
+        for prefix in missing:
+            name = prefix.name
+            if is_taggable(name):
+                clash = self._name_index.get(name)
+                if clash is None or clash == removed:
+                    clash = next((node for node in pending if node.name == name), None)
+                if clash is not None:
+                    raise TaxonomyError(
+                        'name %r already used by %s (adding %s)' % (name, clash, prefix))
+                if name in names:
+                    raise TaxonomyError('name %r repeated within path %s' % (name, path))
+                names.add(name)
+        return missing
+
+    def check_add(self, paths, removed=None):
+        '''Raises the TaxonomyError that adding `paths` in order would raise.
+
+        Changes nothing.  With `removed`, a removable leaf, the check is that of
+        removing it first: its name is free and its path may be created again.
+        '''
+        pending = set()
+        for path in paths:
+            pending.update(self._missing(path, removed, pending))
 
     def add(self, path):
         '''Adds a path plus any missing ancestors; returns the newly created nodes.
@@ -201,25 +251,14 @@ class Taxonomy:
         Validates name uniqueness for every node it would create before
         mutating anything, so a failed add leaves the taxonomy untouched.
         '''
-        missing = []
-        pending_names = set()
-        for prefix in path.prefixes():
-            if prefix in self._nodes:
-                continue
-            name = prefix.name
-            if is_taggable(name):
-                clash = self._name_index.get(name)
-                if clash is not None:
-                    raise TaxonomyError(
-                        'name %r already used by %s (adding %s)' % (name, clash, prefix))
-                if name in pending_names:
-                    raise TaxonomyError('name %r repeated within path %s' % (name, path))
-                pending_names.add(name)
-            missing.append(prefix)
+        missing = self._missing(path)
+        counts = self._child_counts
         for node in missing:
             self._nodes.add(node)
             if node.is_tag:
                 self._name_index[node.name] = node
+            parent = node.components[:-1]
+            counts[parent] = counts.get(parent, 0) + 1
         return missing
 
     def remove(self, path):
@@ -233,11 +272,14 @@ class Taxonomy:
         self._nodes.discard(path)
         if path.is_tag and self._name_index.get(path.name) == path:
             del self._name_index[path.name]
+        parent = path.components[:-1]
+        if self._child_counts[parent] == 1:
+            del self._child_counts[parent]
+        else:
+            self._child_counts[parent] -= 1
 
     def has_children(self, path):
-        plen = len(path.components)
-        return any(len(n.components) > plen and n.components[:plen] == path.components
-                   for n in self._nodes)
+        return path.components in self._child_counts
 
     def is_ancestor(self, a, b):
         '''True iff a is a proper ancestor of b (proper prefix of b's path).'''
@@ -245,8 +287,7 @@ class Taxonomy:
             raise TaxonomyError('unknown path %s' % (a,))
         if b not in self._nodes:
             raise TaxonomyError('unknown path %s' % (b,))
-        alen = len(a.components)
-        return alen < len(b.components) and b.components[:alen] == a.components
+        return a.is_ancestor_of(b)
 
     def resolve_name(self, name):
         '''Full path of the unique taggable node named `name`, or None.'''

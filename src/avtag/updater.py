@@ -6,6 +6,7 @@ file-property tags; leftover tag-to-tag relations become expansion rules; any
 pair the matrix does not cover is reported for manual review.
 '''
 
+import collections
 from dataclasses import dataclass, field
 
 from .labeler import STATS_HEADER, Relation
@@ -199,7 +200,12 @@ class _ActionError(Exception):
 
 
 class _WorkState:
-    '''Mutable copies of the artifacts plus change tracking for one inference run.'''
+    '''Mutable copies of the artifacts plus change tracking for one inference run.
+
+    Each action validates everything it would change before it changes
+    anything, without copying the artifacts, so a failed action leaves them
+    as they were.
+    '''
 
     def __init__(self, taxonomy, rules):
         self.taxonomy = taxonomy.copy()
@@ -211,10 +217,8 @@ class _WorkState:
 
     def add_nodes(self, *paths):
         '''Adds taxonomy nodes; validates every path before touching anything.'''
-        probe = self.taxonomy.copy()
         try:
-            for path in paths:
-                probe.add(path)
+            self.taxonomy.check_add(paths)
         except TaxonomyError as exc:
             raise _ActionError(str(exc)) from None
         for path in paths:
@@ -239,23 +243,25 @@ class _WorkState:
         old = self.taxonomy.resolve_name(token)
         if old is not None and self.taxonomy.has_children(old):
             raise _ActionError('cannot retire %s: node has children' % (old,))
+        referring = []
         if old is not None:
-            for other in self.rules.tagging.values():
-                if old in other.destinations and other.token == dest.name:
+            olds = {old}  # set against set compares stored hashes (see _remap_expansion)
+            referring = [other for other in self.rules.tagging.values()
+                         if not olds.isdisjoint(other.destinations)]
+            for other in referring:
+                if other.token == dest.name:
                     raise _ActionError(
                         'rewriting rule %r to %s would alias the rule to itself'
                         % (other.token, dest))
         if dest not in self.taxonomy:
-            probe = self.taxonomy.copy()
-            if old is not None:
-                probe.remove(old)
             try:
-                probe.add(dest)
+                self.taxonomy.check_add([dest], removed=old)
             except TaxonomyError as exc:
                 raise _ActionError(str(exc)) from None
-        new_expansion = edges_removed = edges_added = None
+        remapped = {}
+        edges_removed = edges_added = ()
         if old is not None:
-            new_expansion, edges_removed, edges_added = _remap_expansion(
+            remapped, edges_removed, edges_added = _remap_expansion(
                 self.rules.expansion, old, dest)
 
         # all validations passed; commit
@@ -270,17 +276,18 @@ class _WorkState:
         self.rules.tagging[token] = TaggingRule(token, (dest,))
         self.changes.tagging_added.append(token)
         self.tagging_dirty = True
-        if old is not None:
-            for other_token, other in list(self.rules.tagging.items()):
-                if other_token != token and old in other.destinations:
-                    rewritten = (other.destinations - {old}) | {dest}
-                    self.rules.tagging[other_token] = TaggingRule(other_token, rewritten)
-                    self.tagging_dirty = True
-            if edges_removed or edges_added:
-                self.rules.expansion = new_expansion
-                self.changes.expansion_removed.extend(edges_removed)
-                self.changes.expansion_added.extend(edges_added)
-                self.expansion_dirty = True
+        for other in referring:
+            rewritten = (other.destinations - {old}) | {dest}
+            self.rules.tagging[other.token] = TaggingRule(other.token, rewritten)
+        for source, rule in remapped.items():
+            if rule is None:
+                del self.rules.expansion[source]
+            else:
+                self.rules.expansion[source] = rule
+        if edges_removed or edges_added:
+            self.changes.expansion_removed.extend(edges_removed)
+            self.changes.expansion_added.extend(edges_added)
+            self.expansion_dirty = True
 
     def add_expansion_edge(self, source, target):
         '''Adds target to the expansion rule of source, creating the rule if needed.'''
@@ -290,7 +297,7 @@ class _WorkState:
         if target not in self.taxonomy or not target.is_tag:
             raise _ActionError('expansion target %s is not a tag in the taxonomy'
                                % (target,))
-        if target == source or _is_path_prefix(target, source):
+        if target == source or target.is_ancestor_of(source):
             raise _ActionError('expansion %s => %s is already implicit'
                                % (source, target))
         existing = self.rules.expansion.get(source)
@@ -305,63 +312,72 @@ class _WorkState:
         self.expansion_dirty = True
 
 
-def _is_path_prefix(a, b):
-    alen = len(a.components)
-    return alen < len(b.components) and b.components[:alen] == a.components
-
-
 def _expansion_reaches(expansion, start, goal):
-    '''True when `goal` is reachable from `start` along expansion edges.'''
+    '''True when `goal` is reachable from `start` along one or more expansion edges.'''
     stack = [start]
     seen = set()
     while stack:
-        node = stack.pop()
-        if node == goal:
-            return True
-        if node in seen:
+        rule = expansion.get(stack.pop())
+        if rule is None:
             continue
-        seen.add(node)
-        rule = expansion.get(node)
-        if rule is not None:
-            stack.extend(rule.targets)
+        for target in rule.targets:
+            if target == goal:
+                return True
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
     return False
 
 
-def _expansion_edges(expansion):
-    return {(source, target)
-            for source, rule in expansion.items() for target in rule.targets}
+def _edge_key(edge):
+    return (str(edge[0]), str(edge[1]))
 
 
 def _remap_expansion(expansion, old, new):
-    '''Rewrites all references to a retired tag; validates the result.
+    '''Rewrites the expansion rules that refer to a retired tag; validates the result.
 
-    Returns (new mapping, removed edges, added edges).  Targets that would
-    become the rule's own source (or an ancestor of it) are dropped; a rule
-    remapped onto an existing source merges target sets.  Raises _ActionError
-    when the rewrite would create a cycle.
+    Returns (rules to replace, removed edges, added edges); the first maps a
+    source to its new ExpansionRule, or to None when the rule goes away.
+    Only the retired tag's own rule, the rules that target it and the rule
+    of `new` change.  Targets that would become the rule's own source (or an
+    ancestor of it) are dropped; a rule remapped onto an existing source
+    merges target sets.  Raises _ActionError when the rewrite would create a
+    cycle.
     '''
-    referenced = old in expansion or any(
-        old in rule.targets for rule in expansion.values())
-    if not referenced:
-        return expansion, [], []
-    result = {}
-    for source, rule in expansion.items():
+    # isdisjoint between two sets uses the hashes they store; `old in targets`
+    # would call TagPath.__hash__ once per rule
+    olds = {old}
+    touched = [source for source, rule in expansion.items()
+               if not olds.isdisjoint(rule.targets)]
+    if old in expansion:
+        touched.append(old)
+    if not touched:
+        return {}, (), ()
+    if new in expansion and new not in touched:
+        touched.append(new)
+    targets_of = {}
+    for source in touched:
         new_source = new if source == old else source
-        targets = {new if t == old else t for t in rule.targets}
-        targets = {t for t in targets
-                   if t != new_source and not _is_path_prefix(t, new_source)}
-        if new_source in result:
-            targets |= result[new_source].targets
-        if targets:
-            result[new_source] = ExpansionRule(new_source, targets)
-    try:
-        _check_expansion_acyclic(result)
-    except RuleError as exc:
-        raise _ActionError('retiring %s: %s' % (old, exc)) from None
-    before = _expansion_edges(expansion)
-    after = _expansion_edges(result)
-    key = lambda edge: (str(edge[0]), str(edge[1]))
-    return result, sorted(before - after, key=key), sorted(after - before, key=key)
+        targets = {new if t == old else t for t in expansion[source].targets}
+        targets_of.setdefault(new_source, set()).update(
+            t for t in targets if t != new_source and not t.is_ancestor_of(new_source))
+    remapped = dict.fromkeys(touched)
+    remapped.update((source, ExpansionRule(source, targets))
+                    for source, targets in targets_of.items() if targets)
+    # the map was acyclic and every new edge starts or ends at `new`, so any
+    # cycle passes through it
+    view = collections.ChainMap(remapped, expansion)
+    if _expansion_reaches(view, new, new):
+        try:
+            _check_expansion_acyclic({source: rule for source, rule in view.items()
+                                      if rule is not None})
+        except RuleError as exc:
+            raise _ActionError('retiring %s: %s' % (old, exc)) from None
+    before = {(source, t) for source in touched for t in expansion[source].targets}
+    after = {(source, t) for source, rule in remapped.items() if rule is not None
+             for t in rule.targets}
+    return (remapped, sorted(before - after, key=_edge_key),
+            sorted(after - before, key=_edge_key))
 
 
 def _act_unk_fam(state, a, b):
@@ -416,9 +432,9 @@ def infer(strong, taxonomy, rules, config=None):
     Iterative phase: relations are visited in sorted canonical order against
     the evolving artifacts; known relations are dropped, equivalences become
     alias rules, matrix rows for unknown tokens are applied, anything else is
-    kept for the next round.  The loop ends when a round consumes nothing.
-    Terminal phase: remaining tag-to-tag relations with a matrix row become
-    expansion rules; the rest is reported unhandled.
+    kept for the next round.  A round that consumes nothing is followed by
+    the terminal round, the last: remaining tag-to-tag relations with a
+    matrix row become expansion rules; the rest is reported unhandled.
     '''
     if config is None:
         config = UpdateConfig()
@@ -430,9 +446,16 @@ def infer(strong, taxonomy, rules, config=None):
     consumed_topblock = []
     consumed_expansion = []
 
-    progress = True
-    while progress and remaining:
-        progress = False
+    def attempt(relation, consumed, action, *args):
+        try:
+            action(*args)
+        except _ActionError as exc:
+            unhandled.append(Unhandled(relation, str(exc)))
+        else:
+            consumed.append(relation)
+
+    terminal = False
+    while remaining:
         kept = []
         for relation in remaining:
             a = resolve_item(relation.t_i, state.taxonomy, state.rules)
@@ -440,50 +463,26 @@ def infer(strong, taxonomy, rules, config=None):
             equivalence = is_equivalent(relation, config)
             if _known_resolved(a, b, state.taxonomy, state.rules, equivalence):
                 consumed_known.append(relation)
-                progress = True
                 continue
-            if equivalence:
-                token = item_name(a)
+            pair = (item_category(a), item_category(b))
+            if terminal:
+                if pair in _BOTTOM_BLOCK:
+                    attempt(relation, consumed_expansion, state.add_expansion_edge, a, b)
+                else:
+                    unhandled.append(Unhandled(
+                        relation, 'no update rule for category pair (%s, %s)' % pair))
+            elif equivalence:
                 dest = b if isinstance(b, TagPath) else TagPath(('FAM', b.text))
-                try:
-                    state.add_alias(token, dest)
-                except _ActionError as exc:
-                    unhandled.append(Unhandled(relation, str(exc)))
-                else:
-                    consumed_equivalence.append(relation)
-                progress = True
-                continue
-            action = _TOP_BLOCK.get((item_category(a), item_category(b)))
-            if action is not None:
-                try:
-                    action(state, a, b)
-                except _ActionError as exc:
-                    unhandled.append(Unhandled(relation, str(exc)))
-                else:
-                    consumed_topblock.append(relation)
-                progress = True
-                continue
-            kept.append(relation)
-        remaining = kept
-
-    for relation in remaining:
-        a = resolve_item(relation.t_i, state.taxonomy, state.rules)
-        b = resolve_item(relation.t_j, state.taxonomy, state.rules)
-        equivalence = is_equivalent(relation, config)
-        if _known_resolved(a, b, state.taxonomy, state.rules, equivalence):
-            consumed_known.append(relation)
-            continue
-        pair = (item_category(a), item_category(b))
-        if pair in _BOTTOM_BLOCK:
-            try:
-                state.add_expansion_edge(a, b)
-            except _ActionError as exc:
-                unhandled.append(Unhandled(relation, str(exc)))
+                attempt(relation, consumed_equivalence, state.add_alias, item_name(a), dest)
+            elif pair in _TOP_BLOCK:
+                attempt(relation, consumed_topblock, _TOP_BLOCK[pair], state, a, b)
             else:
-                consumed_expansion.append(relation)
-        else:
-            unhandled.append(Unhandled(
-                relation, 'no update rule for category pair (%s, %s)' % pair))
+                kept.append(relation)
+        if terminal:
+            break
+        # a round that consumed nothing changed nothing: the terminal round follows
+        terminal = len(kept) == len(remaining)
+        remaining = kept
 
     return UpdateResult(
         taxonomy=state.taxonomy,
@@ -531,7 +530,7 @@ def format_changelog(result, relations_all, relations_strong, relations_os_remov
         entries.extend('tagging %s %s' % (sign, token) for token in sorted(tokens))
     for sign, edges in (('+', changes.expansion_added), ('-', changes.expansion_removed)):
         entries.extend('expansion %s %s => %s' % (sign, source, target)
-                       for source, target in sorted(edges, key=lambda e: (str(e[0]), str(e[1]))))
+                       for source, target in sorted(edges, key=_edge_key))
     if entries:
         lines.append('')
         lines.extend(entries)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from avtag import updater
 from avtag.cli import main
 from avtag.ruleset import load_rules
 from avtag.taxonomy import load_taxonomy
@@ -271,6 +272,27 @@ class TestUpdateCommand:
         assert main(update_args(data_dir, stats, data_dir)) == 1
         assert 'refusing to overwrite input file' in capsys.readouterr().err
         assert (data_dir / 'taxonomy').read_bytes() == before
+
+    @pytest.mark.parametrize('broken', ['serializer', 'write'])
+    def test_failed_run_keeps_previous_outputs(self, matrix_dir, monkeypatch, broken):
+        outdir = matrix_dir / 'out'
+        first = matrix_dir / 'first'
+        first.write_text(stats_text(MATRIX_ROWS[:1]))
+        assert main(update_args(matrix_dir, first, outdir)) == 0
+        before = {path.name: path.read_bytes() for path in outdir.iterdir()}
+        if broken == 'serializer':
+            def format_changelog(*args):
+                raise RuntimeError('serializer failed')
+            expected = RuntimeError
+        else:
+            # the last output cannot be encoded: four temporary files exist by then
+            def format_changelog(*args):
+                return 'relations all 17\n\udcff\n'
+            expected = UnicodeEncodeError
+        monkeypatch.setattr(updater, 'format_changelog', format_changelog)
+        with pytest.raises(expected):
+            main(update_args(matrix_dir, matrix_dir / 'stats', outdir))
+        assert {path.name: path.read_bytes() for path in outdir.iterdir()} == before
 
     def test_malformed_stats_fail(self, data_dir, capsys):
         stats = data_dir / 'stats'

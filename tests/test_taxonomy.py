@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from avtag.taxonomy import (TagPath, Taxonomy, TaxonomyError, UnknownToken,
+from avtag.taxonomy import (CATEGORIES, TagPath, Taxonomy, TaxonomyError, UnknownToken,
                             item_category, item_name, load_taxonomy, parse_item,
                             render_item, serialize_taxonomy)
 
@@ -164,6 +165,96 @@ class TestMutation:
         dup = taxonomy.copy()
         dup.remove(TagPath.parse('FAM:bebeg'))
         assert TagPath.parse('FAM:bebeg') in taxonomy
+
+
+# ---------------------------------------------------------------------------
+# child counts and the dry-run check against brute force and probe copies
+
+paths = st.builds(lambda category, rest: TagPath((category,) + tuple(rest)),
+                  st.sampled_from(CATEGORIES),
+                  st.lists(st.sampled_from(['a', 'b', 'c', 'X']), min_size=1, max_size=3))
+
+
+def scan_has_children(taxonomy, path):
+    n = len(path.components)
+    return any(node.components[:n] == path.components and len(node.components) > n
+               for node in taxonomy)
+
+
+def internals(taxonomy):
+    return (set(taxonomy._nodes), dict(taxonomy._name_index), dict(taxonomy._child_counts))
+
+
+def grown(steps):
+    taxonomy = Taxonomy()
+    for path in steps:
+        try:
+            taxonomy.add(path)
+        except TaxonomyError:
+            pass
+    return taxonomy
+
+
+class TestChildCounts:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(['add', 'remove', 'copy']), paths),
+                    max_size=30))
+    def test_has_children_matches_a_scan(self, steps):
+        taxonomies = [Taxonomy()]
+        for op, path in steps:
+            if op == 'copy':
+                taxonomies.append(taxonomies[-1].copy())
+            else:
+                try:
+                    getattr(taxonomies[-1], op)(path)
+                except TaxonomyError:
+                    pass
+            # a copy and its original never share counts
+            for taxonomy in taxonomies:
+                for node in list(taxonomy) + [path]:
+                    assert taxonomy.has_children(node) == scan_has_children(taxonomy, node)
+
+
+class TestCheckAdd:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(base=st.lists(paths, max_size=12), adds=st.lists(paths, min_size=1, max_size=3),
+           data=st.data())
+    def test_raises_what_a_probe_copy_raises(self, base, adds, data):
+        taxonomy = grown(base)
+        leaves = [node for node in taxonomy
+                  if not node.is_root and not taxonomy.has_children(node)]
+        removed = data.draw(st.none() | st.sampled_from(leaves)) if leaves else None
+        probe = taxonomy.copy()
+        if removed is not None:
+            probe.remove(removed)
+        want = None
+        try:
+            for path in adds:
+                probe.add(path)
+        except TaxonomyError as exc:
+            want = str(exc)
+        before = internals(taxonomy)
+        got = None
+        try:
+            taxonomy.check_add(adds, removed=removed)
+        except TaxonomyError as exc:
+            got = str(exc)
+        assert got == want
+        assert internals(taxonomy) == before
+
+    def test_removed_leaf_frees_its_name(self):
+        taxonomy = load_taxonomy('FAM:zbot\n')
+        with pytest.raises(TaxonomyError) as err:
+            taxonomy.check_add([TagPath.parse('CLASS:zbot')])
+        assert str(err.value) == "name 'zbot' already used by FAM:zbot (adding CLASS:zbot)"
+        taxonomy.check_add([TagPath.parse('CLASS:zbot')], removed=TagPath.parse('FAM:zbot'))
+
+    def test_earlier_paths_count_as_added(self):
+        taxonomy = load_taxonomy('')
+        with pytest.raises(TaxonomyError) as err:
+            taxonomy.check_add([TagPath.parse('FAM:twin'), TagPath.parse('CLASS:b:twin')])
+        assert str(err.value) == "name 'twin' already used by FAM:twin (adding CLASS:b:twin)"
+        assert len(taxonomy) == len(CATEGORIES)
 
 
 class TestRoundTrip:
