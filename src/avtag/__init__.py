@@ -6,25 +6,17 @@ engine that mines tag co-occurrence statistics to propose new taxonomy
 entries, alias tagging rules, and expansion rules.
 '''
 
-from .labeler import (CooccurrenceCounter, Relation, SampleReport, TagAssignment,
-                      TagRanking, compat_family, cooccurrence_stats, expand,
-                      label_sample, tag_tokens)
-from .ruleset import (ExpansionRule, RuleError, RuleSet, TaggingRule, load_rules,
-                      serialize_rules)
-from .taxonomy import (CATEGORIES, TagPath, Taxonomy, TaxonomyError, UnknownToken,
-                       load_taxonomy, parse_item, render_item, serialize_taxonomy)
-from .tokenizer import tokenize
-from .updater import (UpdateConfig, UpdateResult, filter_strong, infer,
-                      is_equivalent, is_known, is_strong, parse_stats)
+from .labeler import SampleReport, cooccurrence_stats, label_sample
+from .ruleset import RuleSet, load_rules
+from .taxonomy import TagPath, UnknownToken, load_taxonomy, parse_item
+from .updater import UpdateConfig, filter_strong, infer
 
 __version__ = '0.1.0'
 
+#: the names README's library example uses; everything else is importable
+#: from its submodule
 __all__ = [
-    'CATEGORIES', 'CooccurrenceCounter', 'ExpansionRule', 'Relation', 'RuleError',
-    'RuleSet', 'SampleReport', 'TagAssignment', 'TagPath', 'TagRanking',
-    'TaggingRule', 'Taxonomy', 'TaxonomyError', 'UnknownToken', 'UpdateConfig',
-    'UpdateResult', 'compat_family', 'cooccurrence_stats', 'expand', 'filter_strong',
-    'infer', 'is_equivalent', 'is_known', 'is_strong', 'label_sample', 'load_rules',
-    'load_taxonomy', 'parse_item', 'parse_stats', 'render_item', 'serialize_rules',
-    'serialize_taxonomy', 'tag_tokens', 'tokenize',
+    'RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'UpdateConfig',
+    'cooccurrence_stats', 'filter_strong', 'infer', 'label_sample', 'load_rules',
+    'load_taxonomy', 'parse_item',
 ]

@@ -29,38 +29,42 @@ def _read_bytes(path):
         return handle.read()
 
 
-def _write_text(path, text):
-    with open(path, 'w', encoding='utf-8', newline='') as handle:
-        handle.write(text)
+class _Staging:
+    '''New contents for output paths, each written to a temporary file next to its path.
 
-
-def _replace_all(contents):
-    '''Writes each path's content (str, written as UTF-8, or bytes) atomically.
-
-    Every content goes to a temporary file next to its path first, and only
-    when all of them are written are they renamed over the paths.  A failure
-    while writing leaves every path as it was; any failure removes the
-    temporary files that were not renamed, so each path holds either its
-    whole old or its whole new content.
+    open() starts a path's temporary file and returns a handle on it (text,
+    written as UTF-8, or binary).  commit() renames every temporary file over
+    its path, and only once all of them are written.  Leaving the with-block
+    without commit(), or a failure, removes the temporary files not renamed,
+    so each path holds either its whole old or its whole new content.
     '''
-    staged = []
-    try:
-        for path, content in contents.items():
-            tmp = os.path.join(os.path.dirname(path),
-                               '.%s.%d.tmp' % (os.path.basename(path), os.getpid()))
-            with open(tmp, 'xb') as handle:
-                staged.append(tmp)
-                handle.write(content if isinstance(content, bytes)
-                             else content.encode('utf-8'))
-        for tmp, path in zip(staged, contents):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in staged:
+
+    def __init__(self):
+        self._staged = []  # (handle on a temporary file, path it replaces)
+
+    def open(self, path, binary=False):
+        tmp = os.path.join(os.path.dirname(path),
+                           '.%s.%d.tmp' % (os.path.basename(path), os.getpid()))
+        handle = open(tmp, 'xb') if binary else open(tmp, 'x', encoding='utf-8', newline='')
+        self._staged.append((handle, path))
+        return handle
+
+    def commit(self):
+        for handle, _ in self._staged:
+            handle.close()
+        for handle, path in self._staged:
+            os.replace(handle.name, path)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for handle, _ in self._staged:
+            handle.close()
             try:
-                os.unlink(tmp)
-            except FileNotFoundError:  # already renamed into place
+                os.unlink(handle.name)
+            except FileNotFoundError:  # renamed into place
                 pass
-        raise
 
 
 def _load_data_files(taxonomy_path, tagging_path, expansion_path):
@@ -83,6 +87,23 @@ def _fail(message):
     return 1
 
 
+def _read_reports(paths, counts):
+    '''Yields the report of every usable input line; counts the lines read and skipped.'''
+    for path in paths:
+        with open(path, encoding='utf-8') as handle:
+            for lineno, raw in enumerate(handle, 1):
+                line = raw.strip()
+                if not line:
+                    continue
+                counts['read'] += 1
+                try:
+                    yield labeler.SampleReport.from_dict(json.loads(line))
+                except ValueError as exc:
+                    counts['skipped'] += 1
+                    sys.stderr.write('warning: %s:%d: skipping malformed line (%s)\n'
+                                     % (path, lineno, exc))
+
+
 def run_label(args):
     if not (args.tags_out or args.compat_out or args.stats_out):
         return _fail('label needs at least one of --tags-out/--compat-out/--stats-out')
@@ -97,57 +118,39 @@ def run_label(args):
 
     want_stats = args.stats_out is not None
     counter = labeler.CooccurrenceCounter() if want_stats else None
-    read = labeled = skipped = 0
-    tags_out = compat_out = None
+    counts = {'read': 0, 'skipped': 0}
+    labeled = 0
+    relations = None
     try:
-        if args.tags_out:
-            tags_out = open(args.tags_out, 'w', encoding='utf-8', newline='')
-        if args.compat_out:
-            compat_out = open(args.compat_out, 'w', encoding='utf-8', newline='')
-        for path in args.input:
-            with open(path, encoding='utf-8') as handle:
-                for lineno, raw in enumerate(handle, 1):
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    read += 1
-                    try:
-                        report = labeler.SampleReport.from_dict(json.loads(line))
-                    except ValueError as exc:
-                        skipped += 1
-                        sys.stderr.write('warning: %s:%d: skipping malformed line (%s)\n'
-                                         % (path, lineno, exc))
-                        continue
-                    ranking, stat_items = labeler.analyze_sample(
-                        report, rules, taxonomy, allowlist, with_stats=want_stats)
-                    labeled += 1
-                    if tags_out is not None:
-                        tags_out.write(ranking.format_line() + '\n')
-                    if compat_out is not None:
-                        family = labeler.compat_family(ranking)
-                        compat_out.write(labeler.format_compat_line(report.sample_id, family)
-                                         + '\n')
-                    if counter is not None:
-                        counter.add_items(stat_items)
+        # tags and compat lines stream into temporary files; all outputs are
+        # renamed into place only once the whole run has succeeded
+        with _Staging() as staging:
+            tags_out = staging.open(args.tags_out) if args.tags_out else None
+            compat_out = staging.open(args.compat_out) if args.compat_out else None
+            for report in _read_reports(args.input, counts):
+                ranking, stat_items = labeler.analyze_sample(
+                    report, rules, taxonomy, allowlist, with_stats=want_stats)
+                labeled += 1
+                if tags_out is not None:
+                    tags_out.write(ranking.format_line() + '\n')
+                if compat_out is not None:
+                    family = labeler.compat_family(ranking)
+                    compat_out.write(labeler.format_compat_line(report.sample_id, family)
+                                     + '\n')
+                if counter is not None:
+                    counter.add_items(stat_items)
+            if labeled == 0:
+                return _fail('no samples parsed (%d lines read, %d skipped)'
+                             % (counts['read'], counts['skipped']))
+            if want_stats:
+                relations = counter.relations()
+                staging.open(args.stats_out).write(labeler.format_stats(relations))
+            staging.commit()
     except OSError as exc:
         return _fail(exc)
-    finally:
-        for handle in (tags_out, compat_out):
-            if handle is not None:
-                handle.close()
 
-    if labeled == 0:
-        return _fail('no samples parsed (%d lines read, %d skipped)' % (read, skipped))
-
-    relations = None
-    if want_stats:
-        relations = counter.relations()
-        try:
-            _write_text(args.stats_out, labeler.format_stats(relations))
-        except OSError as exc:
-            return _fail(exc)
-
-    summary = 'samples read %d, labeled %d, skipped %d' % (read, labeled, skipped)
+    summary = 'samples read %d, labeled %d, skipped %d' % (
+        counts['read'], labeled, counts['skipped'])
     if relations is not None:
         summary += ', relations %d' % len(relations)
     sys.stderr.write(summary + '\n')
@@ -181,7 +184,7 @@ def run_update(args):
     try:
         os.makedirs(args.outdir, exist_ok=True)
         # an artifact the run did not change is copied byte for byte
-        _replace_all({
+        contents = {
             outputs['taxonomy']: (serialize_taxonomy(result.taxonomy) if result.taxonomy_dirty
                                   else _read_bytes(args.taxonomy)),
             outputs['tagging']: (tagging_text if result.tagging_dirty
@@ -191,7 +194,11 @@ def run_update(args):
             outputs['unhandled.tsv']: updater.format_unhandled(result.unhandled),
             outputs['changelog.txt']: updater.format_changelog(
                 result, len(relations), len(strong), os_removed),
-        })
+        }
+        with _Staging() as staging:
+            for path, content in contents.items():
+                staging.open(path, binary=isinstance(content, bytes)).write(content)
+            staging.commit()
     except OSError as exc:
         return _fail(exc)
 

@@ -20,8 +20,9 @@ when the index is rebuilt.
 
 import itertools
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 
-from .taxonomy import UNKNOWN_CATEGORY, render_item
+from .taxonomy import UNKNOWN_CATEGORY
 from .tokenizer import tokenize
 
 #: unknown tokens shorter than this are dropped (after tagging, not before)
@@ -38,16 +39,14 @@ _UNKNOWN_PREFIX = UNKNOWN_CATEGORY + ':'
 _ID_FORBIDDEN = ('\t', '\r', '\n')
 
 
+@dataclass(slots=True)
 class SampleReport:
     '''One input sample: id (preferring sha256) plus engine -> raw label map.'''
 
-    __slots__ = ('sample_id', 'av_labels')
+    sample_id: str
+    av_labels: dict
 
     HASH_FIELDS = ('sha256', 'sha1', 'md5')
-
-    def __init__(self, sample_id, av_labels):
-        self.sample_id = sample_id
-        self.av_labels = av_labels
 
     @classmethod
     def from_dict(cls, obj):
@@ -77,35 +76,27 @@ class SampleReport:
         return cls(sample_id, av_labels)
 
 
+@dataclass(slots=True)
 class TagAssignment:
     '''An output item together with the engines whose labels produced it.'''
 
-    __slots__ = ('item', 'engines')
+    item: str
+    engines: frozenset
 
-    def __init__(self, item, engines):
-        self.item = item
-        self.engines = frozenset(engines)
+    def __post_init__(self):
+        self.engines = frozenset(self.engines)
 
     @property
     def count(self):
         return len(self.engines)
 
-    def __eq__(self, other):
-        return (isinstance(other, TagAssignment)
-                and self.item == other.item and self.engines == other.engines)
 
-    def __repr__(self):
-        return 'TagAssignment(%s, %d engines)' % (render_item(self.item), self.count)
-
-
+@dataclass(slots=True)
 class TagRanking:
     '''Pruned assignments of one sample, ordered by engine count.'''
 
-    __slots__ = ('sample_id', 'assignments')
-
-    def __init__(self, sample_id, assignments):
-        self.sample_id = sample_id
-        self.assignments = assignments
+    sample_id: str
+    assignments: list
 
     def __iter__(self):
         return iter(self.assignments)
@@ -121,48 +112,37 @@ class TagRanking:
         return '%s\t%s' % (self.sample_id, items)
 
 
+@dataclass(slots=True)
 class Relation:
     '''Seven-value co-occurrence record for one unordered item pair.
 
     t_i is the less frequent item (ties broken lexicographically), therefore
     rel_ij >= rel_ji always holds.  The endpoints are canonical item strings
     when counted by CooccurrenceCounter, TagPath/UnknownToken items when
-    parsed by the updater.
+    parsed by the updater; str() gives the canonical string of either.
+    Equality compares the fields as given; as_tuple() compares across forms.
     '''
 
-    __slots__ = ('t_i', 't_j', 'count_i', 'count_j', 'count_ij', 'rel_ij', 'rel_ji')
-
-    def __init__(self, t_i, t_j, count_i, count_j, count_ij, rel_ij, rel_ji):
-        self.t_i = t_i
-        self.t_j = t_j
-        self.count_i = count_i
-        self.count_j = count_j
-        self.count_ij = count_ij
-        self.rel_ij = rel_ij
-        self.rel_ji = rel_ji
+    t_i: object
+    t_j: object
+    count_i: int
+    count_j: int
+    count_ij: int
+    rel_ij: float
+    rel_ji: float
 
     def key(self):
         '''Canonical (t_i, t_j) strings.'''
-        t_i, t_j = self.t_i, self.t_j
-        if t_i.__class__ is str and t_j.__class__ is str:
-            return (t_i, t_j)
-        return (render_item(t_i), render_item(t_j))
+        return (str(self.t_i), str(self.t_j))
 
     def as_tuple(self):
         return self.key() + (self.count_i, self.count_j, self.count_ij,
                              self.rel_ij, self.rel_ji)
 
-    def __eq__(self, other):
-        return isinstance(other, Relation) and self.as_tuple() == other.as_tuple()
-
-    def __hash__(self):
-        return hash(self.as_tuple())
-
-    def __repr__(self):
-        return 'Relation(%s, %s, %d/%d/%d)' % self.as_tuple()[:5]
-
     def format_row(self):
-        return '%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f' % self.as_tuple()
+        return '%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f' % (
+            self.t_i, self.t_j, self.count_i, self.count_j, self.count_ij,
+            self.rel_ij, self.rel_ji)
 
 
 def tag_tokens(tokens, rules, taxonomy):
@@ -225,8 +205,7 @@ def _index_token(index, token, rules, taxonomy):
     if token not in rules.tagging and taxonomy.resolve_name(token) is None:
         return None
     tags, _ = tag_tokens((token,), rules, taxonomy)
-    entry = (frozenset(map(render_item, tags)),
-             frozenset(map(render_item, expand(tags, rules, taxonomy))))
+    entry = (frozenset(map(str, tags)), frozenset(map(str, expand(tags, rules, taxonomy))))
     index[token] = entry
     return entry
 
@@ -329,9 +308,8 @@ class CooccurrenceCounter:
         self.pair_counts = Counter()
 
     def add_items(self, items):
-        '''Counts one sample's item set; TagPath/UnknownToken items are rendered first.'''
-        ordered = sorted(item if item.__class__ is str else render_item(item)
-                         for item in items)
+        '''Counts one sample's item set: item strings or TagPath/UnknownToken items.'''
+        ordered = sorted(map(str, items))
         self.item_counts.update(ordered)
         self.pair_counts.update(itertools.combinations(ordered, 2))
 

@@ -7,6 +7,8 @@ whose single destination is the literal ``GEN`` marks the token as generic
 (mapped to no tags at all).
 '''
 
+from dataclasses import dataclass
+
 from .taxonomy import TagPath, TaxonomyError, is_taggable
 
 GENERIC_MARKER = 'GEN'
@@ -16,56 +18,30 @@ class RuleError(ValueError):
     '''Raised for malformed or inconsistent rule files.'''
 
 
+@dataclass(frozen=True, slots=True)
 class TaggingRule:
     '''Maps one token to a frozen set of destination tags (empty = generic).'''
 
-    __slots__ = ('token', 'destinations')
+    token: str
+    destinations: frozenset
 
-    def __init__(self, token, destinations):
-        object.__setattr__(self, 'token', token)
-        object.__setattr__(self, 'destinations', frozenset(destinations))
-
-    def __setattr__(self, name, value):
-        raise AttributeError('TaggingRule is immutable')
+    def __post_init__(self):
+        object.__setattr__(self, 'destinations', frozenset(self.destinations))
 
     @property
     def is_generic(self):
         return not self.destinations
 
-    def __eq__(self, other):
-        return (isinstance(other, TaggingRule)
-                and self.token == other.token
-                and self.destinations == other.destinations)
 
-    def __hash__(self):
-        return hash((self.token, self.destinations))
-
-    def __repr__(self):
-        return 'TaggingRule(%r, %r)' % (self.token, sorted(map(str, self.destinations)))
-
-
+@dataclass(frozen=True, slots=True)
 class ExpansionRule:
     '''Maps a source tag to the set of extra tags it implies.'''
 
-    __slots__ = ('source', 'targets')
+    source: TagPath
+    targets: frozenset
 
-    def __init__(self, source, targets):
-        object.__setattr__(self, 'source', source)
-        object.__setattr__(self, 'targets', frozenset(targets))
-
-    def __setattr__(self, name, value):
-        raise AttributeError('ExpansionRule is immutable')
-
-    def __eq__(self, other):
-        return (isinstance(other, ExpansionRule)
-                and self.source == other.source
-                and self.targets == other.targets)
-
-    def __hash__(self):
-        return hash((self.source, self.targets))
-
-    def __repr__(self):
-        return 'ExpansionRule(%s, %r)' % (self.source, sorted(map(str, self.targets)))
+    def __post_init__(self):
+        object.__setattr__(self, 'targets', frozenset(self.targets))
 
 
 class RuleSet:

@@ -10,6 +10,7 @@ UNK pseudo-category, which is never a tree node.
 '''
 
 import re
+from dataclasses import dataclass
 
 CATEGORIES = ('BEH', 'CLASS', 'FAM', 'FILE')
 
@@ -111,38 +112,32 @@ class TagPath:
         return hash(self.components)
 
 
+@dataclass(frozen=True, slots=True)
 class UnknownToken:
-    '''A token with no tagging rule and no taxonomy entry (UNK pseudo-category).'''
+    '''A token with no tagging rule and no taxonomy entry (UNK pseudo-category).
 
-    __slots__ = ('text',)
+    Shares the item protocol of TagPath: `category` (UNK), `name` (the token)
+    and str(), the canonical string "UNK:<token>".
+    '''
 
-    def __init__(self, text):
-        object.__setattr__(self, 'text', text)
+    text: str
 
-    def __setattr__(self, name, value):
-        raise AttributeError('UnknownToken is immutable')
+    category = UNKNOWN_CATEGORY
 
-    def __str__(self):
+    @property
+    def name(self):
         return self.text
 
-    def __repr__(self):
-        return 'UnknownToken(%r)' % (self.text,)
-
-    def __eq__(self, other):
-        return isinstance(other, UnknownToken) and self.text == other.text
-
-    def __hash__(self):
-        return hash(('UNK', self.text))
+    def __str__(self):
+        return UNKNOWN_CATEGORY + ':' + self.text
 
 
 def render_item(item):
-    '''Canonical string of a TagPath or UnknownToken ("UNK:<token>").
+    '''Canonical string of a TagPath or UnknownToken; the same as str(item).
 
     All real categories sort before "UNK:", so sorting rendered items places
     tags ahead of unknown tokens.
     '''
-    if isinstance(item, UnknownToken):
-        return UNKNOWN_CATEGORY + ':' + item.text
     return str(item)
 
 
@@ -158,15 +153,11 @@ def parse_item(text):
 
 def item_category(item):
     '''Category name of an item; UNK for unknown tokens.'''
-    if isinstance(item, UnknownToken):
-        return UNKNOWN_CATEGORY
     return item.category
 
 
 def item_name(item):
     '''Final name component of an item (the token text for unknowns).'''
-    if isinstance(item, UnknownToken):
-        return item.text
     return item.name
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from .labeler import STATS_HEADER, Relation
 from .ruleset import ExpansionRule, RuleError, TaggingRule
 from .ruleset import _check_expansion_acyclic
-from .taxonomy import (TagPath, TaxonomyError, UnknownToken, item_category,
-                       item_name, parse_item, render_item)
+from .taxonomy import TagPath, TaxonomyError, UnknownToken, is_taggable, parse_item
 
 DEFAULT_MIN_COUNT = 20
 DEFAULT_MIN_REL = 0.94
@@ -108,9 +107,7 @@ def is_strong(relation, config):
 
 
 def _under_os(item):
-    if isinstance(item, str):  # endpoints counted by the labeler are item strings
-        item = parse_item(item)
-    return isinstance(item, TagPath) and item.components[:2] == ('FILE', 'OS')
+    return (str(item) + ':').startswith('FILE:OS:')
 
 
 def involves_os_tag(relation):
@@ -131,18 +128,20 @@ def is_equivalent(relation, config):
 def resolve_item(item, taxonomy, rules):
     '''Canonical form of a relation endpoint against the current knowledge base.
 
-    A tag still present in the taxonomy is canonical as-is.  Otherwise the
-    item's name is chased through single-destination tagging rules, then looked
-    up in the taxonomy's name index; a name with no home is an unknown token.
-    Returns None when the name hits a generic or multi-destination rule: such a
-    token is already fully covered, so relations about it carry no news.
-    The item may also be given as its canonical string.
+    A tag still present in the taxonomy is canonical as-is, and so is a path
+    whose name is structural, which no rule or tag can be named after.
+    Otherwise the item's name is chased through single-destination tagging
+    rules, then looked up in the taxonomy's name index; a name with no home is
+    an unknown token.  Returns None when the name hits a generic or
+    multi-destination rule: such a token is already fully covered, so
+    relations about it carry no news.  The item may also be given as its
+    canonical string.
     '''
     if isinstance(item, str):
         item = parse_item(item)
-    if isinstance(item, TagPath) and item in taxonomy:
+    name = item.name
+    if item in taxonomy or not is_taggable(name):
         return item
-    name = item_name(item)
     path = None
     seen = set()
     while name not in seen:
@@ -233,6 +232,8 @@ class _WorkState:
         tagging rules and sources/targets of expansion rules all move to
         `dest`, keeping the artifacts reloadable.
         '''
+        if not is_taggable(token):
+            raise _ActionError('alias token %r is not a taggable name' % (token,))
         if token in self.rules.tagging:
             raise _ActionError('token %r already has a tagging rule' % (token,))
         if dest.name == token:
@@ -381,28 +382,28 @@ def _remap_expansion(expansion, old, new):
 
 
 def _act_unk_fam(state, a, b):
-    state.add_alias(a.text, b)
+    state.add_alias(a.name, b)
 
 
 def _act_unk_class_or_beh(state, a, b):
-    state.add_nodes(TagPath(('FAM', a.text)))
+    state.add_nodes(TagPath(('FAM', a.name)))
 
 
 def _act_unk_file(state, a, b):
-    state.add_nodes(b.child(a.text))
+    state.add_nodes(b.child(a.name))
 
 
 def _act_unk_unk(state, a, b):
     # both tokens become families; deliberately no alias between them
-    state.add_nodes(TagPath(('FAM', a.text)), TagPath(('FAM', b.text)))
+    state.add_nodes(TagPath(('FAM', a.name)), TagPath(('FAM', b.name)))
 
 
 def _act_fam_unk(state, a, b):
-    state.add_alias(a.name, TagPath(('FAM', b.text)))
+    state.add_alias(a.name, TagPath(('FAM', b.name)))
 
 
 def _act_file_unk(state, a, b):
-    state.add_alias(a.name, a.parent().child(b.text))
+    state.add_alias(a.name, a.parent().child(b.name))
 
 
 def _act_fam_fam(state, a, b):
@@ -464,7 +465,7 @@ def infer(strong, taxonomy, rules, config=None):
             if _known_resolved(a, b, state.taxonomy, state.rules, equivalence):
                 consumed_known.append(relation)
                 continue
-            pair = (item_category(a), item_category(b))
+            pair = (a.category, b.category)
             if terminal:
                 if pair in _BOTTOM_BLOCK:
                     attempt(relation, consumed_expansion, state.add_expansion_edge, a, b)
@@ -472,8 +473,8 @@ def infer(strong, taxonomy, rules, config=None):
                     unhandled.append(Unhandled(
                         relation, 'no update rule for category pair (%s, %s)' % pair))
             elif equivalence:
-                dest = b if isinstance(b, TagPath) else TagPath(('FAM', b.text))
-                attempt(relation, consumed_equivalence, state.add_alias, item_name(a), dest)
+                dest = b if isinstance(b, TagPath) else TagPath(('FAM', b.name))
+                attempt(relation, consumed_equivalence, state.add_alias, a.name, dest)
             elif pair in _TOP_BLOCK:
                 attempt(relation, consumed_topblock, _TOP_BLOCK[pair], state, a, b)
             else:

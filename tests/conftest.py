@@ -1,6 +1,7 @@
 '''Shared fixtures: knowledge-base texts, sample builders, randomized generators.'''
 
 import json
+import os
 import random
 import re
 
@@ -9,6 +10,11 @@ import pytest
 from avtag.labeler import STATS_HEADER
 from avtag.ruleset import load_rules
 from avtag.taxonomy import TagPath, Taxonomy, load_taxonomy
+
+# child processes that run `python -m avtag.cli` import the sources under test
+# too, also when pytest put them on its own path from pyproject's `pythonpath`
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 'src')
+os.environ['PYTHONPATH'] = os.pathsep.join(filter(None, (SRC, os.environ.get('PYTHONPATH'))))
 
 # ---------------------------------------------------------------------------
 # base knowledge files used by labeling tests

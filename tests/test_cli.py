@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from avtag import updater
+from avtag import labeler, updater
 from avtag.cli import main
 from avtag.ruleset import load_rules
 from avtag.taxonomy import load_taxonomy
@@ -145,6 +145,34 @@ class TestLabelCommand:
         assert main(label_args(data_dir, '-i', str(inp),
                                '--tags-out', str(tags))) == 1
         assert 'no samples parsed' in capsys.readouterr().err
+
+    @pytest.mark.parametrize('broken', ['no_samples', 'stats_open', 'stats_format'])
+    def test_failed_run_keeps_previous_outputs(self, data_dir, monkeypatch, broken):
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        stats = data_dir / 'stats.out'
+        args = label_args(data_dir, '-i', str(inp), '--tags-out', str(data_dir / 'tags.out'),
+                          '--compat-out', str(data_dir / 'compat.out'),
+                          '--stats-out', str(stats))
+        assert main(args) == 0
+        if broken == 'no_samples':
+            write_lines(inp, ['nope', 'also nope'])
+        else:
+            # another corpus, whose tags and compat lines differ from the first run's
+            write_lines(inp, [sample_line(sample_id(n), GOLDEN_LABELS) for n in (1, 2)])
+        if broken == 'stats_open':
+            # the stats output cannot be created: its directory does not exist
+            stats = data_dir / 'gone' / 'stats.out'
+            args[args.index('--stats-out') + 1] = str(stats)
+        elif broken == 'stats_format':
+            def format_stats(relations):
+                raise OSError(28, 'No space left on device')
+            monkeypatch.setattr(labeler, 'format_stats', format_stats)
+        before = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
+        assert main(args) == 1
+        after = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
+        assert after == before
+        assert not (data_dir / 'gone').exists()
 
     def test_missing_input_file_fails(self, data_dir, capsys):
         tags = data_dir / 'tags.out'
@@ -293,6 +321,24 @@ class TestUpdateCommand:
         with pytest.raises(expected):
             main(update_args(matrix_dir, matrix_dir / 'stats', outdir))
         assert {path.name: path.read_bytes() for path in outdir.iterdir()} == before
+
+    def test_structural_names_never_become_alias_tokens(self, tmp_path):
+        (tmp_path / 'taxonomy').write_text('BEH:x2017\nFILE:PACKER:upx\nFAM:zbot\n')
+        (tmp_path / 'tagging').write_text('')
+        (tmp_path / 'expansion').write_text('')
+        stats = tmp_path / 'stats'
+        stats.write_text(stats_text([('BEH:OS', 'BEH:x2017', 20, 20, 20),
+                                     ('FILE:PACKER', 'UNK:newpack', 30, 40, 30)]))
+        outdir = tmp_path / 'out'
+        assert main(update_args(tmp_path, stats, outdir)) == 0
+        rows = [line.split('\t') for line in
+                (outdir / 'unhandled.tsv').read_text().splitlines()[1:]]
+        assert [(row[0], row[1], row[-1]) for row in rows] == [
+            ('BEH:OS', 'BEH:x2017', "alias token 'OS' is not a taggable name"),
+            ('FILE:PACKER', 'UNK:newpack', "alias token 'PACKER' is not a taggable name")]
+        # the outputs load again, as inputs of the next round
+        assert main(update_args(outdir, stats, tmp_path / 'again')) == 0
+        assert (tmp_path / 'again' / 'tagging').read_text() == ''
 
     def test_malformed_stats_fail(self, data_dir, capsys):
         stats = data_dir / 'stats'

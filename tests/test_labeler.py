@@ -17,7 +17,7 @@ from avtag.labeler import (
     tag_tokens,
 )
 from avtag.ruleset import RuleSet, load_rules
-from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, render_item
+from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, parse_item, render_item
 from avtag.tokenizer import tokenize
 
 from conftest import GOLDEN_LABELS, random_reports, sample_id
@@ -297,6 +297,26 @@ class TestFormatStats:
         assert format_stats(relations) == (
             't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji\n'
             'FAM:virut\tFAM:zbot\t1\t2\t1\t1.000000\t0.500000\n')
+
+    def test_endpoint_forms_format_alike(self):
+        rows = [('CLASS:worm', 'FAM:zbot', 3, 5, 2),
+                ('FAM:zbot', 'UNK:skodna', 5, 9, 5),
+                ('FILE:OS:windows', 'UNK:skodna', 9, 9, 4),
+                ('UNK:aaaa', 'UNK:bbbb', 2, 7, 1),
+                ('CLASS:worm', 'UNK:aaaa', 2, 3, 2)]
+        want = ''.join('%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f\n'
+                       % (t_i, t_j, ci, cj, cij, cij / ci, cij / cj)
+                       for t_i, t_j, ci, cj, cij in sorted(rows))
+        rng = random.Random(3)
+        for _ in range(20):
+            # each endpoint as its string, or as the TagPath/UnknownToken it parses to
+            mixed = [Relation(rng.choice((t_i, parse_item(t_i))),
+                              rng.choice((t_j, parse_item(t_j))),
+                              ci, cj, cij, cij / ci, cij / cj)
+                     for t_i, t_j, ci, cj, cij in rows]
+            rng.shuffle(mixed)
+            assert format_stats(mixed) == (
+                't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji\n' + want)
 
     def test_header_only_when_empty(self):
         assert format_stats([]) == (

@@ -60,6 +60,16 @@ class TestItems:
         with pytest.raises(TaxonomyError):
             parse_item('UNK:Not-A-Token')
 
+    @pytest.mark.parametrize('item, category, name, text', [
+        (TagPath.parse('FILE:OS:windows'), 'FILE', 'windows', 'FILE:OS:windows'),
+        (UnknownToken('skodna'), 'UNK', 'skodna', 'UNK:skodna'),
+    ])
+    def test_both_item_kinds_share_one_protocol(self, item, category, name, text):
+        assert (str(item), item.category, item.name) == (text, category, name)
+        assert render_item(item) == str(item)
+        assert (item_category(item), item_name(item)) == (category, name)
+        assert parse_item(text) == item and hash(parse_item(text)) == hash(item)
+
     def test_tags_sort_before_unknowns(self):
         rendered = sorted([render_item(UnknownToken('aaa')),
                            render_item(TagPath.parse('FILE:irc'))])

@@ -105,6 +105,8 @@ class ReferenceState:
                 self.taxonomy_dirty = True
 
     def add_alias(self, token, dest):
+        if not is_taggable(token):
+            raise _ActionError('alias token %r is not a taggable name' % (token,))
         if token in self.rules.tagging:
             raise _ActionError('token %r already has a tagging rule' % (token,))
         if dest.name == token:
@@ -382,6 +384,19 @@ def test_duplicate_endpoints_match_reference():
     want = assert_infer_matches_reference(parse_stats(stats_text(rows)), taxonomy, rules)
     assert (len(want.consumed_known), len(want.consumed_topblock)) == (1, 1)
     assert run_actions(taxonomy, rules, [('add_nodes', P('FAM:twin'), P('FAM:twin'))]) == []
+
+
+def test_structural_names_never_become_alias_tokens():
+    '''Both updaters refuse a structural endpoint name as an alias token.'''
+    taxonomy, rules = make_kb('BEH:x2017\nFILE:PACKER:upx\nFAM:zbot\n')
+    reasons = run_actions(taxonomy, rules, [('add_alias', 'OS', P('BEH:x2017')),
+                                            ('add_alias', 'PACKER', P('FILE:newpack'))])
+    assert reasons == ["alias token 'OS' is not a taggable name",
+                       "alias token 'PACKER' is not a taggable name"]
+    rows = [('BEH:OS', 'BEH:x2017', 20, 20, 20), ('FILE:PACKER', 'UNK:newpack', 30, 40, 30)]
+    want = assert_infer_matches_reference(parse_stats(stats_text(rows)), taxonomy, rules)
+    assert [entry.reason for entry in want.unhandled] == reasons
+    assert resolve_item(P('BEH:OS'), taxonomy, rules) == P('BEH:OS')
 
 
 def test_remap_drops_targets_implied_by_ancestry():

@@ -125,6 +125,21 @@ class TestThresholds:
         assert involves_os_tag(os_rel) and not involves_os_tag(plain)
         assert filter_strong([os_rel, plain], config) == [plain]
 
+    def test_os_subtree_filtered_in_every_endpoint_form(self):
+        config = UpdateConfig()
+        partners = ('FAM:virut', TagPath.parse('FAM:virut'), UnknownToken('winpe'))
+        for os_text in ('FILE:OS', 'FILE:OS:windows'):
+            for os_item in (os_text, TagPath.parse(os_text)):
+                for partner in partners:
+                    for t_i, t_j in ((partner, os_item), (os_item, partner)):
+                        rel = Relation(t_i, t_j, 100, 1000, 100, 1.0, 0.1)
+                        assert involves_os_tag(rel), rel
+                        assert filter_strong([rel], config) == []
+        # a sibling of FILE:OS whose name merely starts with OS is kept
+        for other in ('FILE:OSX:macho', TagPath.parse('FILE:OSX:macho'), 'FILE:oss'):
+            rel = Relation(UnknownToken('winpe'), other, 100, 1000, 100, 1.0, 0.1)
+            assert filter_strong([rel], config) == [rel]
+
     def test_filter_strong_drops_weak(self):
         config = UpdateConfig()
         weak = relation('UNK:aaatok', 'UNK:bbbtok', 19, 100, 19)
