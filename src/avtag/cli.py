@@ -45,7 +45,11 @@ class _Staging:
     def open(self, path, binary=False):
         tmp = os.path.join(os.path.dirname(path),
                            '.%s.%d.tmp' % (os.path.basename(path), os.getpid()))
-        handle = open(tmp, 'xb') if binary else open(tmp, 'x', encoding='utf-8', newline='')
+        try:
+            handle = (open(tmp, 'xb') if binary
+                      else open(tmp, 'x', encoding='utf-8', newline=''))
+        except OSError as exc:  # name the path the caller gave, not the hidden one
+            raise OSError(exc.errno, exc.strerror, path) from None
         self._staged.append((handle, path))
         return handle
 
@@ -107,6 +111,13 @@ def _read_reports(paths, counts):
 def run_label(args):
     if not (args.tags_out or args.compat_out or args.stats_out):
         return _fail('label needs at least one of --tags-out/--compat-out/--stats-out')
+    flags = {}  # real output path -> the option that named it
+    for flag, path in (('--tags-out', args.tags_out), ('--compat-out', args.compat_out),
+                       ('--stats-out', args.stats_out)):
+        if path:
+            other = flags.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                return _fail('%s and %s name the same file %s' % (other, flag, path))
     for path in args.input:
         if not os.path.isfile(path):
             return _fail('input file not found: %s' % (path,))

@@ -7,11 +7,12 @@ per-engine item extraction, taken before expansion, feeds the co-occurrence
 counters used by the update engine.
 
 Expansion distributes over union, so each token's items are computed once per
-knowledge base and then looked up.  A token index, filled lazily, maps every
-token that hits a tagging rule or a tag name to its (pre-expansion items,
-expanded items), computed by tag_tokens and expand and stored as frozensets of
-canonical item strings (``FAM:zbot``, ``CLASS:worm``).  Other tokens are never
-stored, since they are unbounded; a kept unknown token becomes ``UNK:<token>``.
+knowledge base and then looked up.  A token index is keyed by every token that
+hits a tagging rule or a tag name; on a token's first sighting its value is
+filled with its (pre-expansion items, expanded items), computed by tag_tokens
+and expand and stored as frozensets of canonical item strings (``FAM:zbot``,
+``CLASS:worm``).  Other tokens are never stored, since they are unbounded; a
+kept unknown token becomes ``UNK:<token>``.
 Labeling a label is then tokenize, index lookup and set union.  Ranking items
 and the endpoints of the relations that labeling produces are therefore
 canonical strings, not TagPath/UnknownToken objects; see analyze_sample for
@@ -33,7 +34,13 @@ MIN_ENGINES = 2
 
 STATS_HEADER = 't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji'
 
+#: one stats row: t_i, t_j, |t_i|, |t_j|, |(t_i,t_j)|, rel_ij, rel_ji
+_STATS_ROW = '%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f'
+
 _UNKNOWN_PREFIX = UNKNOWN_CATEGORY + ':'
+
+#: token index lookup default: the token hits no tagging rule and no tag name
+_NOT_KNOWN = object()
 
 #: characters that would break a line or a field of the TSV outputs
 _ID_FORBIDDEN = ('\t', '\r', '\n')
@@ -140,7 +147,7 @@ class Relation:
                              self.rel_ij, self.rel_ji)
 
     def format_row(self):
-        return '%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f' % (
+        return _STATS_ROW % (
             self.t_i, self.t_j, self.count_i, self.count_j, self.count_ij,
             self.rel_ij, self.rel_ji)
 
@@ -189,21 +196,24 @@ def expand(tags, rules, taxonomy):
 
 
 def _token_index(rules, taxonomy):
-    '''The token index kept on the rule set; a new, empty one if the knowledge base changed.'''
+    '''The token index kept on the rule set; a new one if the knowledge base changed.
+
+    A new index holds every tagging-rule token and tag name, each with the
+    value None until _index_token fills it.
+    '''
     # holding the objects keeps their ids from being reused by new ones; threads
     # that race here lose at most some entries, which are then recomputed
     kb = (taxonomy, rules.tagging, rules.expansion)
     sizes = (len(taxonomy), len(rules.tagging), len(rules.expansion))
     cached = rules.token_index
     if cached is None or cached[1] != sizes or any(a is not b for a, b in zip(cached[0], kb)):
-        cached = rules.token_index = (kb, sizes, {})
+        index = dict.fromkeys(itertools.chain(rules.tagging, taxonomy.tag_names()))
+        cached = rules.token_index = (kb, sizes, index)
     return cached[2]
 
 
 def _index_token(index, token, rules, taxonomy):
-    '''Stores and returns the entry of a token that hits a rule or a tag name, else None.'''
-    if token not in rules.tagging and taxonomy.resolve_name(token) is None:
-        return None
+    '''Stores and returns the entry of a token that hits a rule or a tag name.'''
     tags, _ = tag_tokens((token,), rules, taxonomy)
     entry = (frozenset(map(str, tags)), frozenset(map(str, expand(tags, rules, taxonomy))))
     index[token] = entry
@@ -234,15 +244,15 @@ def analyze_sample(report, rules, taxonomy, allowlist=None, with_stats=False):
         raw = set()
         expanded = set()
         for token in tokenize(label):
-            entry = index.get(token)
+            entry = index.get(token, _NOT_KNOWN)
+            if entry is _NOT_KNOWN:
+                if len(token) >= MIN_UNKNOWN_LEN:
+                    unknown = _UNKNOWN_PREFIX + token
+                    raw.add(unknown)
+                    expanded.add(unknown)
+                continue
             if entry is None:
                 entry = _index_token(index, token, rules, taxonomy)
-                if entry is None:
-                    if len(token) >= MIN_UNKNOWN_LEN:
-                        unknown = _UNKNOWN_PREFIX + token
-                        raw.add(unknown)
-                        expanded.add(unknown)
-                    continue
             raw |= entry[0]
             expanded |= entry[1]
         for item in expanded:
@@ -347,6 +357,8 @@ def cooccurrence_stats(reports, rules, taxonomy, allowlist=None):
 
 def format_stats(relations):
     '''Stats TSV content: header plus one row per relation, sorted.'''
-    lines = [STATS_HEADER]
-    lines.extend(r.format_row() for r in sorted(relations, key=Relation.key))
-    return '\n'.join(lines) + '\n'
+    row = _STATS_ROW + '\n'
+    return ''.join(itertools.chain(
+        (STATS_HEADER + '\n',),
+        (row % (r.t_i, r.t_j, r.count_i, r.count_j, r.count_ij, r.rel_ij, r.rel_ji)
+         for r in sorted(relations, key=Relation.key))))

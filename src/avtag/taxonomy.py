@@ -284,6 +284,10 @@ class Taxonomy:
         '''Full path of the unique taggable node named `name`, or None.'''
         return self._name_index.get(name)
 
+    def tag_names(self):
+        '''Names of all taggable nodes, each unique, in no particular order.'''
+        return self._name_index.keys()
+
     def tag_ancestors(self, path):
         '''Taggable proper-ancestor paths of `path`, nearest root first.
 

@@ -2,11 +2,16 @@
 
 import re
 
-_SPLIT_RE = re.compile(r'[^a-z0-9]+')
-_HEX_RE = re.compile(r'^[0-9a-f]+$')
-
 #: pure-hex tokens at least this long look like hash/variant fragments
 HEX_FRAGMENT_MIN_LEN = 4
+
+# A maximal [a-z0-9] run that is neither all digits nor all hex of at least
+# HEX_FRAGMENT_MIN_LEN.  The lookbehind lets a match start only at a run's first
+# character, so the lookahead scans each run once and matching stays linear.
+_TOKEN_RE = re.compile(
+    r'(?<![a-z0-9])'
+    r'(?![0-9]+(?![a-z0-9])|[0-9a-f]{%d,}(?![a-z0-9]))'
+    r'[a-z0-9]+' % HEX_FRAGMENT_MIN_LEN)
 
 
 def tokenize(label):
@@ -18,13 +23,4 @@ def tokenize(label):
     token can still match a tagging rule, so the short-token filter runs after
     tagging, not during tokenization.  Duplicates survive in order.
     '''
-    tokens = []
-    for token in _SPLIT_RE.split(label.lower()):
-        if not token:
-            continue
-        if token.isdigit():
-            continue
-        if len(token) >= HEX_FRAGMENT_MIN_LEN and _HEX_RE.match(token):
-            continue
-        tokens.append(token)
-    return tokens
+    return _TOKEN_RE.findall(label.lower())

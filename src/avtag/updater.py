@@ -441,6 +441,11 @@ def infer(strong, taxonomy, rules, config=None):
         config = UpdateConfig()
     state = _WorkState(taxonomy, rules)
     remaining = sorted(strong, key=Relation.key)
+    # the resolved (t_i, t_j) of each remaining relation.  Endpoints are resolved
+    # again each round; the terminal round reuses the previous round's, since that
+    # round changed nothing and the expansion edges the terminal round adds do not
+    # affect resolution (they can make a later relation known, so that is checked)
+    ends = None
     unhandled = []
     consumed_known = []
     consumed_equivalence = []
@@ -458,9 +463,13 @@ def infer(strong, taxonomy, rules, config=None):
     terminal = False
     while remaining:
         kept = []
-        for relation in remaining:
-            a = resolve_item(relation.t_i, state.taxonomy, state.rules)
-            b = resolve_item(relation.t_j, state.taxonomy, state.rules)
+        kept_ends = []
+        for k, relation in enumerate(remaining):
+            if terminal:
+                a, b = ends[k]
+            else:
+                a = resolve_item(relation.t_i, state.taxonomy, state.rules)
+                b = resolve_item(relation.t_j, state.taxonomy, state.rules)
             equivalence = is_equivalent(relation, config)
             if _known_resolved(a, b, state.taxonomy, state.rules, equivalence):
                 consumed_known.append(relation)
@@ -479,11 +488,12 @@ def infer(strong, taxonomy, rules, config=None):
                 attempt(relation, consumed_topblock, _TOP_BLOCK[pair], state, a, b)
             else:
                 kept.append(relation)
+                kept_ends.append((a, b))
         if terminal:
             break
         # a round that consumed nothing changed nothing: the terminal round follows
         terminal = len(kept) == len(remaining)
-        remaining = kept
+        remaining, ends = kept, kept_ends
 
     return UpdateResult(
         taxonomy=state.taxonomy,

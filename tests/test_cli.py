@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from avtag import labeler, updater
+from avtag import cli, labeler, updater
 from avtag.cli import main
 from avtag.ruleset import load_rules
 from avtag.taxonomy import load_taxonomy
@@ -173,6 +173,35 @@ class TestLabelCommand:
         after = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
         assert after == before
         assert not (data_dir / 'gone').exists()
+
+    def test_output_that_cannot_be_created_is_named_as_given(self, data_dir, capsys):
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        tags = data_dir / 'gone' / 't.tsv'
+        assert main(label_args(data_dir, '-i', str(inp), '--tags-out', str(tags))) == 1
+        err = capsys.readouterr().err
+        assert "No such file or directory: '%s'" % tags in err
+        assert '.tmp' not in err
+
+    @pytest.mark.parametrize('first,second', [('--tags-out', '--compat-out'),
+                                              ('--tags-out', '--stats-out'),
+                                              ('--compat-out', '--stats-out')])
+    def test_one_path_for_two_outputs_rejected(self, data_dir, monkeypatch, capsys,
+                                               first, second):
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        (data_dir / 'sub').mkdir()
+        same = data_dir / 'same.tsv'
+
+        def read_reports(paths, counts):
+            raise AssertionError('input read')
+        monkeypatch.setattr(cli, '_read_reports', read_reports)
+        before = sorted(path.name for path in data_dir.iterdir())
+        # the second spelling differs, the real path is the same
+        assert main(label_args(data_dir, '-i', str(inp), first, str(same),
+                               second, str(data_dir / 'sub' / '..' / 'same.tsv'))) == 1
+        assert '%s and %s name the same file' % (first, second) in capsys.readouterr().err
+        assert sorted(path.name for path in data_dir.iterdir()) == before
 
     def test_missing_input_file_fails(self, data_dir, capsys):
         tags = data_dir / 'tags.out'

@@ -14,9 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings, strategies as st
 
-from avtag.labeler import (MIN_ENGINES, CooccurrenceCounter, SampleReport, analyze_sample,
-                           compat_family, cooccurrence_stats, expand, format_stats,
-                           tag_tokens)
+from avtag.labeler import (MIN_ENGINES, CooccurrenceCounter, SampleReport, _token_index,
+                           analyze_sample, compat_family, cooccurrence_stats, expand,
+                           format_stats, tag_tokens)
 from avtag.ruleset import (ExpansionRule, RuleError, TaggingRule, load_rules,
                            serialize_rules)
 from avtag.taxonomy import (CATEGORIES, TagPath, UnknownToken, is_taggable, load_taxonomy,
@@ -232,6 +232,17 @@ def test_same_size_replacements_are_seen():
     assert len(other) == len(taxonomy)
     assert_matches_reference([report], rules, other)
     assert indexed_analyze(report, rules, other)[0].endswith('\tCLASS:bot|2,UNK:zbot|2')
+
+
+def test_unknown_tokens_add_no_index_keys():
+    '''The index is keyed by the known tokens alone, however many unknowns pass.'''
+    taxonomy, rules = base_kb()
+    known = set(rules.tagging) | set(taxonomy.tag_names())
+    reports = [SampleReport(sample_id(n), {'A': 'unk%dx.q%d' % (n, n), 'B': 'unk%dx' % n})
+               for n in range(500)]
+    assert_matches_reference(reports, rules, taxonomy)
+    index = _token_index(rules, taxonomy)
+    assert set(index) <= known
 
 
 def test_threads_sharing_one_rule_set_match_reference():

@@ -161,6 +161,12 @@ class TestMutation:
         assert taxonomy.resolve_name('bebeg') is None
         assert TagPath.parse('FAM:bebeg') not in taxonomy
 
+    def test_tag_names_are_the_taggable_node_names(self):
+        taxonomy = load_taxonomy('FAM:bebeg\nFILE:OS:windows\nCLASS:grayware:adware\n')
+        assert sorted(taxonomy.tag_names()) == ['adware', 'bebeg', 'grayware', 'windows']
+        taxonomy.remove(TagPath.parse('FAM:bebeg'))
+        assert sorted(taxonomy.tag_names()) == ['adware', 'grayware', 'windows']
+
     def test_remove_guards(self):
         taxonomy = load_taxonomy('CLASS:grayware:adware\n')
         with pytest.raises(TaxonomyError):

@@ -2,6 +2,8 @@ import random
 import re
 import string
 
+from hypothesis import given, settings, strategies as st
+
 from avtag.tokenizer import HEX_FRAGMENT_MIN_LEN, tokenize
 
 
@@ -103,3 +105,47 @@ class TestProperties:
         for delim in ('.', '/', '!', ':', '-'):
             label = delim.join(['Trojan', 'Zbot', 'gen3'])
             assert tokenize(label) == ['trojan', 'zbot', 'gen3']
+
+
+def split_then_filter_tokenize(label):
+    '''The tokenizer before it was one regex: split on non-[a-z0-9], then filter.'''
+    tokens = []
+    for token in re.split(r'[^a-z0-9]+', label.lower()):
+        if not token or token.isdigit():
+            continue
+        if len(token) >= HEX_FRAGMENT_MIN_LEN and re.match(r'^[0-9a-f]+$', token):
+            continue
+        tokens.append(token)
+    return tokens
+
+
+#: characters whose lower() is ASCII (Kelvin sign), several characters (dotted
+#: capital I), or non-ASCII (sharp s, superscript two, Arabic-Indic digits)
+TRICKY = ['\u212a', '\u0130', '\u1e9e', '\u00df', '\u00b2', '\u0663', '\u0660\u0661', '\u00e9']
+
+fragments = st.one_of(
+    st.text(string.ascii_letters + string.digits, min_size=1, max_size=8),
+    st.text(string.digits, min_size=1, max_size=8),
+    st.text(string.hexdigits, min_size=1, max_size=10),
+    st.text(string.punctuation + string.whitespace, min_size=1, max_size=3),
+    st.sampled_from(TRICKY),
+)
+
+
+class TestAgainstSplitThenFilter:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.lists(fragments, max_size=12).map(''.join))
+    def test_same_tokens_on_built_labels(self, label):
+        assert tokenize(label) == split_then_filter_tokenize(label)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.text(max_size=40))
+    def test_same_tokens_on_any_text(self, label):
+        assert tokenize(label) == split_then_filter_tokenize(label)
+
+    def test_tricky_characters(self):
+        for char in TRICKY:
+            for label in (char, 'zbot' + char + 'gen', char + 'abcd', '12' + char + '34'):
+                assert tokenize(label) == split_then_filter_tokenize(label), label
+        assert tokenize('\u212aido') == ['kido']          # Kelvin sign lowers to 'k'
+        assert tokenize('W\u0130N32') == ['wi', 'n32']     # dotted I lowers to 'i' + U+0307

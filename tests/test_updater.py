@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from avtag import updater
 from avtag.labeler import Relation, format_stats
 from avtag.ruleset import RuleSet, TaggingRule, load_rules, serialize_rules
 from avtag.taxonomy import (TagPath, Taxonomy, UnknownToken, load_taxonomy,
@@ -505,6 +506,31 @@ class TestFixedPoint:
                     or second.expansion_dirty)
         assert serialize_taxonomy(second.taxonomy) == serialize_taxonomy(first.taxonomy)
         assert serialize_rules(second.rules) == serialize_rules(first.rules)
+
+    def test_terminal_round_reuses_the_resolved_endpoints(self, matrix_taxonomy,
+                                                           monkeypatch):
+        '''The terminal round follows a round that changed nothing, so it resolves no
+        endpoint again; an expansion edge it adds still makes a later relation known.'''
+        calls = []
+
+        def counting_resolve_item(item, taxonomy, rules):
+            calls.append(str(item))
+            return resolve_item(item, taxonomy, rules)
+        monkeypatch.setattr(updater, 'resolve_item', counting_resolve_item)
+        rules = load_rules('zeusalias\tFAM:zeus\n', '', matrix_taxonomy)
+        rows = [('UNK:fynloski', 'FAM:darkkomet', 50, 100, 50),  # alias, round 1
+                ('FAM:bebeg', 'BEH:infosteal', 30, 300, 30),     # expansion, terminal
+                ('FAM:zeus', 'CLASS:virus', 30, 300, 30),        # expansion, terminal
+                ('UNK:zeusalias', 'CLASS:virus', 30, 300, 30)]   # known after the above
+        result = run_rows(rows, matrix_taxonomy, rules)
+        # round 1 resolves all four relations, round 2 the three it kept, terminal none
+        assert len(calls) == 2 * 4 + 2 * 3
+        assert [str(r.t_i) for r in result.consumed_equivalence + result.consumed_topblock] \
+            == ['UNK:fynloski']
+        assert [(str(a), str(b)) for a, b in result.changes.expansion_added] == [
+            ('FAM:bebeg', 'BEH:infosteal'), ('FAM:zeus', 'CLASS:virus')]
+        assert [str(r.t_i) for r in result.consumed_known] == ['UNK:zeusalias']
+        assert result.unhandled == []
 
     def test_full_matrix_converges_eventually(self, matrix_taxonomy, matrix_rules):
         taxonomy, rules = matrix_taxonomy, matrix_rules
