@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import labeler, updater
-from .ruleset import RuleError, load_rules, serialize_rules
-from .taxonomy import TaxonomyError, load_taxonomy, serialize_taxonomy
+from .ruleset import load_rules, serialize_rules
+from .taxonomy import load_taxonomy, serialize_taxonomy
 
 UPDATE_OUTPUT_NAMES = ('taxonomy', 'tagging', 'expansion', 'unhandled.tsv', 'changelog.txt')
 
@@ -102,58 +102,56 @@ def _read_reports(paths, counts):
                 counts['read'] += 1
                 try:
                     yield labeler.SampleReport.from_dict(json.loads(line))
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                     counts['skipped'] += 1
                     sys.stderr.write('warning: %s:%d: skipping malformed line (%s)\n'
                                      % (path, lineno, exc))
 
 
+def _overwritten_input(outputs, inputs):
+    '''The first output path that is one of the input paths (by real path), or None.'''
+    inputs = {os.path.realpath(path) for path in inputs}
+    return next((path for path in outputs if os.path.realpath(path) in inputs), None)
+
+
 def run_label(args):
-    if not (args.tags_out or args.compat_out or args.stats_out):
+    outputs = {flag: path for flag, path in (('--tags-out', args.tags_out),
+                                             ('--compat-out', args.compat_out),
+                                             ('--stats-out', args.stats_out)) if path}
+    if not outputs:
         return _fail('label needs at least one of --tags-out/--compat-out/--stats-out')
     flags = {}  # real output path -> the option that named it
-    for flag, path in (('--tags-out', args.tags_out), ('--compat-out', args.compat_out),
-                       ('--stats-out', args.stats_out)):
-        if path:
-            other = flags.setdefault(os.path.realpath(path), flag)
-            if other != flag:
-                return _fail('%s and %s name the same file %s' % (other, flag, path))
+    for flag, path in outputs.items():
+        other = flags.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            return _fail('%s and %s name the same file %s' % (other, flag, path))
+    clash = _overwritten_input(outputs.values(), args.input + [
+        path for path in (args.taxonomy, args.tagging, args.expansion, args.engines) if path])
+    if clash:
+        return _fail('refusing to overwrite input file %s' % (clash,))
     for path in args.input:
         if not os.path.isfile(path):
             return _fail('input file not found: %s' % (path,))
     try:
         taxonomy, rules = _load_data_files(args.taxonomy, args.tagging, args.expansion)
         allowlist = _load_allowlist(args.engines) if args.engines else None
-    except (OSError, TaxonomyError, RuleError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: also a file that is not UTF-8
         return _fail(exc)
 
-    want_stats = args.stats_out is not None
-    counter = labeler.CooccurrenceCounter() if want_stats else None
+    counter = labeler.CooccurrenceCounter() if args.stats_out else None
     counts = {'read': 0, 'skipped': 0}
-    labeled = 0
-    relations = None
     try:
         # tags and compat lines stream into temporary files; all outputs are
         # renamed into place only once the whole run has succeeded
         with _Staging() as staging:
-            tags_out = staging.open(args.tags_out) if args.tags_out else None
-            compat_out = staging.open(args.compat_out) if args.compat_out else None
-            for report in _read_reports(args.input, counts):
-                ranking, stat_items = labeler.analyze_sample(
-                    report, rules, taxonomy, allowlist, with_stats=want_stats)
-                labeled += 1
-                if tags_out is not None:
-                    tags_out.write(ranking.format_line() + '\n')
-                if compat_out is not None:
-                    family = labeler.compat_family(ranking)
-                    compat_out.write(labeler.format_compat_line(report.sample_id, family)
-                                     + '\n')
-                if counter is not None:
-                    counter.add_items(stat_items)
+            labeled = labeler.label_reports(
+                _read_reports(args.input, counts), rules, taxonomy, allowlist,
+                staging.open(args.tags_out) if args.tags_out else None,
+                staging.open(args.compat_out) if args.compat_out else None, counter)
             if labeled == 0:
                 return _fail('no samples parsed (%d lines read, %d skipped)'
                              % (counts['read'], counts['skipped']))
-            if want_stats:
+            if counter is not None:
                 relations = counter.relations()
                 staging.open(args.stats_out).write(labeler.format_stats(relations))
             staging.commit()
@@ -162,7 +160,7 @@ def run_label(args):
 
     summary = 'samples read %d, labeled %d, skipped %d' % (
         counts['read'], labeled, counts['skipped'])
-    if relations is not None:
+    if counter is not None:
         summary += ', relations %d' % len(relations)
     sys.stderr.write(summary + '\n')
     return 0
@@ -179,12 +177,11 @@ def run_update(args):
     except (OSError, ValueError) as exc:
         return _fail(exc)
 
-    input_paths = {os.path.realpath(p)
-                   for p in (args.taxonomy, args.tagging, args.expansion, args.stats)}
     outputs = {name: os.path.join(args.outdir, name) for name in UPDATE_OUTPUT_NAMES}
-    for out_path in outputs.values():
-        if os.path.realpath(out_path) in input_paths:
-            return _fail('refusing to overwrite input file %s' % (out_path,))
+    clash = _overwritten_input(outputs.values(),
+                               (args.taxonomy, args.tagging, args.expansion, args.stats))
+    if clash:
+        return _fail('refusing to overwrite input file %s' % (clash,))
 
     strong = [r for r in relations if updater.is_strong(r, config)]
     kept = updater.filter_strong(strong, config)

@@ -4,7 +4,8 @@ For every engine label of a sample: tokenize, apply tagging rules, expand.
 Every item (tag or unknown token) remembers the set of engines whose label
 produced it; items seen by fewer than two engines are pruned.  The same
 per-engine item extraction, taken before expansion, feeds the co-occurrence
-counters used by the update engine.
+counters used by the update engine.  label_reports is the one loop that runs
+this over a stream of reports; the CLI and cooccurrence_stats both call it.
 
 Expansion distributes over union, so each token's items are computed once per
 knowledge base and then looked up.  A token index is keyed by every token that
@@ -271,12 +272,6 @@ def analyze_sample(report, rules, taxonomy, allowlist=None, with_stats=False):
     return ranking, stat_items
 
 
-def label_sample(report, rules, taxonomy, allowlist=None):
-    '''Tokenize, tag and expand every engine label; prune and rank the items.'''
-    ranking, _ = analyze_sample(report, rules, taxonomy, allowlist)
-    return ranking
-
-
 def compat_family(ranking):
     '''Single most likely family: best-ranked FAM tag or unknown token, or None.
 
@@ -346,12 +341,33 @@ class CooccurrenceCounter:
                 for t_i, t_j, count_i, count_j, count_ij in rows]
 
 
+def label_reports(reports, rules, taxonomy, allowlist=None, tags_out=None, compat_out=None,
+                  counter=None):
+    '''Labels a report stream, one report at a time; returns how many were labeled.
+
+    Each report's tag line goes to `tags_out` and its compat line to
+    `compat_out` (text handles), and its pre-expansion items are counted into
+    `counter` (a CooccurrenceCounter); a sink left None is skipped.
+    '''
+    with_stats = counter is not None
+    labeled = 0
+    for report in reports:
+        ranking, stat_items = analyze_sample(report, rules, taxonomy, allowlist, with_stats)
+        labeled += 1
+        if tags_out is not None:
+            tags_out.write(ranking.format_line() + '\n')
+        if compat_out is not None:
+            family = compat_family(ranking)
+            compat_out.write(format_compat_line(report.sample_id, family) + '\n')
+        if with_stats:
+            counter.add_items(stat_items)
+    return labeled
+
+
 def cooccurrence_stats(reports, rules, taxonomy, allowlist=None):
     '''Relations over a report stream (pre-expansion items, >= 2-engine filter).'''
     counter = CooccurrenceCounter()
-    for report in reports:
-        _, items = analyze_sample(report, rules, taxonomy, allowlist, with_stats=True)
-        counter.add_items(items)
+    label_reports(reports, rules, taxonomy, allowlist, counter=counter)
     return counter.relations()
 
 

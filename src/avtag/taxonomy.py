@@ -87,10 +87,6 @@ class TagPath:
             return None
         return TagPath(self.components[:-1])
 
-    def prefixes(self):
-        '''All prefix paths from the category root down to (and including) self.'''
-        return [TagPath(self.components[:k]) for k in range(1, len(self.components) + 1)]
-
     def child(self, component):
         return TagPath(self.components + (component,))
 
@@ -117,7 +113,8 @@ class UnknownToken:
     '''A token with no tagging rule and no taxonomy entry (UNK pseudo-category).
 
     Shares the item protocol of TagPath: `category` (UNK), `name` (the token)
-    and str(), the canonical string "UNK:<token>".
+    and str(), the canonical string "UNK:<token>".  Every tag category sorts
+    before UNK, so sorted canonical strings put tags ahead of unknown tokens.
     '''
 
     text: str
@@ -132,33 +129,14 @@ class UnknownToken:
         return UNKNOWN_CATEGORY + ':' + self.text
 
 
-def render_item(item):
-    '''Canonical string of a TagPath or UnknownToken; the same as str(item).
-
-    All real categories sort before "UNK:", so sorting rendered items places
-    tags ahead of unknown tokens.
-    '''
-    return str(item)
-
-
 def parse_item(text):
-    '''Inverse of render_item.'''
+    '''Inverse of str() on a TagPath or UnknownToken.'''
     if text.startswith(UNKNOWN_CATEGORY + ':'):
         token = text[len(UNKNOWN_CATEGORY) + 1:]
         if not is_taggable(token):
             raise TaxonomyError('bad unknown token %r' % (token,))
         return UnknownToken(token)
     return TagPath.parse(text)
-
-
-def item_category(item):
-    '''Category name of an item; UNK for unknown tokens.'''
-    return item.category
-
-
-def item_name(item):
-    '''Final name component of an item (the token text for unknowns).'''
-    return item.name
 
 
 class Taxonomy:

@@ -12,8 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from avtag.cli import main
 from avtag.labeler import (CooccurrenceCounter, Relation, SampleReport,
-                           analyze_sample, cooccurrence_stats, format_stats,
-                           label_sample)
+                           analyze_sample, cooccurrence_stats, format_stats)
 from avtag.ruleset import RuleSet, load_rules
 from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, load_taxonomy
 from avtag.updater import (UpdateConfig, infer, is_equivalent, is_strong,
@@ -230,8 +229,8 @@ def test_criterion_7_expansion_engine_count(base_taxonomy, base_rules):
     '''expansion-implied tags accumulate engine counts from direct and implied hits'''
     labels = {'A': 'Worm', 'B': 'worm!x', 'C': 'SelfPropagate',
               'D': 'selfpropagate', 'E': 'SELFPROPAGATE'}
-    ranking = label_sample(SampleReport(sample_id(7), labels),
-                           base_rules, base_taxonomy)
+    ranking = analyze_sample(SampleReport(sample_id(7), labels),
+                             base_rules, base_taxonomy)[0]
     by_item = {str(a.item): a.count for a in ranking}
     assert by_item == {'BEH:selfpropagate': 5, 'CLASS:worm': 2}
     assert ranking.format_line().split('\t')[1] == 'BEH:selfpropagate|5,CLASS:worm|2'

@@ -203,6 +203,56 @@ class TestLabelCommand:
         assert '%s and %s name the same file' % (first, second) in capsys.readouterr().err
         assert sorted(path.name for path in data_dir.iterdir()) == before
 
+    @pytest.mark.parametrize('output,source', [('--tags-out', 'samples.jsonl'),
+                                               ('--compat-out', 'taxonomy'),
+                                               ('--stats-out', 'tagging'),
+                                               ('--tags-out', 'expansion'),
+                                               ('--compat-out', 'engines')])
+    def test_output_that_is_an_input_refused(self, data_dir, monkeypatch, capsys,
+                                             output, source):
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        (data_dir / 'engines').write_text('firstav\nsecondav\n')
+        (data_dir / 'sub').mkdir()
+
+        def read_input(*args):
+            raise AssertionError('input read')
+        monkeypatch.setattr(cli, '_read_reports', read_input)
+        monkeypatch.setattr(cli, '_read_text', read_input)
+        before = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
+        # the output's spelling differs from the input's, the real path is the same
+        assert main(label_args(data_dir, '-i', str(inp), '--engines', str(data_dir / 'engines'),
+                               output, str(data_dir / 'sub' / '..' / source))) == 1
+        assert 'refusing to overwrite input file' in capsys.readouterr().err
+        after = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
+        assert after == before
+
+    @pytest.mark.parametrize('source', ['taxonomy', 'tagging', 'expansion', 'engines'])
+    def test_undecodable_data_file_is_an_error(self, data_dir, capsys, source):
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        (data_dir / 'engines').write_text('firstav\nsecondav\n')
+        with open(data_dir / source, 'ab') as handle:
+            handle.write(b'FAM:\xff\n')
+        tags = data_dir / 'tags.out'
+        assert main(label_args(data_dir, '-i', str(inp), '--engines', str(data_dir / 'engines'),
+                               '--tags-out', str(tags))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: ') and "can't decode byte 0xff" in err
+        assert not tags.exists()
+
+    def test_deeply_nested_line_skipped(self, data_dir, capsys):
+        inp = data_dir / 'samples.jsonl'
+        labels = {'A': 'Zbot', 'B': 'zbot'}
+        write_lines(inp, [sample_line(sample_id(1), labels), '[' * 5000,
+                          sample_line(sample_id(3), labels)])
+        tags = data_dir / 'tags.out'
+        assert main(label_args(data_dir, '-i', str(inp), '--tags-out', str(tags))) == 0
+        assert tags.read_text() == ''.join('%s\tFAM:zbot|2\n' % sample_id(n) for n in (1, 3))
+        err = capsys.readouterr().err
+        assert 'samples.jsonl:2: skipping malformed line' in err
+        assert 'samples read 3, labeled 2, skipped 1' in err
+
     def test_missing_input_file_fails(self, data_dir, capsys):
         tags = data_dir / 'tags.out'
         assert main(label_args(data_dir, '-i', str(data_dir / 'nosuch.jsonl'),

@@ -8,16 +8,16 @@ from avtag.labeler import (
     CooccurrenceCounter,
     Relation,
     SampleReport,
+    analyze_sample,
     compat_family,
     cooccurrence_stats,
     expand,
     format_compat_line,
     format_stats,
-    label_sample,
     tag_tokens,
 )
 from avtag.ruleset import RuleSet, load_rules
-from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, parse_item, render_item
+from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, parse_item
 from avtag.tokenizer import tokenize
 
 from conftest import GOLDEN_LABELS, random_reports, sample_id
@@ -135,58 +135,58 @@ class TestLabelSample:
     def test_five_engine_expansion_counts(self, base_rules, base_taxonomy):
         labels = {'A': 'Worm.gen', 'B': 'WORM', 'C': 'SelfPropagate',
                   'D': 'selfpropagate!x', 'E': 'malicious.SELFPROPAGATE'}
-        ranking = label_sample(report(labels), base_rules, base_taxonomy)
+        ranking = analyze_sample(report(labels), base_rules, base_taxonomy)[0]
         assert ranking.format_line().split('\t')[1] == (
             'BEH:selfpropagate|5,CLASS:worm|2')
 
     def test_single_engine_items_pruned(self, base_rules, base_taxonomy):
-        ranking = label_sample(report({'A': 'Zbot'}), base_rules, base_taxonomy)
+        ranking = analyze_sample(report({'A': 'Zbot'}), base_rules, base_taxonomy)[0]
         assert len(ranking) == 0
         assert ranking.format_line() == ranking.sample_id
 
     def test_within_engine_duplicates_count_once(self, base_rules, base_taxonomy):
         labels = {'A': 'Zbot.zbot.zbot', 'B': 'zbot'}
-        ranking = label_sample(report(labels), base_rules, base_taxonomy)
+        ranking = analyze_sample(report(labels), base_rules, base_taxonomy)[0]
         assert ranking.format_line().split('\t')[1] == 'FAM:zbot|2'
 
     def test_engine_allowlist_case_insensitive(self, base_rules, base_taxonomy):
         labels = {'GoodAV': 'Zbot', 'FineAV': 'zbot', 'BadAV': 'zbot'}
-        ranking = label_sample(report(labels), base_rules, base_taxonomy,
-                               allowlist={'goodav', 'fineav'})
+        ranking = analyze_sample(report(labels), base_rules, base_taxonomy,
+                                 allowlist={'goodav', 'fineav'})[0]
         [assignment] = list(ranking)
         assert assignment.engines == frozenset({'GoodAV', 'FineAV'})
 
     def test_ranking_ties_put_tags_before_unknowns(self, base_rules, base_taxonomy):
         labels = {'A': 'zzztok.bebeg', 'B': 'zzztok/Bebeg'}
-        ranking = label_sample(report(labels), base_rules, base_taxonomy)
+        ranking = analyze_sample(report(labels), base_rules, base_taxonomy)[0]
         assert ranking.format_line().split('\t')[1] == 'FAM:bebeg|2,UNK:zzztok|2'
 
     def test_count_descending_then_canonical(self, base_rules, base_taxonomy):
         labels = {'A': 'virut.zbot', 'B': 'virut.zbot', 'C': 'virut'}
-        ranking = label_sample(report(labels), base_rules, base_taxonomy)
-        assert [render_item(a.item) for a in ranking] == ['FAM:virut', 'FAM:zbot']
+        ranking = analyze_sample(report(labels), base_rules, base_taxonomy)[0]
+        assert [str(a.item) for a in ranking] == ['FAM:virut', 'FAM:zbot']
 
 
 class TestCompatFamily:
     def test_family_tag_wins(self, base_rules, base_taxonomy):
         labels = {'A': 'Zbot.gen', 'B': 'zbot!x'}
-        assert compat_family(label_sample(report(labels), base_rules,
-                                          base_taxonomy)) == 'zbot'
+        assert compat_family(analyze_sample(report(labels), base_rules,
+                                            base_taxonomy)[0]) == 'zbot'
 
     def test_family_beats_unknown_on_tie(self, base_rules, base_taxonomy):
         labels = {'A': 'zbot.aaaunk', 'B': 'zbot.aaaunk'}
-        assert compat_family(label_sample(report(labels), base_rules,
-                                          base_taxonomy)) == 'zbot'
+        assert compat_family(analyze_sample(report(labels), base_rules,
+                                            base_taxonomy)[0]) == 'zbot'
 
     def test_unknown_token_as_family(self, base_rules, base_taxonomy):
         labels = {'A': 'newfam.worm', 'B': 'newfam'}
-        assert compat_family(label_sample(report(labels), base_rules,
-                                          base_taxonomy)) == 'newfam'
+        assert compat_family(analyze_sample(report(labels), base_rules,
+                                            base_taxonomy)[0]) == 'newfam'
 
     def test_non_family_tags_ignored(self, base_rules, base_taxonomy):
         labels = {'A': 'worm', 'B': 'worm'}
-        assert compat_family(label_sample(report(labels), base_rules,
-                                          base_taxonomy)) is None
+        assert compat_family(analyze_sample(report(labels), base_rules,
+                                            base_taxonomy)[0]) is None
 
     def test_singleton_line(self):
         assert format_compat_line('ff00', None) == 'ff00\tSINGLETON:ff00'
@@ -200,11 +200,11 @@ def brute_force_relations(item_sets):
     for items in item_sets:
         for item in items:
             item_counts[item] += 1
-        for a, b in itertools.combinations(sorted(items, key=render_item), 2):
+        for a, b in itertools.combinations(sorted(items, key=str), 2):
             pair_counts[(a, b)] += 1
     rows = []
     for (a, b), count_ab in pair_counts.items():
-        if (item_counts[a], render_item(a)) <= (item_counts[b], render_item(b)):
+        if (item_counts[a], str(a)) <= (item_counts[b], str(b)):
             t_i, t_j = a, b
         else:
             t_i, t_j = b, a

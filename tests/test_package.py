@@ -7,7 +7,7 @@ import avtag
 
 #: the eight names of README's library example, plus the four its prose names
 PUBLIC = ['RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'UpdateConfig',
-          'cooccurrence_stats', 'filter_strong', 'infer', 'label_sample', 'load_rules',
+          'analyze_sample', 'cooccurrence_stats', 'filter_strong', 'infer', 'load_rules',
           'load_taxonomy', 'parse_item']
 
 #: names once exported by the package, each importable from its submodule
@@ -15,8 +15,7 @@ SUBMODULE_NAMES = {
     'labeler': ['CooccurrenceCounter', 'Relation', 'TagAssignment', 'TagRanking',
                 'compat_family', 'expand', 'tag_tokens'],
     'ruleset': ['ExpansionRule', 'RuleError', 'TaggingRule', 'serialize_rules'],
-    'taxonomy': ['CATEGORIES', 'Taxonomy', 'TaxonomyError', 'render_item',
-                 'serialize_taxonomy'],
+    'taxonomy': ['CATEGORIES', 'Taxonomy', 'TaxonomyError', 'serialize_taxonomy'],
     'tokenizer': ['tokenize'],
     'updater': ['UpdateResult', 'is_equivalent', 'is_known', 'is_strong', 'parse_stats'],
 }

@@ -8,6 +8,7 @@ reference exactly.  The rest checks that a token index never outlives the
 knowledge base it was filled from.
 '''
 
+import io
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -16,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from avtag.labeler import (MIN_ENGINES, CooccurrenceCounter, SampleReport, _token_index,
                            analyze_sample, compat_family, cooccurrence_stats, expand,
-                           format_stats, tag_tokens)
+                           format_stats, label_reports, tag_tokens)
 from avtag.ruleset import (ExpansionRule, RuleError, TaggingRule, load_rules,
                            serialize_rules)
 from avtag.taxonomy import (CATEGORIES, TagPath, UnknownToken, is_taggable, load_taxonomy,
-                            parse_item, render_item, serialize_taxonomy)
+                            parse_item, serialize_taxonomy)
 from avtag.tokenizer import tokenize
 from avtag.updater import (UpdateConfig, filter_strong, format_unhandled, infer,
                            parse_stats)
@@ -42,7 +43,7 @@ def reference_analyze(report, rules, taxonomy, allowlist=None):
             expanded_engines.setdefault(item, set()).add(engine)
         for item in tags | unknown_items:
             raw_engines.setdefault(item, set()).add(engine)
-    ranked = sorted((-len(engines), render_item(item), item)
+    ranked = sorted((-len(engines), str(item), item)
                     for item, engines in expanded_engines.items()
                     if len(engines) >= MIN_ENGINES)
     line = report.sample_id
@@ -55,7 +56,7 @@ def reference_analyze(report, rules, taxonomy, allowlist=None):
         elif isinstance(item, UnknownToken):
             candidates.append((negative, 1, item.text))
     family = min(candidates)[2] if candidates else None
-    stat_items = sorted(render_item(item) for item, engines in raw_engines.items()
+    stat_items = sorted(str(item) for item, engines in raw_engines.items()
                         if len(engines) >= MIN_ENGINES)
     return line, family, stat_items
 
@@ -64,7 +65,7 @@ def indexed_analyze(report, rules, taxonomy, allowlist=None):
     ranking, stat_items = analyze_sample(report, rules, taxonomy, allowlist,
                                          with_stats=True)
     return (ranking.format_line(), compat_family(ranking),
-            sorted(render_item(item) for item in stat_items))
+            sorted(str(item) for item in stat_items))
 
 
 def assert_matches_reference(reports, rules, taxonomy, allowlist=None):
@@ -155,12 +156,19 @@ def test_indexed_labeler_matches_reference(kb, samples, allowlist):
     # the second pass reads every known token from the filled index
     assert_matches_reference(reports + reports, rules, taxonomy, allowlist)
 
-    counted, reference = CooccurrenceCounter(), CooccurrenceCounter()
+    # the corpus loop: one pass writes every output
+    tags_out, compat_out, counted = io.StringIO(), io.StringIO(), CooccurrenceCounter()
+    assert label_reports(iter(reports), rules, taxonomy, allowlist,
+                         tags_out, compat_out, counted) == len(reports)
+    want_tags, want_compat, reference = [], [], CooccurrenceCounter()
     for report in reports:
-        counted.add_items(analyze_sample(report, rules, taxonomy, allowlist,
-                                         with_stats=True)[1])
-        reference.add_items({parse_item(text) for text in
-                             reference_analyze(report, rules, taxonomy, allowlist)[2]})
+        line, family, stat_items = reference_analyze(report, rules, taxonomy, allowlist)
+        want_tags.append(line + '\n')
+        want_compat.append('%s\t%s\n' % (report.sample_id, family if family is not None
+                                           else 'SINGLETON:' + report.sample_id))
+        reference.add_items({parse_item(text) for text in stat_items})
+    assert tags_out.getvalue() == ''.join(want_tags)
+    assert compat_out.getvalue() == ''.join(want_compat)
     assert format_stats(counted.relations()) == format_stats(reference.relations())
 
 

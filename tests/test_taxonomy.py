@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avtag.taxonomy import (CATEGORIES, TagPath, Taxonomy, TaxonomyError, UnknownToken,
-                            item_category, item_name, load_taxonomy, parse_item,
-                            render_item, serialize_taxonomy)
+                            load_taxonomy, parse_item, serialize_taxonomy)
 
 from conftest import random_taxonomy
 
@@ -35,26 +34,24 @@ class TestTagPath:
     def test_parent_and_prefixes(self):
         path = TagPath.parse('CLASS:grayware:adware')
         assert str(path.parent()) == 'CLASS:grayware'
-        assert [str(p) for p in path.prefixes()] == [
-            'CLASS', 'CLASS:grayware', 'CLASS:grayware:adware']
         assert TagPath.parse('CLASS').parent() is None
 
 
 class TestItems:
     def test_render_and_parse_inverse(self):
         for text in ('FAM:bebeg', 'FILE:OS:windows', 'UNK:skodna'):
-            assert render_item(parse_item(text)) == text
+            assert str(parse_item(text)) == text
 
     def test_unknown_token_item(self):
         item = parse_item('UNK:skodna')
         assert item == UnknownToken('skodna')
-        assert item_category(item) == 'UNK'
-        assert item_name(item) == 'skodna'
+        assert item.category == 'UNK'
+        assert item.name == 'skodna'
 
     def test_tag_item(self):
         item = parse_item('CLASS:miner')
-        assert item_category(item) == 'CLASS'
-        assert item_name(item) == 'miner'
+        assert item.category == 'CLASS'
+        assert item.name == 'miner'
 
     def test_bad_unknown_token_rejected(self):
         with pytest.raises(TaxonomyError):
@@ -66,13 +63,10 @@ class TestItems:
     ])
     def test_both_item_kinds_share_one_protocol(self, item, category, name, text):
         assert (str(item), item.category, item.name) == (text, category, name)
-        assert render_item(item) == str(item)
-        assert (item_category(item), item_name(item)) == (category, name)
         assert parse_item(text) == item and hash(parse_item(text)) == hash(item)
 
     def test_tags_sort_before_unknowns(self):
-        rendered = sorted([render_item(UnknownToken('aaa')),
-                           render_item(TagPath.parse('FILE:irc'))])
+        rendered = sorted([str(UnknownToken('aaa')), str(TagPath.parse('FILE:irc'))])
         assert rendered == ['FILE:irc', 'UNK:aaa']
 
 

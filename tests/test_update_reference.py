@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from avtag.labeler import Relation
 from avtag.ruleset import (ExpansionRule, RuleError, TaggingRule, _check_expansion_acyclic,
                            load_rules, serialize_rules)
-from avtag.taxonomy import (CATEGORIES, TagPath, TaxonomyError, is_taggable, item_category,
-                            item_name, load_taxonomy, serialize_taxonomy)
+from avtag.taxonomy import (CATEGORIES, TagPath, TaxonomyError, is_taggable, load_taxonomy,
+                            serialize_taxonomy)
 from avtag.updater import (_BOTTOM_BLOCK, _TOP_BLOCK, ChangeLog, Unhandled, UpdateConfig,
                            UpdateResult, _ActionError, _known_resolved, _WorkState,
                            filter_strong, format_changelog, format_unhandled, infer,
@@ -195,14 +195,14 @@ def reference_infer(strong, taxonomy, rules, config):
             if equivalence:
                 dest = b if isinstance(b, TagPath) else TagPath(('FAM', b.text))
                 try:
-                    state.add_alias(item_name(a), dest)
+                    state.add_alias(a.name, dest)
                 except _ActionError as exc:
                     unhandled.append(Unhandled(relation, str(exc)))
                 else:
                     equivalence_ok.append(relation)
                 progress = True
                 continue
-            action = _TOP_BLOCK.get((item_category(a), item_category(b)))
+            action = _TOP_BLOCK.get((a.category, b.category))
             if action is not None:
                 try:
                     action(state, a, b)
@@ -222,7 +222,7 @@ def reference_infer(strong, taxonomy, rules, config):
         if _known_resolved(a, b, state.taxonomy, state.rules, equivalence):
             known.append(relation)
             continue
-        pair = (item_category(a), item_category(b))
+        pair = (a.category, b.category)
         if pair in _BOTTOM_BLOCK:
             try:
                 state.add_expansion_edge(a, b)

@@ -5,8 +5,7 @@ import pytest
 from avtag import updater
 from avtag.labeler import Relation, format_stats
 from avtag.ruleset import RuleSet, TaggingRule, load_rules, serialize_rules
-from avtag.taxonomy import (TagPath, Taxonomy, UnknownToken, load_taxonomy,
-                            render_item, serialize_taxonomy)
+from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, load_taxonomy, serialize_taxonomy
 from avtag.updater import (
     DEFAULT_MIN_COUNT,
     DEFAULT_MIN_REL,
@@ -80,7 +79,7 @@ class TestParseStats:
 
     def test_swapped_counts_normalized(self):
         rel = relation('CLASS:virus', 'FAM:virut', 700, 100, 100)
-        assert render_item(rel.t_i) == 'FAM:virut'
+        assert str(rel.t_i) == 'FAM:virut'
         assert (rel.count_i, rel.count_j) == (100, 700)
 
     def test_header_comments_and_blanks_skipped(self):
@@ -551,14 +550,14 @@ def random_relations(rng, taxonomy, n_unknown=8, n_relations=25):
     relations = []
     for _ in range(n_relations):
         a, b = rng.sample(items, 2)
-        pair = frozenset((render_item(a), render_item(b)))
+        pair = frozenset((str(a), str(b)))
         if pair in seen_pairs:
             continue
         seen_pairs.add(pair)
         count_ij = rng.randint(1, 60)
         count_i = count_ij + rng.randint(0, 3)
         count_j = count_i + rng.randint(0, 60)
-        if (count_i, render_item(a)) > (count_j, render_item(b)):
+        if (count_i, str(a)) > (count_j, str(b)):
             a, b = b, a
         relations.append(Relation(a, b, count_i, count_j, count_ij,
                                   count_ij / count_i, count_ij / count_j))
