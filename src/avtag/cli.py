@@ -152,8 +152,7 @@ def run_label(args):
                 return _fail('no samples parsed (%d lines read, %d skipped)'
                              % (counts['read'], counts['skipped']))
             if counter is not None:
-                relations = counter.relations()
-                staging.open(args.stats_out).write(labeler.format_stats(relations))
+                relation_count = counter.write_stats(staging.open(args.stats_out))
             staging.commit()
     except OSError as exc:
         return _fail(exc)
@@ -161,7 +160,7 @@ def run_label(args):
     summary = 'samples read %d, labeled %d, skipped %d' % (
         counts['read'], labeled, counts['skipped'])
     if counter is not None:
-        summary += ', relations %d' % len(relations)
+        summary += ', relations %d' % relation_count
     sys.stderr.write(summary + '\n')
     return 0
 

@@ -6,6 +6,9 @@ produced it; items seen by fewer than two engines are pruned.  The same
 per-engine item extraction, taken before expansion, feeds the co-occurrence
 counters used by the update engine.  label_reports is the one loop that runs
 this over a stream of reports; the CLI and cooccurrence_stats both call it.
+It ranks a sample only for a tags or compat sink, so a statistics-only run
+builds no ranking, and CooccurrenceCounter.write_stats streams the stats file
+from the counter's sorted count tuples, building no Relation objects.
 
 Expansion distributes over union, so each token's items are computed once per
 knowledge base and then looked up.  A token index is keyed by every token that
@@ -71,6 +74,10 @@ class SampleReport:
             raise ValueError('no usable hash field (%s)' % '/'.join(cls.HASH_FIELDS))
         if any(char in sample_id for char in _ID_FORBIDDEN):
             raise ValueError('sample id contains a TAB, CR or LF')
+        try:
+            sample_id.encode('utf-8')
+        except UnicodeEncodeError:  # a lone surrogate, which JSON escapes can spell
+            raise ValueError('sample id is not encodable as UTF-8') from None
         raw_labels = obj.get('av_labels')
         if raw_labels is None:
             raw_labels = {}
@@ -221,13 +228,14 @@ def _index_token(index, token, rules, taxonomy):
     return entry
 
 
-def analyze_sample(report, rules, taxonomy, allowlist=None, with_stats=False):
+def analyze_sample(report, rules, taxonomy, allowlist=None, with_stats=False,
+                   with_ranking=True):
     '''One pass over a sample's labels: (TagRanking, pre-expansion stat items).
 
     The ranking uses post-expansion items; the statistics item set uses the
     pre-expansion union, both under the same >= MIN_ENGINES presence filter.
-    The second element is None unless with_stats is set.  Items are canonical
-    strings.
+    The first element is None unless with_ranking is set (the default), the
+    second None unless with_stats is set.  Items are canonical strings.
 
     Token entries are cached on `rules` (RuleSet.token_index).  The index is
     dropped when `taxonomy`, `rules.tagging` or `rules.expansion` is another
@@ -256,16 +264,18 @@ def analyze_sample(report, rules, taxonomy, allowlist=None, with_stats=False):
                 entry = _index_token(index, token, rules, taxonomy)
             raw |= entry[0]
             expanded |= entry[1]
-        for item in expanded:
-            expanded_engines[item].append(engine)
+        if with_ranking:
+            for item in expanded:
+                expanded_engines[item].append(engine)
         if with_stats:
             raw_items.extend(raw)
-    ranked = sorted((-len(engines), item, engines)
-                    for item, engines in expanded_engines.items()
-                    if len(engines) >= MIN_ENGINES)
-    ranking = TagRanking(report.sample_id,
-                         [TagAssignment(item, engines) for _, item, engines in ranked])
-    stat_items = None
+    ranking = stat_items = None
+    if with_ranking:
+        ranked = sorted((-len(engines), item, engines)
+                        for item, engines in expanded_engines.items()
+                        if len(engines) >= MIN_ENGINES)
+        ranking = TagRanking(report.sample_id,
+                             [TagAssignment(item, engines) for _, item, engines in ranked])
     if with_stats:
         stat_items = {item for item, count in Counter(raw_items).items()
                       if count >= MIN_ENGINES}
@@ -323,8 +333,8 @@ class CooccurrenceCounter:
         self.pair_counts.update(other.pair_counts)
         return self
 
-    def relations(self):
-        '''Finalizes orientation (t_i least frequent) and joint frequencies.'''
+    def _rows(self):
+        '''Sorted (t_i, t_j, |t_i|, |t_j|, |(t_i,t_j)|) tuples, t_i least frequent.'''
         item_counts = self.item_counts
         rows = []
         for (a, b), count_ab in self.pair_counts.items():
@@ -336,9 +346,27 @@ class CooccurrenceCounter:
             else:
                 rows.append((b, a, count_b, count_a, count_ab))
         rows.sort()
+        return rows
+
+    def relations(self):
+        '''Finalizes orientation (t_i least frequent) and joint frequencies.'''
         return [Relation(t_i, t_j, count_i, count_j, count_ij,
                          count_ij / count_i, count_ij / count_j)
-                for t_i, t_j, count_i, count_j, count_ij in rows]
+                for t_i, t_j, count_i, count_j, count_ij in self._rows()]
+
+    def write_stats(self, handle):
+        '''Writes format_stats(self.relations()) to a text handle; returns the row count.
+
+        Rows are formatted from the sorted count tuples and written one by
+        one, without Relation objects or the whole text in memory.
+        '''
+        rows = self._rows()
+        row = _STATS_ROW + '\n'
+        handle.write(STATS_HEADER + '\n')
+        handle.writelines(row % (t_i, t_j, count_i, count_j, count_ij,
+                                 count_ij / count_i, count_ij / count_j)
+                          for t_i, t_j, count_i, count_j, count_ij in rows)
+        return len(rows)
 
 
 def label_reports(reports, rules, taxonomy, allowlist=None, tags_out=None, compat_out=None,
@@ -347,12 +375,15 @@ def label_reports(reports, rules, taxonomy, allowlist=None, tags_out=None, compa
 
     Each report's tag line goes to `tags_out` and its compat line to
     `compat_out` (text handles), and its pre-expansion items are counted into
-    `counter` (a CooccurrenceCounter); a sink left None is skipped.
+    `counter` (a CooccurrenceCounter); a sink left None is skipped, and with
+    neither `tags_out` nor `compat_out` no ranking is built.
     '''
     with_stats = counter is not None
+    with_ranking = tags_out is not None or compat_out is not None
     labeled = 0
     for report in reports:
-        ranking, stat_items = analyze_sample(report, rules, taxonomy, allowlist, with_stats)
+        ranking, stat_items = analyze_sample(report, rules, taxonomy, allowlist, with_stats,
+                                             with_ranking)
         labeled += 1
         if tags_out is not None:
             tags_out.write(ranking.format_line() + '\n')

@@ -122,6 +122,24 @@ class TestLabelCommand:
         assert err.count('skipping malformed line (sample id contains a TAB, CR or LF)') == 3
         assert 'samples read 4, labeled 1, skipped 3' in err
 
+    @pytest.mark.parametrize('outputs', [('--tags-out', '--compat-out'), ('--stats-out',)],
+                             ids=['tags_compat', 'stats_only'])
+    def test_sample_id_not_encodable_as_utf8_skipped(self, data_dir, capsys, outputs):
+        inp = data_dir / 'samples.jsonl'
+        labels = {'A': 'Zbot', 'B': 'zbot'}
+        # json.dumps spells the lone surrogate as the escape \ud800, which loads restores
+        write_lines(inp, [sample_line('ab\ud800', labels), sample_line(sample_id(2), labels)])
+        args = label_args(data_dir, '-i', str(inp))
+        for flag in outputs:
+            args += [flag, str(data_dir / flag.lstrip('-'))]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert err.count('skipping malformed line (sample id is not encodable as UTF-8)') == 1
+        assert 'samples read 2, labeled 1, skipped 1' in err
+        if '--tags-out' in outputs:
+            assert (data_dir / 'tags-out').read_text() == sample_id(2) + '\tFAM:zbot|2\n'
+            assert (data_dir / 'compat-out').read_text() == sample_id(2) + '\tzbot\n'
+
     def test_blank_lines_ignored(self, data_dir, capsys):
         inp = data_dir / 'samples.jsonl'
         inp.write_text('\n\n%s\n\n' % sample_line(sample_id(1), {'A': 'Zbot'}))
@@ -165,14 +183,38 @@ class TestLabelCommand:
             stats = data_dir / 'gone' / 'stats.out'
             args[args.index('--stats-out') + 1] = str(stats)
         elif broken == 'stats_format':
-            def format_stats(relations):
-                raise OSError(28, 'No space left on device')
-            monkeypatch.setattr(labeler, 'format_stats', format_stats)
+            # the disk fills up while the stats rows stream out: the header and
+            # two rows reach the temporary file, then the next write fails
+            lines = []
+
+            class FullDisk:
+                def __init__(self, handle):
+                    self.handle = handle
+
+                def write(self, text):
+                    if len(lines) >= 3:
+                        self.handle.flush()
+                        raise OSError(28, 'No space left on device')
+                    lines.extend(text.splitlines())
+                    return self.handle.write(text)
+
+                def writelines(self, texts):
+                    for text in texts:
+                        self.write(text)
+
+            staged_open = cli._Staging.open
+
+            def open_staged(staging, path, binary=False):
+                handle = staged_open(staging, path, binary)
+                return FullDisk(handle) if path == str(stats) else handle
+            monkeypatch.setattr(cli._Staging, 'open', open_staged)
         before = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
         assert main(args) == 1
         after = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
         assert after == before
         assert not (data_dir / 'gone').exists()
+        if broken == 'stats_format':
+            assert len(lines) == 3 and lines[0] == labeler.STATS_HEADER
 
     def test_output_that_cannot_be_created_is_named_as_given(self, data_dir, capsys):
         inp = data_dir / 'samples.jsonl'

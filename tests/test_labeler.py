@@ -1,9 +1,12 @@
+import io
 import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from avtag import labeler
 from avtag.labeler import (
     CooccurrenceCounter,
     Relation,
@@ -14,6 +17,7 @@ from avtag.labeler import (
     expand,
     format_compat_line,
     format_stats,
+    label_reports,
     tag_tokens,
 )
 from avtag.ruleset import RuleSet, load_rules
@@ -321,3 +325,50 @@ class TestFormatStats:
     def test_header_only_when_empty(self):
         assert format_stats([]) == (
             't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji\n')
+
+
+#: stats endpoints, each drawn as its canonical string or as the item it parses to
+stat_items = st.sampled_from(['CLASS:worm', 'FAM:virut', 'FAM:zbot', 'FILE:OS:windows',
+                              'UNK:aaaa', 'UNK:skodna', 'UNK:zzzz']).flatmap(
+    lambda text: st.sampled_from([text, parse_item(text)]))
+item_set_lists = st.lists(st.sets(stat_items, max_size=6), max_size=12)
+
+
+class TestWriteStats:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(parts=st.lists(item_set_lists, min_size=1, max_size=3))
+    def test_equals_format_stats_of_relations(self, parts):
+        counters = []
+        for item_sets in parts:
+            counter = CooccurrenceCounter()
+            for items in item_sets:
+                counter.add_items(items)
+            counters.append(counter)
+        merged = CooccurrenceCounter()
+        for counter in counters:
+            merged.merge(counter)
+        for counter in counters + [merged]:
+            out = io.StringIO()
+            assert counter.write_stats(out) == len(counter.relations())
+            assert out.getvalue() == format_stats(counter.relations())
+
+
+class TestLabelReports:
+    @pytest.mark.parametrize('sinks, with_ranking', [
+        (('tags_out',), True), (('compat_out',), True), (('counter',), False),
+        (('tags_out', 'counter'), True), ((), False)],
+        ids=['tags', 'compat', 'stats', 'tags_stats', 'none'])
+    def test_ranks_only_for_tag_or_compat_sinks(self, monkeypatch, base_rules, base_taxonomy,
+                                                 sinks, with_ranking):
+        calls = []
+        analyze = labeler.analyze_sample
+
+        def spy(*args):
+            calls.append(args[4:])
+            return analyze(*args)
+        monkeypatch.setattr(labeler, 'analyze_sample', spy)
+        kwargs = {name: CooccurrenceCounter() if name == 'counter' else io.StringIO()
+                  for name in sinks}
+        reports = [report(GOLDEN_LABELS, n) for n in (1, 2)]
+        assert label_reports(reports, base_rules, base_taxonomy, **kwargs) == 2
+        assert calls == [('counter' in sinks, with_ranking)] * 2

@@ -171,6 +171,30 @@ def test_indexed_labeler_matches_reference(kb, samples, allowlist):
     assert compat_out.getvalue() == ''.join(want_compat)
     assert format_stats(counted.relations()) == format_stats(reference.relations())
 
+    # the corpus loop with only a counter, which builds no ranking
+    stats_only = CooccurrenceCounter()
+    assert label_reports(iter(reports), rules, taxonomy, allowlist,
+                         counter=stats_only) == len(reports)
+    assert format_stats(stats_only.relations()) == format_stats(reference.relations())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(kb=knowledge_bases(), samples=st.lists(engine_labels, min_size=1, max_size=4),
+       allowlist=allowlists)
+def test_stats_only_analysis_matches_full_analysis(kb, samples, allowlist):
+    taxonomy, rules = kb
+    for n, labels in enumerate(samples):
+        report = SampleReport(sample_id(n), labels)
+        if n % 2 == 0:  # stats only first: the first sample meets an empty index
+            stats_only = analyze_sample(report, rules, taxonomy, allowlist, with_stats=True,
+                                        with_ranking=False)
+            full = analyze_sample(report, rules, taxonomy, allowlist, with_stats=True)
+        else:
+            full = analyze_sample(report, rules, taxonomy, allowlist, with_stats=True)
+            stats_only = analyze_sample(report, rules, taxonomy, allowlist, with_stats=True,
+                                        with_ranking=False)
+        assert stats_only == (None, full[1])
+
 
 # ---------------------------------------------------------------------------
 # the index never outlives the knowledge base it was filled from

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avtag.ruleset import ExpansionRule, TaggingRule
 from avtag.taxonomy import (CATEGORIES, TagPath, Taxonomy, TaxonomyError, UnknownToken,
                             load_taxonomy, parse_item, serialize_taxonomy)
 
@@ -68,6 +69,22 @@ class TestItems:
     def test_tags_sort_before_unknowns(self):
         rendered = sorted([str(UnknownToken('aaa')), str(TagPath.parse('FILE:irc'))])
         assert rendered == ['FILE:irc', 'UNK:aaa']
+
+    @pytest.mark.parametrize('make', [
+        lambda: UnknownToken('skodna'),
+        lambda: TaggingRule('zeus', {TagPath.parse('FAM:zbot')}),
+        lambda: ExpansionRule(TagPath.parse('FAM:zbot'), {TagPath.parse('CLASS:worm')}),
+    ], ids=['UnknownToken', 'TaggingRule', 'ExpansionRule'])
+    def test_frozen_slots_record_refuses_a_new_attribute(self, make):
+        # Known CPython behaviour (3.10 to 3.13): the frozen __setattr__ that
+        # dataclass generates calls super() on the class as it was before slots
+        # were added, so a name that is not a field raises TypeError, not
+        # FrozenInstanceError.  The message differs between versions.
+        record, fresh = make(), make()
+        with pytest.raises(TypeError):
+            record.category = 'FAM'
+        assert record == fresh
+        assert getattr(record, 'category', None) == getattr(fresh, 'category', None)
 
 
 class TestLoad:
