@@ -141,18 +141,19 @@ def run_label(args):
     counter = labeler.CooccurrenceCounter() if args.stats_out else None
     counts = {'read': 0, 'skipped': 0}
     try:
-        # tags and compat lines stream into temporary files; all outputs are
-        # renamed into place only once the whole run has succeeded
+        # every output is staged before the first sample is labeled, so one that cannot
+        # be created fails at once; all are renamed only once the whole run has succeeded
         with _Staging() as staging:
-            labeled = labeler.label_reports(
-                _read_reports(args.input, counts), rules, taxonomy, allowlist,
-                staging.open(args.tags_out) if args.tags_out else None,
-                staging.open(args.compat_out) if args.compat_out else None, counter)
+            tags_out, compat_out, stats_out = (
+                staging.open(path) if path else None
+                for path in (args.tags_out, args.compat_out, args.stats_out))
+            labeled = labeler.label_reports(_read_reports(args.input, counts), rules, taxonomy,
+                                            allowlist, tags_out, compat_out, counter)
             if labeled == 0:
                 return _fail('no samples parsed (%d lines read, %d skipped)'
                              % (counts['read'], counts['skipped']))
             if counter is not None:
-                relation_count = counter.write_stats(staging.open(args.stats_out))
+                relation_count = counter.write_stats(stats_out)
             staging.commit()
     except OSError as exc:
         return _fail(exc)

@@ -7,8 +7,10 @@ per-engine item extraction, taken before expansion, feeds the co-occurrence
 counters used by the update engine.  label_reports is the one loop that runs
 this over a stream of reports; the CLI and cooccurrence_stats both call it.
 It ranks a sample only for a tags or compat sink, so a statistics-only run
-builds no ranking, and CooccurrenceCounter.write_stats streams the stats file
-from the counter's sorted count tuples, building no Relation objects.
+builds no ranking.  CooccurrenceCounter files every counted pair under its
+less frequent endpoint t_i; write_stats writes the stats file group by group
+in sorted order, formatting each distinct count triple once and building no
+Relation objects.
 
 Expansion distributes over union, so each token's items are computed once per
 knowledge base and then looked up.  A token index is keyed by every token that
@@ -38,8 +40,11 @@ MIN_ENGINES = 2
 
 STATS_HEADER = 't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji'
 
-#: one stats row: t_i, t_j, |t_i|, |t_j|, |(t_i,t_j)|, rel_ij, rel_ji
-_STATS_ROW = '%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f'
+#: the count columns of one stats row: |t_i|, |t_j|, |(t_i,t_j)|, rel_ij, rel_ji
+_STATS_COUNTS = '\t%d\t%d\t%d\t%.6f\t%.6f'
+
+#: one stats row: t_i, t_j, then the count columns
+_STATS_ROW = '%s\t%s' + _STATS_COUNTS
 
 _UNKNOWN_PREFIX = UNKNOWN_CATEGORY + ':'
 
@@ -323,8 +328,8 @@ class CooccurrenceCounter:
         self.pair_counts = Counter()
 
     def add_items(self, items):
-        '''Counts one sample's item set: item strings or TagPath/UnknownToken items.'''
-        ordered = sorted(map(str, items))
+        '''Counts one sample's items (strings or TagPath/UnknownToken items), each once.'''
+        ordered = sorted(set(map(str, items)))
         self.item_counts.update(ordered)
         self.pair_counts.update(itertools.combinations(ordered, 2))
 
@@ -333,40 +338,59 @@ class CooccurrenceCounter:
         self.pair_counts.update(other.pair_counts)
         return self
 
-    def _rows(self):
-        '''Sorted (t_i, t_j, |t_i|, |t_j|, |(t_i,t_j)|) tuples, t_i least frequent.'''
+    def _by_t_i(self):
+        '''{t_i: {t_j: |(t_i,t_j)|}}, t_i the less frequent endpoint (ties: the smaller).
+
+        sorted() t_i, then sorted() t_j within a group, is (t_i, t_j) tuple order.
+        '''
         item_counts = self.item_counts
-        rows = []
+        groups = defaultdict(dict)
         for (a, b), count_ab in self.pair_counts.items():
-            count_a = item_counts[a]
-            count_b = item_counts[b]
             # a < b, since add_items counts each pair in sorted order
-            if count_a <= count_b:
-                rows.append((a, b, count_a, count_b, count_ab))
+            if item_counts[a] <= item_counts[b]:
+                groups[a][b] = count_ab
             else:
-                rows.append((b, a, count_b, count_a, count_ab))
-        rows.sort()
-        return rows
+                groups[b][a] = count_ab
+        return groups
 
     def relations(self):
-        '''Finalizes orientation (t_i least frequent) and joint frequencies.'''
-        return [Relation(t_i, t_j, count_i, count_j, count_ij,
-                         count_ij / count_i, count_ij / count_j)
-                for t_i, t_j, count_i, count_j, count_ij in self._rows()]
+        '''Finalizes orientation (t_i least frequent) and joint frequencies, sorted.'''
+        item_counts = self.item_counts
+        groups = self._by_t_i()
+        relations = []
+        for t_i in sorted(groups):
+            group = groups[t_i]
+            count_i = item_counts[t_i]
+            relations.extend(Relation(t_i, t_j, count_i, item_counts[t_j], group[t_j],
+                                      group[t_j] / count_i, group[t_j] / item_counts[t_j])
+                             for t_j in sorted(group))
+        return relations
 
     def write_stats(self, handle):
         '''Writes format_stats(self.relations()) to a text handle; returns the row count.
 
-        Rows are formatted from the sorted count tuples and written one by
-        one, without Relation objects or the whole text in memory.
+        Rows go out one t_i group at a time, one string per row.  The count
+        columns are formatted once per distinct (|t_i|, |t_j|, |(t_i,t_j)|).
         '''
-        rows = self._rows()
-        row = _STATS_ROW + '\n'
+        item_counts = self.item_counts
+        groups = self._by_t_i()
+        counts_row = _STATS_COUNTS + '\n'
+        counts_text = {}  # (|t_i|, |t_j|, |(t_i,t_j)|) -> its formatted columns
         handle.write(STATS_HEADER + '\n')
-        handle.writelines(row % (t_i, t_j, count_i, count_j, count_ij,
-                                 count_ij / count_i, count_ij / count_j)
-                          for t_i, t_j, count_i, count_j, count_ij in rows)
-        return len(rows)
+        for t_i in sorted(groups):
+            group = groups[t_i]
+            count_i = item_counts[t_i]
+            prefix = t_i + '\t'
+            rows = []
+            for t_j in sorted(group):
+                counts = (count_i, item_counts[t_j], group[t_j])
+                text = counts_text.get(counts)
+                if text is None:
+                    text = counts_text[counts] = counts_row % (
+                        counts + (counts[2] / counts[0], counts[2] / counts[1]))
+                rows.append(prefix + t_j + text)
+            handle.writelines(rows)
+        return len(self.pair_counts)
 
 
 def label_reports(reports, rules, taxonomy, allowlist=None, tags_out=None, compat_out=None,

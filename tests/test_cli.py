@@ -225,6 +225,25 @@ class TestLabelCommand:
         assert "No such file or directory: '%s'" % tags in err
         assert '.tmp' not in err
 
+    def test_uncreatable_stats_output_fails_before_labeling(self, data_dir, monkeypatch,
+                                                           capsys):
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(sample_id(n), GOLDEN_LABELS) for n in (1, 2)])
+        calls = []
+        analyze = labeler.analyze_sample
+
+        def spy(*args):
+            calls.append(args[0].sample_id)
+            return analyze(*args)
+        monkeypatch.setattr(labeler, 'analyze_sample', spy)
+        stats = data_dir / 'gone' / 's.tsv'
+        assert main(label_args(data_dir, '-i', str(inp), '--tags-out', str(data_dir / 't.tsv'),
+                               '--stats-out', str(stats))) == 1
+        assert "No such file or directory: '%s'" % stats in capsys.readouterr().err
+        assert calls == []
+        assert sorted(path.name for path in data_dir.iterdir()) == sorted(
+            ['samples.jsonl', 'taxonomy', 'tagging', 'expansion'])
+
     @pytest.mark.parametrize('first,second', [('--tags-out', '--compat-out'),
                                               ('--tags-out', '--stats-out'),
                                               ('--compat-out', '--stats-out')])

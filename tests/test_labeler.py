@@ -23,6 +23,7 @@ from avtag.labeler import (
 from avtag.ruleset import RuleSet, load_rules
 from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, parse_item
 from avtag.tokenizer import tokenize
+from avtag.updater import parse_stats
 
 from conftest import GOLDEN_LABELS, random_reports, sample_id
 
@@ -351,6 +352,23 @@ class TestWriteStats:
             out = io.StringIO()
             assert counter.write_stats(out) == len(counter.relations())
             assert out.getvalue() == format_stats(counter.relations())
+
+    @pytest.mark.parametrize('items', [
+        {'FAM:zbot', parse_item('FAM:zbot'), 'CLASS:worm'},
+        ['FAM:zbot', 'CLASS:worm', 'FAM:zbot', 'CLASS:worm'],
+    ], ids=['string_and_item', 'list_with_repeats'])
+    def test_item_given_twice_counts_once(self, items):
+        counter = CooccurrenceCounter()
+        counter.add_items(items)
+        counter.add_items(['CLASS:worm', 'FAM:zbot', 'FAM:virut'])
+        out = io.StringIO()
+        assert counter.write_stats(out) == 3
+        rows = [line.split('\t') for line in out.getvalue().splitlines()[1:]]
+        for t_i, t_j, count_i, count_j, count_ij, _, _ in rows:
+            assert t_i != t_j
+            assert int(count_ij) <= min(int(count_i), int(count_j))
+        assert rows[0] == ['CLASS:worm', 'FAM:zbot', '2', '2', '2', '1.000000', '1.000000']
+        assert len(parse_stats(out.getvalue())) == 3
 
 
 class TestLabelReports:

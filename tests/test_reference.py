@@ -5,7 +5,8 @@ keeps TagPath/UnknownToken items, the way labeling worked before the token
 index.  Hypothesis draws random knowledge bases, labels and engine allowlists;
 every sample's tag line, compat family and statistics items must equal the
 reference exactly.  The rest checks that a token index never outlives the
-knowledge base it was filled from.
+knowledge base it was filled from, and that a counter's stats rows come in
+the order and orientation a naive sort of its count tuples gives.
 '''
 
 import io
@@ -15,9 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings, strategies as st
 
-from avtag.labeler import (MIN_ENGINES, CooccurrenceCounter, SampleReport, _token_index,
-                           analyze_sample, compat_family, cooccurrence_stats, expand,
-                           format_stats, label_reports, tag_tokens)
+from avtag.labeler import (_STATS_ROW, MIN_ENGINES, STATS_HEADER, CooccurrenceCounter,
+                           SampleReport, _token_index, analyze_sample, compat_family,
+                           cooccurrence_stats, expand, format_stats, label_reports, tag_tokens)
 from avtag.ruleset import (ExpansionRule, RuleError, TaggingRule, load_rules,
                            serialize_rules)
 from avtag.taxonomy import (CATEGORIES, TagPath, UnknownToken, is_taggable, load_taxonomy,
@@ -333,3 +334,52 @@ def test_update_then_relabel_matches_reference():
     assert changed == {'FAM:darkkomet|2',                # fynloski became an alias
                        'CLASS:virus|2,FAM:virlocker|2',  # virlock retired into virlocker
                        'FAM:zbot|2'}                     # zeus retired into zbot
+
+
+# ---------------------------------------------------------------------------
+# stats rows against a naive orientation and sort
+
+
+def reference_stats_rows(counter):
+    '''Sorted (t_i, t_j, |t_i|, |t_j|, |(t_i,t_j)|, rel_ij, rel_ji) of a counter's pairs.
+
+    t_i is the less frequent endpoint, the lexicographically smaller one on a
+    tie, whichever order the pair was counted in.
+    '''
+    rows = []
+    for (a, b), count_ab in counter.pair_counts.items():
+        count_a = counter.item_counts[a]
+        count_b = counter.item_counts[b]
+        if (count_a, a) > (count_b, b):
+            a, b, count_a, count_b = b, a, count_b, count_a
+        rows.append((a, b, count_a, count_b, count_ab, count_ab / count_a, count_ab / count_b))
+    return sorted(rows)
+
+
+#: endpoints of which some are prefixes of others, as strings or as parsed items
+stats_endpoints = st.sampled_from(['UNK:abcd', 'UNK:abcde', 'UNK:abcdz', 'FAM:zbot',
+                                   'FAM:zbota', 'FAM:zbo', 'CLASS:worm', 'FILE:OS:windows']
+                                  ).flatmap(lambda text: st.sampled_from([text, parse_item(text)]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(st.lists(st.lists(stats_endpoints, max_size=7), max_size=10),
+                      min_size=1, max_size=3))
+def test_stats_rows_match_naive_sort(parts):
+    '''write_stats and relations() against the reference, per part and merged.'''
+    counters = []
+    for samples in parts:
+        counter = CooccurrenceCounter()
+        for items in samples:  # a sample may name an item twice, in either form
+            counter.add_items(items)
+        counters.append(counter)
+    merged = CooccurrenceCounter()
+    for counter in counters:
+        merged.merge(counter)
+    for counter in counters + [merged]:
+        want = reference_stats_rows(counter)
+        assert [relation.as_tuple() for relation in counter.relations()] == want
+        out = io.StringIO()
+        assert counter.write_stats(out) == len(want)
+        assert out.getvalue() == ''.join(
+            [STATS_HEADER + '\n'] + [_STATS_ROW % row + '\n' for row in want])
