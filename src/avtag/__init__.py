@@ -6,7 +6,7 @@ engine that mines tag co-occurrence statistics to propose new taxonomy
 entries, alias tagging rules, and expansion rules.
 '''
 
-from .labeler import SampleReport, analyze_sample, cooccurrence_stats
+from .labeler import SampleReport, analyze_sample
 from .ruleset import RuleSet, load_rules
 from .taxonomy import TagPath, UnknownToken, load_taxonomy, parse_item
 from .updater import UpdateConfig, filter_strong, infer
@@ -17,6 +17,5 @@ __version__ = '0.1.0'
 #: from its submodule
 __all__ = [
     'RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'UpdateConfig', 'analyze_sample',
-    'cooccurrence_stats', 'filter_strong', 'infer', 'load_rules', 'load_taxonomy',
-    'parse_item',
+    'filter_strong', 'infer', 'load_rules', 'load_taxonomy', 'parse_item',
 ]

@@ -192,12 +192,13 @@ def run_update(args):
     try:
         os.makedirs(args.outdir, exist_ok=True)
         # an artifact the run did not change is copied byte for byte
+        changes = result.changes
         contents = {
-            outputs['taxonomy']: (serialize_taxonomy(result.taxonomy) if result.taxonomy_dirty
+            outputs['taxonomy']: (serialize_taxonomy(result.taxonomy) if changes.taxonomy_dirty
                                   else _read_bytes(args.taxonomy)),
-            outputs['tagging']: (tagging_text if result.tagging_dirty
+            outputs['tagging']: (tagging_text if changes.tagging_dirty
                                  else _read_bytes(args.tagging)),
-            outputs['expansion']: (expansion_text if result.expansion_dirty
+            outputs['expansion']: (expansion_text if changes.expansion_dirty
                                    else _read_bytes(args.expansion)),
             outputs['unhandled.tsv']: updater.format_unhandled(result.unhandled),
             outputs['changelog.txt']: updater.format_changelog(
@@ -210,7 +211,6 @@ def run_update(args):
     except OSError as exc:
         return _fail(exc)
 
-    changes = result.changes
     sys.stderr.write(
         'relations: all %d, strong %d, os_removed %d, known %d, out %d\n'
         % (len(relations), len(strong), os_removed,

@@ -5,12 +5,12 @@ Every item (tag or unknown token) remembers the set of engines whose label
 produced it; items seen by fewer than two engines are pruned.  The same
 per-engine item extraction, taken before expansion, feeds the co-occurrence
 counters used by the update engine.  label_reports is the one loop that runs
-this over a stream of reports; the CLI and cooccurrence_stats both call it.
-It ranks a sample only for a tags or compat sink, so a statistics-only run
-builds no ranking.  CooccurrenceCounter files every counted pair under its
-less frequent endpoint t_i; write_stats writes the stats file group by group
-in sorted order, formatting each distinct count triple once and building no
-Relation objects.
+this over a stream of reports.  It ranks a sample only for a tags or compat
+sink, so a statistics-only run builds no ranking.  CooccurrenceCounter files
+every counted pair under its less frequent endpoint t_i; write_stats writes
+the stats file group by group in sorted order, formatting each distinct count
+triple once.  The stats file is the one bridge to the update engine, which
+reads it back with updater.parse_stats.
 
 Expansion distributes over union, so each token's items are computed once per
 knowledge base and then looked up.  A token index is keyed by every token that
@@ -20,9 +20,8 @@ and expand and stored as frozensets of canonical item strings (``FAM:zbot``,
 ``CLASS:worm``).  Other tokens are never stored, since they are unbounded; a
 kept unknown token becomes ``UNK:<token>``.
 Labeling a label is then tokenize, index lookup and set union.  Ranking items
-and the endpoints of the relations that labeling produces are therefore
-canonical strings, not TagPath/UnknownToken objects; see analyze_sample for
-when the index is rebuilt.
+and counted items are therefore canonical strings, not TagPath/UnknownToken
+objects; see analyze_sample for when the index is rebuilt.
 '''
 
 import itertools
@@ -42,9 +41,6 @@ STATS_HEADER = 't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji'
 
 #: the count columns of one stats row: |t_i|, |t_j|, |(t_i,t_j)|, rel_ij, rel_ji
 _STATS_COUNTS = '\t%d\t%d\t%d\t%.6f\t%.6f'
-
-#: one stats row: t_i, t_j, then the count columns
-_STATS_ROW = '%s\t%s' + _STATS_COUNTS
 
 _UNKNOWN_PREFIX = UNKNOWN_CATEGORY + ':'
 
@@ -130,39 +126,6 @@ class TagRanking:
             return self.sample_id
         items = ','.join('%s|%d' % (a.item, a.count) for a in self.assignments)
         return '%s\t%s' % (self.sample_id, items)
-
-
-@dataclass(slots=True)
-class Relation:
-    '''Seven-value co-occurrence record for one unordered item pair.
-
-    t_i is the less frequent item (ties broken lexicographically), therefore
-    rel_ij >= rel_ji always holds.  The endpoints are canonical item strings
-    when counted by CooccurrenceCounter, TagPath/UnknownToken items when
-    parsed by the updater; str() gives the canonical string of either.
-    Equality compares the fields as given; as_tuple() compares across forms.
-    '''
-
-    t_i: object
-    t_j: object
-    count_i: int
-    count_j: int
-    count_ij: int
-    rel_ij: float
-    rel_ji: float
-
-    def key(self):
-        '''Canonical (t_i, t_j) strings.'''
-        return (str(self.t_i), str(self.t_j))
-
-    def as_tuple(self):
-        return self.key() + (self.count_i, self.count_j, self.count_ij,
-                             self.rel_ij, self.rel_ji)
-
-    def format_row(self):
-        return _STATS_ROW % (
-            self.t_i, self.t_j, self.count_i, self.count_j, self.count_ij,
-            self.rel_ij, self.rel_ji)
 
 
 def tag_tokens(tokens, rules, taxonomy):
@@ -353,23 +316,11 @@ class CooccurrenceCounter:
                 groups[b][a] = count_ab
         return groups
 
-    def relations(self):
-        '''Finalizes orientation (t_i least frequent) and joint frequencies, sorted.'''
-        item_counts = self.item_counts
-        groups = self._by_t_i()
-        relations = []
-        for t_i in sorted(groups):
-            group = groups[t_i]
-            count_i = item_counts[t_i]
-            relations.extend(Relation(t_i, t_j, count_i, item_counts[t_j], group[t_j],
-                                      group[t_j] / count_i, group[t_j] / item_counts[t_j])
-                             for t_j in sorted(group))
-        return relations
-
     def write_stats(self, handle):
-        '''Writes format_stats(self.relations()) to a text handle; returns the row count.
+        '''Writes the stats file to a text handle; returns the row count.
 
-        Rows go out one t_i group at a time, one string per row.  The count
+        The file is STATS_HEADER, then one row per counted pair, sorted by
+        (t_i, t_j).  Rows go out one t_i group at a time, one string per row.  The count
         columns are formatted once per distinct (|t_i|, |t_j|, |(t_i,t_j)|).
         '''
         item_counts = self.item_counts
@@ -418,18 +369,3 @@ def label_reports(reports, rules, taxonomy, allowlist=None, tags_out=None, compa
             counter.add_items(stat_items)
     return labeled
 
-
-def cooccurrence_stats(reports, rules, taxonomy, allowlist=None):
-    '''Relations over a report stream (pre-expansion items, >= 2-engine filter).'''
-    counter = CooccurrenceCounter()
-    label_reports(reports, rules, taxonomy, allowlist, counter=counter)
-    return counter.relations()
-
-
-def format_stats(relations):
-    '''Stats TSV content: header plus one row per relation, sorted.'''
-    row = _STATS_ROW + '\n'
-    return ''.join(itertools.chain(
-        (STATS_HEADER + '\n',),
-        (row % (r.t_i, r.t_j, r.count_i, r.count_j, r.count_ij, r.rel_ij, r.rel_ji)
-         for r in sorted(relations, key=Relation.key))))

@@ -9,13 +9,16 @@ pair the matrix does not cover is reported for manual review.
 import collections
 from dataclasses import dataclass, field
 
-from .labeler import STATS_HEADER, Relation
+from .labeler import _STATS_COUNTS, STATS_HEADER
 from .ruleset import ExpansionRule, RuleError, TaggingRule
 from .ruleset import _check_expansion_acyclic
 from .taxonomy import TagPath, TaxonomyError, UnknownToken, is_taggable, parse_item
 
 DEFAULT_MIN_COUNT = 20
 DEFAULT_MIN_REL = 0.94
+
+#: one stats row: t_i, t_j, then the count columns
+_STATS_ROW = '%s\t%s' + _STATS_COUNTS
 
 
 @dataclass(frozen=True)
@@ -31,9 +34,44 @@ class UpdateConfig:
             raise ValueError('T must be in (0, 1], got %r' % (self.T,))
 
 
+@dataclass(slots=True)
+class Relation:
+    '''Seven-value co-occurrence record for one unordered item pair, as parse_stats reads it.
+
+    t_i is the less frequent item (ties broken lexicographically), therefore
+    rel_ij >= rel_ji always holds.  The endpoints are TagPath/UnknownToken
+    items; str() gives the canonical string of either.
+    '''
+
+    t_i: object
+    t_j: object
+    count_i: int
+    count_j: int
+    count_ij: int
+    rel_ij: float
+    rel_ji: float
+
+    def key(self):
+        '''Canonical (t_i, t_j) strings.'''
+        return (str(self.t_i), str(self.t_j))
+
+    def as_tuple(self):
+        return self.key() + (self.count_i, self.count_j, self.count_ij,
+                             self.rel_ij, self.rel_ji)
+
+    def format_row(self):
+        return _STATS_ROW % (
+            self.t_i, self.t_j, self.count_i, self.count_j, self.count_ij,
+            self.rel_ij, self.rel_ji)
+
+
 @dataclass
 class ChangeLog:
-    '''Added/removed entries per artifact; expansion entries are (source, target) edges.'''
+    '''Added/removed entries per artifact; expansion entries are (source, target) edges.
+
+    An artifact is dirty, its file to be written anew, when the log holds an
+    entry for it.
+    '''
     taxonomy_added: list = field(default_factory=list)
     taxonomy_removed: list = field(default_factory=list)
     tagging_added: list = field(default_factory=list)
@@ -45,6 +83,18 @@ class ChangeLog:
         return (len(self.taxonomy_added) + len(self.taxonomy_removed)
                 + len(self.tagging_added) + len(self.tagging_removed)
                 + len(self.expansion_added) + len(self.expansion_removed))
+
+    @property
+    def taxonomy_dirty(self):
+        return bool(self.taxonomy_added or self.taxonomy_removed)
+
+    @property
+    def tagging_dirty(self):
+        return bool(self.tagging_added or self.tagging_removed)
+
+    @property
+    def expansion_dirty(self):
+        return bool(self.expansion_added or self.expansion_removed)
 
 
 @dataclass
@@ -63,9 +113,6 @@ class UpdateResult:
     consumed_equivalence: list
     consumed_topblock: list
     consumed_expansion: list
-    taxonomy_dirty: bool
-    tagging_dirty: bool
-    expansion_dirty: bool
 
 
 def parse_stats(text):
@@ -134,11 +181,8 @@ def resolve_item(item, taxonomy, rules):
     rules, then looked up in the taxonomy's name index; a name with no home is
     an unknown token.  Returns None when the name hits a generic or
     multi-destination rule: such a token is already fully covered, so
-    relations about it carry no news.  The item may also be given as its
-    canonical string.
+    relations about it carry no news.
     '''
-    if isinstance(item, str):
-        item = parse_item(item)
     name = item.name
     if item in taxonomy or not is_taggable(name):
         return item
@@ -210,9 +254,6 @@ class _WorkState:
         self.taxonomy = taxonomy.copy()
         self.rules = rules.copy()
         self.changes = ChangeLog()
-        self.taxonomy_dirty = False
-        self.tagging_dirty = False
-        self.expansion_dirty = False
 
     def add_nodes(self, *paths):
         '''Adds taxonomy nodes; validates every path before touching anything.'''
@@ -221,9 +262,7 @@ class _WorkState:
         except TaxonomyError as exc:
             raise _ActionError(str(exc)) from None
         for path in paths:
-            for node in self.taxonomy.add(path):
-                self.changes.taxonomy_added.append(node)
-                self.taxonomy_dirty = True
+            self.changes.taxonomy_added.extend(self.taxonomy.add(path))
 
     def add_alias(self, token, dest):
         '''Adds tagging rule token -> dest; retires any tag named `token`.
@@ -269,14 +308,10 @@ class _WorkState:
         if old is not None:
             self.taxonomy.remove(old)
             self.changes.taxonomy_removed.append(old)
-            self.taxonomy_dirty = True
         if dest not in self.taxonomy:
-            for node in self.taxonomy.add(dest):
-                self.changes.taxonomy_added.append(node)
-            self.taxonomy_dirty = True
+            self.changes.taxonomy_added.extend(self.taxonomy.add(dest))
         self.rules.tagging[token] = TaggingRule(token, (dest,))
         self.changes.tagging_added.append(token)
-        self.tagging_dirty = True
         for other in referring:
             rewritten = (other.destinations - {old}) | {dest}
             self.rules.tagging[other.token] = TaggingRule(other.token, rewritten)
@@ -285,10 +320,8 @@ class _WorkState:
                 del self.rules.expansion[source]
             else:
                 self.rules.expansion[source] = rule
-        if edges_removed or edges_added:
-            self.changes.expansion_removed.extend(edges_removed)
-            self.changes.expansion_added.extend(edges_added)
-            self.expansion_dirty = True
+        self.changes.expansion_removed.extend(edges_removed)
+        self.changes.expansion_added.extend(edges_added)
 
     def add_expansion_edge(self, source, target):
         '''Adds target to the expansion rule of source, creating the rule if needed.'''
@@ -310,7 +343,6 @@ class _WorkState:
                                % (source, target))
         self.rules.expansion[source] = ExpansionRule(source, targets | {target})
         self.changes.expansion_added.append((source, target))
-        self.expansion_dirty = True
 
 
 def _expansion_reaches(expansion, start, goal):
@@ -504,9 +536,6 @@ def infer(strong, taxonomy, rules, config=None):
         consumed_equivalence=consumed_equivalence,
         consumed_topblock=consumed_topblock,
         consumed_expansion=consumed_expansion,
-        taxonomy_dirty=state.taxonomy_dirty,
-        tagging_dirty=state.tagging_dirty,
-        expansion_dirty=state.expansion_dirty,
     )
 
 

@@ -1,5 +1,6 @@
 '''Shared fixtures: knowledge-base texts, sample builders, randomized generators.'''
 
+import io
 import json
 import os
 import random
@@ -7,9 +8,10 @@ import re
 
 import pytest
 
-from avtag.labeler import STATS_HEADER
+from avtag.labeler import STATS_HEADER, CooccurrenceCounter, label_reports
 from avtag.ruleset import load_rules
 from avtag.taxonomy import TagPath, Taxonomy, load_taxonomy
+from avtag.updater import parse_stats
 
 # child processes that run `python -m avtag.cli` import the sources under test
 # too, also when pytest put them on its own path from pyproject's `pythonpath`
@@ -174,6 +176,24 @@ def stats_text(rows):
                      % (t_i, t_j, count_i, count_j, count_ij,
                         count_ij / count_i, count_ij / count_j))
     return '\n'.join(lines) + '\n'
+
+
+# ---------------------------------------------------------------------------
+# relations the way the update engine sees them: through the stats file
+
+
+def stats_file(counter):
+    '''The text of a counter's stats file, as write_stats writes it.'''
+    out = io.StringIO()
+    counter.write_stats(out)
+    return out.getvalue()
+
+
+def counted_relations(reports, rules, taxonomy):
+    '''Labels the reports into a counter; returns the Relations of its stats file.'''
+    counter = CooccurrenceCounter()
+    label_reports(reports, rules, taxonomy, counter=counter)
+    return parse_stats(stats_file(counter))
 
 
 # ---------------------------------------------------------------------------

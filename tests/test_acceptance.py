@@ -11,17 +11,16 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 from avtag.cli import main
-from avtag.labeler import (CooccurrenceCounter, Relation, SampleReport,
-                           analyze_sample, cooccurrence_stats, format_stats)
+from avtag.labeler import CooccurrenceCounter, SampleReport, analyze_sample
 from avtag.ruleset import RuleSet, load_rules
 from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, load_taxonomy
-from avtag.updater import (UpdateConfig, infer, is_equivalent, is_strong,
+from avtag.updater import (Relation, UpdateConfig, infer, is_equivalent, is_strong,
                            involves_os_tag, parse_stats)
 
 from conftest import (GOLDEN_FAMILY, GOLDEN_LABELS, GOLDEN_SAMPLE_ID,
                       GOLDEN_TAG_LINE, MATRIX_ROWS, MATRIX_ROWS_FIXPOINT,
-                      MATRIX_TAXONOMY, random_reports, sample_id, sample_line,
-                      stats_text)
+                      MATRIX_TAXONOMY, counted_relations, random_reports, sample_id,
+                      sample_line, stats_file, stats_text)
 
 
 def label_args(data_dir, *extra):
@@ -90,7 +89,7 @@ def test_criterion_2_cooccurrence_oracle():
     for _ in range(50):
         items = rng.sample(pool, rng.randint(5, 15))
         reports, expected_sets = random_reports(rng, 500, items, engines)
-        got = [r.as_tuple() for r in cooccurrence_stats(reports, rules, taxonomy)]
+        got = [r.as_tuple() for r in counted_relations(reports, rules, taxonomy)]
         assert got == oracle_relations(expected_sets)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, '50 oracle datasets took %.1fs' % elapsed
@@ -111,7 +110,7 @@ def test_criterion_3_threshold_boundaries(base_taxonomy, base_rules):
                                                    'C': 'Virus', 'D': 'virus.gen'}))
     for n in range(100, 700):
         reports.append(SampleReport(sample_id(n), {'A': 'Virus', 'B': 'VIRUS'}))
-    [rel] = cooccurrence_stats(reports, base_rules, base_taxonomy)
+    [rel] = counted_relations(reports, base_rules, base_taxonomy)
     assert rel.as_tuple()[:5] == ('FAM:virut', 'CLASS:virus', 100, 700, 100)
     assert abs(rel.rel_ij - 1.0) < 1e-9
     assert abs(rel.rel_ji - 1 / 7) < 1e-9
@@ -314,7 +313,7 @@ def test_criterion_8_scale_determinism(data_dir, request):
         all_lines.extend(lines)
         merged.merge(counter)
     assert ''.join(line + '\n' for line in all_lines) == first[0].read_text()
-    assert format_stats(merged.relations()) == first[2].read_text()
+    assert stats_file(merged) == first[2].read_text()
 
     # memory: tag-only streaming must not grow with the input
     def peak_labeling(path, tag):

@@ -4,28 +4,24 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from avtag import labeler
 from avtag.labeler import (
     CooccurrenceCounter,
-    Relation,
     SampleReport,
     analyze_sample,
     compat_family,
-    cooccurrence_stats,
     expand,
     format_compat_line,
-    format_stats,
     label_reports,
     tag_tokens,
 )
 from avtag.ruleset import RuleSet, load_rules
 from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, parse_item
 from avtag.tokenizer import tokenize
-from avtag.updater import parse_stats
+from avtag.updater import Relation, parse_stats
 
-from conftest import GOLDEN_LABELS, random_reports, sample_id
+from conftest import GOLDEN_LABELS, counted_relations, random_reports, sample_id, stats_file
 
 
 def paths(*texts):
@@ -223,31 +219,31 @@ def brute_force_relations(item_sets):
 class TestCooccurrence:
     def test_single_sample_single_pair(self, base_rules, base_taxonomy):
         labels = {'A': 'virut.zbot', 'B': 'virut.zbot'}
-        relations = cooccurrence_stats([report(labels)], base_rules, base_taxonomy)
+        relations = counted_relations([report(labels)], base_rules, base_taxonomy)
         [rel] = relations
         assert rel.as_tuple() == ('FAM:virut', 'FAM:zbot', 1, 1, 1, 1.0, 1.0)
 
     def test_orientation_least_frequent_first(self, base_rules, base_taxonomy):
         reports = [report({'A': 'virut.zbot', 'B': 'virut.zbot'}, 1),
                    report({'A': 'zbot', 'B': 'zbot'}, 2)]
-        [rel] = cooccurrence_stats(reports, base_rules, base_taxonomy)
+        [rel] = counted_relations(reports, base_rules, base_taxonomy)
         assert rel.as_tuple() == ('FAM:virut', 'FAM:zbot', 1, 2, 1, 1.0, 0.5)
 
     def test_tie_breaks_lexicographically(self, base_rules, base_taxonomy):
-        [rel] = cooccurrence_stats([report({'A': 'zbot.virut', 'B': 'zbot.virut'})],
-                                   base_rules, base_taxonomy)
+        [rel] = counted_relations([report({'A': 'zbot.virut', 'B': 'zbot.virut'})],
+                                  base_rules, base_taxonomy)
         assert (rel.as_tuple()[0], rel.as_tuple()[1]) == ('FAM:virut', 'FAM:zbot')
 
     def test_items_counted_before_expansion(self, base_rules, base_taxonomy):
-        relations = cooccurrence_stats([report({'A': 'Worm.zbot', 'B': 'worm.zbot'})],
-                                       base_rules, base_taxonomy)
+        relations = counted_relations([report({'A': 'Worm.zbot', 'B': 'worm.zbot'})],
+                                      base_rules, base_taxonomy)
         [rel] = relations
         # ranking would include BEH:selfpropagate; statistics must not
         assert rel.as_tuple()[:2] == ('CLASS:worm', 'FAM:zbot')
 
     def test_single_engine_samples_contribute_nothing(self, base_rules, base_taxonomy):
-        relations = cooccurrence_stats([report({'A': 'virut.zbot'})],
-                                       base_rules, base_taxonomy)
+        relations = counted_relations([report({'A': 'virut.zbot'})],
+                                      base_rules, base_taxonomy)
         assert relations == []
 
     def test_matches_brute_force_oracle(self):
@@ -255,7 +251,7 @@ class TestCooccurrence:
         items = ['itm%02da' % n for n in range(10)]
         reports, expected_sets = random_reports(rng, 200, items,
                                                 ['E%d' % n for n in range(6)])
-        got = cooccurrence_stats(reports, RuleSet(), Taxonomy())
+        got = counted_relations(reports, RuleSet(), Taxonomy())
         want = brute_force_relations([{UnknownToken(i) for i in s}
                                       for s in expected_sets])
         assert [r.as_tuple() for r in got] == [r.as_tuple() for r in want]
@@ -280,16 +276,16 @@ class TestCooccurrence:
                 merged.merge(part)
             assert merged.item_counts == whole.item_counts
             assert merged.pair_counts == whole.pair_counts
-            assert ([r.as_tuple() for r in merged.relations()]
-                    == [r.as_tuple() for r in whole.relations()])
+            assert ([r.as_tuple() for r in parse_stats(stats_file(merged))]
+                    == [r.as_tuple() for r in parse_stats(stats_file(whole))])
 
     def test_sample_order_irrelevant(self, base_rules, base_taxonomy):
         reports = [report({'A': 'virut.zbot', 'B': 'virut.zbot'}, n)
                    for n in range(5)]
         reports += [report({'A': 'zbot.worm', 'B': 'zbot/worm'}, 100 + n)
                     for n in range(3)]
-        forward = cooccurrence_stats(reports, base_rules, base_taxonomy)
-        backward = cooccurrence_stats(reports[::-1], base_rules, base_taxonomy)
+        forward = counted_relations(reports, base_rules, base_taxonomy)
+        backward = counted_relations(reports[::-1], base_rules, base_taxonomy)
         assert ([r.as_tuple() for r in forward]
                 == [r.as_tuple() for r in backward])
 
@@ -298,61 +294,18 @@ class TestFormatStats:
     def test_golden_output(self, base_rules, base_taxonomy):
         reports = [report({'A': 'virut.zbot', 'B': 'virut.zbot'}, 1),
                    report({'A': 'zbot', 'B': 'zbot'}, 2)]
-        relations = cooccurrence_stats(reports, base_rules, base_taxonomy)
-        assert format_stats(relations) == (
+        counter = CooccurrenceCounter()
+        label_reports(reports, base_rules, base_taxonomy, counter=counter)
+        assert stats_file(counter) == (
             't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji\n'
             'FAM:virut\tFAM:zbot\t1\t2\t1\t1.000000\t0.500000\n')
 
-    def test_endpoint_forms_format_alike(self):
-        rows = [('CLASS:worm', 'FAM:zbot', 3, 5, 2),
-                ('FAM:zbot', 'UNK:skodna', 5, 9, 5),
-                ('FILE:OS:windows', 'UNK:skodna', 9, 9, 4),
-                ('UNK:aaaa', 'UNK:bbbb', 2, 7, 1),
-                ('CLASS:worm', 'UNK:aaaa', 2, 3, 2)]
-        want = ''.join('%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f\n'
-                       % (t_i, t_j, ci, cj, cij, cij / ci, cij / cj)
-                       for t_i, t_j, ci, cj, cij in sorted(rows))
-        rng = random.Random(3)
-        for _ in range(20):
-            # each endpoint as its string, or as the TagPath/UnknownToken it parses to
-            mixed = [Relation(rng.choice((t_i, parse_item(t_i))),
-                              rng.choice((t_j, parse_item(t_j))),
-                              ci, cj, cij, cij / ci, cij / cj)
-                     for t_i, t_j, ci, cj, cij in rows]
-            rng.shuffle(mixed)
-            assert format_stats(mixed) == (
-                't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji\n' + want)
-
     def test_header_only_when_empty(self):
-        assert format_stats([]) == (
+        assert stats_file(CooccurrenceCounter()) == (
             't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji\n')
 
 
-#: stats endpoints, each drawn as its canonical string or as the item it parses to
-stat_items = st.sampled_from(['CLASS:worm', 'FAM:virut', 'FAM:zbot', 'FILE:OS:windows',
-                              'UNK:aaaa', 'UNK:skodna', 'UNK:zzzz']).flatmap(
-    lambda text: st.sampled_from([text, parse_item(text)]))
-item_set_lists = st.lists(st.sets(stat_items, max_size=6), max_size=12)
-
-
 class TestWriteStats:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(parts=st.lists(item_set_lists, min_size=1, max_size=3))
-    def test_equals_format_stats_of_relations(self, parts):
-        counters = []
-        for item_sets in parts:
-            counter = CooccurrenceCounter()
-            for items in item_sets:
-                counter.add_items(items)
-            counters.append(counter)
-        merged = CooccurrenceCounter()
-        for counter in counters:
-            merged.merge(counter)
-        for counter in counters + [merged]:
-            out = io.StringIO()
-            assert counter.write_stats(out) == len(counter.relations())
-            assert out.getvalue() == format_stats(counter.relations())
-
     @pytest.mark.parametrize('items', [
         {'FAM:zbot', parse_item('FAM:zbot'), 'CLASS:worm'},
         ['FAM:zbot', 'CLASS:worm', 'FAM:zbot', 'CLASS:worm'],

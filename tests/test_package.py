@@ -5,19 +5,21 @@ import types
 
 import avtag
 
-#: the eight names of README's library example, plus the four its prose names
+#: the seven names README's library example imports from the package, plus the
+#: four its prose names
 PUBLIC = ['RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'UpdateConfig',
-          'analyze_sample', 'cooccurrence_stats', 'filter_strong', 'infer', 'load_rules',
-          'load_taxonomy', 'parse_item']
+          'analyze_sample', 'filter_strong', 'infer', 'load_rules', 'load_taxonomy',
+          'parse_item']
 
 #: names once exported by the package, each importable from its submodule
 SUBMODULE_NAMES = {
-    'labeler': ['CooccurrenceCounter', 'Relation', 'TagAssignment', 'TagRanking',
-                'compat_family', 'expand', 'tag_tokens'],
+    'labeler': ['CooccurrenceCounter', 'TagAssignment', 'TagRanking', 'compat_family',
+                'expand', 'label_reports', 'tag_tokens'],
     'ruleset': ['ExpansionRule', 'RuleError', 'TaggingRule', 'serialize_rules'],
     'taxonomy': ['CATEGORIES', 'Taxonomy', 'TaxonomyError', 'serialize_taxonomy'],
     'tokenizer': ['tokenize'],
-    'updater': ['UpdateResult', 'is_equivalent', 'is_known', 'is_strong', 'parse_stats'],
+    'updater': ['Relation', 'UpdateResult', 'is_equivalent', 'is_known', 'is_strong',
+                'parse_stats'],
 }
 
 

@@ -12,14 +12,13 @@ reason.  The inputs must come out unchanged.
 
 from hypothesis import given, settings, strategies as st
 
-from avtag.labeler import Relation
 from avtag.ruleset import (ExpansionRule, RuleError, TaggingRule, _check_expansion_acyclic,
                            load_rules, serialize_rules)
 from avtag.taxonomy import (CATEGORIES, TagPath, TaxonomyError, is_taggable, load_taxonomy,
                             serialize_taxonomy)
-from avtag.updater import (_BOTTOM_BLOCK, _TOP_BLOCK, ChangeLog, Unhandled, UpdateConfig,
-                           UpdateResult, _ActionError, _known_resolved, _WorkState,
-                           filter_strong, format_changelog, format_unhandled, infer,
+from avtag.updater import (_BOTTOM_BLOCK, _TOP_BLOCK, ChangeLog, Relation, Unhandled,
+                           UpdateConfig, UpdateResult, _ActionError, _known_resolved,
+                           _WorkState, filter_strong, format_changelog, format_unhandled, infer,
                            is_equivalent, parse_stats, resolve_item)
 
 from conftest import MATRIX_ROWS, MATRIX_TAXONOMY, stats_text
@@ -176,6 +175,7 @@ class ReferenceState:
 
 
 def reference_infer(strong, taxonomy, rules, config):
+    '''(UpdateResult, hand-kept (taxonomy, tagging, expansion) dirty flags).'''
     state = ReferenceState(taxonomy, rules)
     remaining = sorted(strong, key=Relation.key)
     unhandled, known, equivalence_ok, topblock, expansion = [], [], [], [], []
@@ -234,9 +234,9 @@ def reference_infer(strong, taxonomy, rules, config):
             unhandled.append(Unhandled(
                 relation, 'no update rule for category pair (%s, %s)' % pair))
 
-    return UpdateResult(state.taxonomy, state.rules, state.changes, unhandled, known,
-                        equivalence_ok, topblock, expansion, state.taxonomy_dirty,
-                        state.tagging_dirty, state.expansion_dirty)
+    result = UpdateResult(state.taxonomy, state.rules, state.changes, unhandled, known,
+                          equivalence_ok, topblock, expansion)
+    return result, (state.taxonomy_dirty, state.tagging_dirty, state.expansion_dirty)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +248,10 @@ def snapshot(taxonomy, rules):
 
 
 def state_view(state):
+    # the reference keeps its flags by hand; the work state's come from its change log
+    flags = state if isinstance(state, ReferenceState) else state.changes
     return (serialize_taxonomy(state.taxonomy), serialize_rules(state.rules),
-            state.changes, state.taxonomy_dirty, state.tagging_dirty, state.expansion_dirty)
+            state.changes, flags.taxonomy_dirty, flags.tagging_dirty, flags.expansion_dirty)
 
 
 def assert_child_counts_exact(taxonomy):
@@ -264,7 +266,7 @@ def assert_infer_matches_reference(relations, taxonomy, rules, config=UpdateConf
     before = snapshot(taxonomy, rules)
     got = infer(kept, taxonomy, rules, config)
     assert snapshot(taxonomy, rules) == before
-    want = reference_infer(kept, taxonomy, rules, config)
+    want, want_dirty = reference_infer(kept, taxonomy, rules, config)
     assert serialize_taxonomy(got.taxonomy) == serialize_taxonomy(want.taxonomy)
     assert serialize_rules(got.rules) == serialize_rules(want.rules)
     assert got.rules == want.rules and got.taxonomy == want.taxonomy
@@ -275,8 +277,9 @@ def assert_infer_matches_reference(relations, taxonomy, rules, config=UpdateConf
     for name in ('consumed_known', 'consumed_equivalence', 'consumed_topblock',
                  'consumed_expansion'):
         assert len(getattr(got, name)) == len(getattr(want, name)), name
-    assert ((got.taxonomy_dirty, got.tagging_dirty, got.expansion_dirty)
-            == (want.taxonomy_dirty, want.tagging_dirty, want.expansion_dirty))
+    changes = got.changes
+    assert ((changes.taxonomy_dirty, changes.tagging_dirty, changes.expansion_dirty)
+            == want_dirty)
     assert_child_counts_exact(got.taxonomy)
     return want
 

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from avtag import updater
-from avtag.labeler import Relation, format_stats
+from avtag.labeler import STATS_HEADER
 from avtag.ruleset import RuleSet, TaggingRule, load_rules, serialize_rules
 from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, load_taxonomy, serialize_taxonomy
 from avtag.updater import (
     DEFAULT_MIN_COUNT,
     DEFAULT_MIN_REL,
+    Relation,
     UpdateConfig,
     _ActionError,
     _WorkState,
@@ -68,8 +69,9 @@ class TestParseStats:
         rows = [('UNK:fynloski', 'FAM:darkkomet', 50, 100, 50),
                 ('FAM:virut', 'CLASS:virus', 100, 700, 100)]
         relations = parse_stats(stats_text(rows))
-        assert parse_stats(format_stats(relations)) == sorted(relations,
-                                                              key=Relation.key)
+        ordered = sorted(relations, key=Relation.key)
+        text = '\n'.join([STATS_HEADER] + [r.format_row() for r in ordered])
+        assert parse_stats(text) == ordered
 
     def test_rels_recomputed_from_counts(self):
         text = ('t_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji\n'
@@ -231,7 +233,7 @@ class TestMatrixActions:
         assert len(result.consumed_topblock) == 1
         assert result.rules.tagging['fynloski'].destinations == frozenset(
             {TagPath.parse('FAM:darkkomet')})
-        assert not result.taxonomy_dirty and result.tagging_dirty
+        assert not result.changes.taxonomy_dirty and result.changes.tagging_dirty
 
     def test_token_becomes_family_from_class(self, matrix_taxonomy, matrix_rules):
         result = run_rows([('UNK:hiddapp', 'CLASS:grayware:adware', 40, 200, 40)],
@@ -373,8 +375,8 @@ class TestActionAborts:
                           taxonomy, rules)
         after = (serialize_taxonomy(result.taxonomy), serialize_rules(result.rules))
         assert before == after
-        assert not (result.taxonomy_dirty or result.tagging_dirty
-                    or result.expansion_dirty)
+        assert not (result.changes.taxonomy_dirty or result.changes.tagging_dirty
+                    or result.changes.expansion_dirty)
 
 
 class TestWorkStateGuards:
@@ -384,7 +386,7 @@ class TestWorkStateGuards:
             state.add_nodes(TagPath.parse('FAM:brandnew'),
                             TagPath.parse('FAM:windows'))
         assert TagPath.parse('FAM:brandnew') not in state.taxonomy
-        assert state.changes.total() == 0 and not state.taxonomy_dirty
+        assert state.changes.total() == 0 and not state.changes.taxonomy_dirty
 
     def test_alias_self_name_rejected(self, base_taxonomy, base_rules):
         state = _WorkState(base_taxonomy, base_rules)
@@ -501,8 +503,8 @@ class TestFixedPoint:
         assert second.changes.total() == 0
         assert len(second.consumed_known) == 12
         assert len(second.unhandled) == 1
-        assert not (second.taxonomy_dirty or second.tagging_dirty
-                    or second.expansion_dirty)
+        assert not (second.changes.taxonomy_dirty or second.changes.tagging_dirty
+                    or second.changes.expansion_dirty)
         assert serialize_taxonomy(second.taxonomy) == serialize_taxonomy(first.taxonomy)
         assert serialize_rules(second.rules) == serialize_rules(first.rules)
 
@@ -590,9 +592,9 @@ class TestInferProperties:
             tagging_text, expansion_text = serialize_rules(result.rules)
             reloaded_taxonomy = load_taxonomy(taxonomy_text)
             load_rules(tagging_text, expansion_text, reloaded_taxonomy)
-            if not result.taxonomy_dirty:
+            if not result.changes.taxonomy_dirty:
                 assert taxonomy_text == serialize_taxonomy(taxonomy)
-            if not result.tagging_dirty and not result.expansion_dirty:
+            if not result.changes.tagging_dirty and not result.changes.expansion_dirty:
                 assert (tagging_text, expansion_text) == serialize_rules(rules)
 
     def test_input_order_is_irrelevant(self):
