@@ -6,11 +6,11 @@ produced it; items seen by fewer than two engines are pruned.  The same
 per-engine item extraction, taken before expansion, feeds the co-occurrence
 counters used by the update engine.  label_reports is the one loop that runs
 this over a stream of reports.  It ranks a sample only for a tags or compat
-sink, so a statistics-only run builds no ranking.  CooccurrenceCounter files
-every counted pair under its less frequent endpoint t_i; write_stats writes
-the stats file group by group in sorted order, formatting each distinct count
-triple once.  The stats file is the one bridge to the update engine, which
-reads it back with updater.parse_stats.
+sink, so a statistics-only run builds no ranking.  CooccurrenceCounter keeps
+one row of string-keyed pair counts per item; write_stats writes the stats
+file in sorted order, one group per less frequent endpoint t_i, formatting each
+distinct count triple once.  The stats file is the one bridge to the update
+engine, which reads it back with updater.parse_stats.
 
 Expansion distributes over union, so each token's items are computed once per
 knowledge base and then looked up.  A token index is keyed by every token that
@@ -281,67 +281,79 @@ def format_compat_line(sample_id, family):
 class CooccurrenceCounter:
     '''Streaming per-item and per-pair sample counters.
 
-    add_items ingests one sample's item set; merge combines counters built over
-    disjoint partitions (commutative and associative, so parallel workers can
-    each build one and merge in any order).
+    item_counts maps each item string to its sample count; pair_counts holds
+    one row per item, {a: {b: |(a,b)|}} with a < b, so a pair costs one dict
+    slot, not a tuple of its own.  add_items ingests one sample's item set;
+    merge combines counters built over disjoint partitions (commutative and
+    associative, so parallel workers can each build one and merge in any order).
     '''
 
     def __init__(self):
         self.item_counts = Counter()
-        self.pair_counts = Counter()
+        self.pair_counts = {}
 
     def add_items(self, items):
         '''Counts one sample's items (strings or TagPath/UnknownToken items), each once.'''
         ordered = sorted(set(map(str, items)))
         self.item_counts.update(ordered)
-        self.pair_counts.update(itertools.combinations(ordered, 2))
+        rows = self.pair_counts
+        for index, a in enumerate(ordered[:-1], 1):
+            row = rows.get(a)
+            if row is None:
+                row = rows[a] = {}
+            for b in ordered[index:]:
+                row[b] = row.get(b, 0) + 1
 
     def merge(self, other):
         self.item_counts.update(other.item_counts)
-        self.pair_counts.update(other.pair_counts)
-        return self
-
-    def _by_t_i(self):
-        '''{t_i: {t_j: |(t_i,t_j)|}}, t_i the less frequent endpoint (ties: the smaller).
-
-        sorted() t_i, then sorted() t_j within a group, is (t_i, t_j) tuple order.
-        '''
-        item_counts = self.item_counts
-        groups = defaultdict(dict)
-        for (a, b), count_ab in self.pair_counts.items():
-            # a < b, since add_items counts each pair in sorted order
-            if item_counts[a] <= item_counts[b]:
-                groups[a][b] = count_ab
+        rows = self.pair_counts
+        for a, other_row in other.pair_counts.items():
+            row = rows.get(a)
+            if row is None:
+                rows[a] = dict(other_row)
             else:
-                groups[b][a] = count_ab
-        return groups
+                for b, count_ab in other_row.items():
+                    row[b] = row.get(b, 0) + count_ab
+        return self
 
     def write_stats(self, handle):
         '''Writes the stats file to a text handle; returns the row count.
 
         The file is STATS_HEADER, then one row per counted pair, sorted by
-        (t_i, t_j).  Rows go out one t_i group at a time, one string per row.  The count
-        columns are formatted once per distinct (|t_i|, |t_j|, |(t_i,t_j)|).
+        (t_i, t_j), t_i the less frequent endpoint (ties: the smaller string).
+        Items are walked in sorted order and each one's rows go out as one
+        group, one string per row.  A row's pairs whose less frequent endpoint
+        is the larger string wait in `pending` until that endpoint's turn; no
+        other pair is copied.  The count columns are formatted once per
+        distinct (|t_i|, |t_j|, |(t_i,t_j)|).
         '''
         item_counts = self.item_counts
-        groups = self._by_t_i()
+        rows = self.pair_counts
+        pending = defaultdict(dict)  # t_i -> {t_j: |(t_i,t_j)|} for t_j < t_i, filled in order
         counts_row = _STATS_COUNTS + '\n'
         counts_text = {}  # (|t_i|, |t_j|, |(t_i,t_j)|) -> its formatted columns
+        written = 0
         handle.write(STATS_HEADER + '\n')
-        for t_i in sorted(groups):
-            group = groups[t_i]
+        for t_i in sorted(item_counts):
             count_i = item_counts[t_i]
+            group = pending.pop(t_i, None) or {}
+            for t_j, count_ij in rows.get(t_i, {}).items():
+                if count_i <= item_counts[t_j]:
+                    group[t_j] = count_ij
+                else:
+                    pending[t_j][t_i] = count_ij
             prefix = t_i + '\t'
-            rows = []
+            lines = []
             for t_j in sorted(group):
                 counts = (count_i, item_counts[t_j], group[t_j])
                 text = counts_text.get(counts)
                 if text is None:
                     text = counts_text[counts] = counts_row % (
                         counts + (counts[2] / counts[0], counts[2] / counts[1]))
-                rows.append(prefix + t_j + text)
-            handle.writelines(rows)
-        return len(self.pair_counts)
+                lines.append(prefix + t_j + text)
+            handle.writelines(lines)
+            written += len(lines)
+        return written
 
 
 def label_reports(reports, rules, taxonomy, allowlist=None, tags_out=None, compat_out=None,

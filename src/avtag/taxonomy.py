@@ -17,8 +17,8 @@ CATEGORIES = ('BEH', 'CLASS', 'FAM', 'FILE')
 #: pseudo-category for unknown tokens; never a taxonomy node
 UNKNOWN_CATEGORY = 'UNK'
 
-_TAGGABLE_RE = re.compile(r'^[a-z0-9]+$')
-_STRUCTURAL_RE = re.compile(r'^[A-Z][A-Z0-9]*$')
+_TAGGABLE_RE = re.compile(r'[a-z0-9]+')
+_STRUCTURAL_RE = re.compile(r'[A-Z][A-Z0-9]*')
 
 
 class TaxonomyError(ValueError):
@@ -27,12 +27,12 @@ class TaxonomyError(ValueError):
 
 def is_taggable(component):
     '''True for lowercase alphanumeric components (the ones tags are made of).'''
-    return bool(_TAGGABLE_RE.match(component))
+    return bool(_TAGGABLE_RE.fullmatch(component))
 
 
 def is_structural(component):
     '''True for fully-uppercase organizational components (never taggable).'''
-    return bool(_STRUCTURAL_RE.match(component))
+    return bool(_STRUCTURAL_RE.fullmatch(component))
 
 
 class TagPath:

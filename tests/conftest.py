@@ -3,7 +3,6 @@
 import io
 import json
 import os
-import random
 import re
 
 import pytest

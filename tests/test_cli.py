@@ -1,4 +1,3 @@
-import json
 import subprocess
 import sys
 
@@ -9,10 +8,9 @@ from avtag.cli import main
 from avtag.ruleset import load_rules
 from avtag.taxonomy import load_taxonomy
 
-from conftest import (BASE_EXPANSION, BASE_TAGGING, BASE_TAXONOMY,
-                      GOLDEN_FAMILY, GOLDEN_LABELS, GOLDEN_SAMPLE_ID,
-                      GOLDEN_TAG_LINE, MATRIX_ROWS, MATRIX_ROWS_FIXPOINT,
-                      MATRIX_TAXONOMY, sample_id, sample_line, stats_text)
+from conftest import (GOLDEN_FAMILY, GOLDEN_LABELS, GOLDEN_SAMPLE_ID, GOLDEN_TAG_LINE,
+                      MATRIX_ROWS, MATRIX_ROWS_FIXPOINT, MATRIX_TAXONOMY, sample_id,
+                      sample_line, stats_text)
 
 GOLDEN_STATS = '''\
 t_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji

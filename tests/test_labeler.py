@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -288,6 +289,24 @@ class TestCooccurrence:
         backward = counted_relations(reports[::-1], base_rules, base_taxonomy)
         assert ([r.as_tuple() for r in forward]
                 == [r.as_tuple() for r in backward])
+
+
+    def test_counter_memory_per_pair(self):
+        '''The counter holds under 64 bytes per distinct pair; a pair tuple alone is 56.'''
+        rng = random.Random(3)
+        vocabulary = ['UNK:tok%05d' % n for n in range(4000)]
+        samples = [rng.sample(vocabulary, 12) for _ in range(1500)]
+        pairs = {pair for items in samples for pair in itertools.combinations(sorted(items), 2)}
+        tracemalloc.start()
+        try:
+            counter = CooccurrenceCounter()
+            for items in samples:
+                counter.add_items(items)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) > 95000
+        assert size / len(pairs) < 64
 
 
 class TestFormatStats:

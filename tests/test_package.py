@@ -1,6 +1,11 @@
-'''The package namespace: what `import avtag` offers, and where the rest lives.'''
+'''The package namespace: what `import avtag` offers and where the rest lives.
 
+Also: no module imports a name it never reads.
+'''
+
+import ast
 import importlib
+import os
 import types
 
 import avtag
@@ -35,3 +40,33 @@ def test_other_names_stay_importable_from_their_submodules():
         loaded = importlib.import_module('avtag.' + module)
         for name in names:
             assert hasattr(loaded, name), (module, name)
+
+
+def unused_imports(path):
+    '''Names a module imports but never reads, in source order.'''
+    with open(path, encoding='utf-8') as handle:
+        tree = ast.parse(handle.read(), path)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split('.')[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != '__future__':
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    '''Every module under src/ and tests/ reads what it imports; __init__.py re-exports.'''
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    found = {}
+    for top in ('src', 'tests'):
+        for folder, _, files in os.walk(os.path.join(root, top)):
+            for name in files:
+                if name.endswith('.py') and name != '__init__.py':
+                    path = os.path.join(folder, name)
+                    unused = unused_imports(path)
+                    if unused:
+                        found[os.path.relpath(path, root)] = unused
+    assert found == {}

@@ -6,8 +6,8 @@ index.  Hypothesis draws random knowledge bases, labels and engine allowlists;
 every sample's tag line, compat family and statistics items must equal the
 reference exactly.  The rest checks that a token index never outlives the
 knowledge base it was filled from, that a counter's stats rows come in the
-order and orientation a naive sort of its count tuples gives, and that
-parse_stats reads those rows back.
+order and orientation a naive count and sort of its samples' pairs gives,
+and that parse_stats reads those rows back.
 '''
 
 import io
@@ -332,16 +332,27 @@ def test_update_then_relabel_matches_reference():
 # stats rows against a naive orientation and sort
 
 
-def reference_stats_rows(counter):
-    '''Sorted (t_i, t_j, |t_i|, |t_j|, |(t_i,t_j)|, rel_ij, rel_ji) of a counter's pairs.
+def reference_stats_rows(samples):
+    '''Sorted (t_i, t_j, |t_i|, |t_j|, |(t_i,t_j)|, rel_ij, rel_ji) of the samples' pairs.
 
-    t_i is the less frequent endpoint, the lexicographically smaller one on a
-    tie, whichever order the pair was counted in.
+    Items and pairs are counted here from the item lists, each item once per
+    sample whichever form it is given in, so the counting is checked along
+    with the rows.  t_i is the less frequent endpoint, the lexicographically
+    smaller one on a tie.
     '''
+    item_counts = {}
+    pair_counts = {}
+    for items in samples:
+        texts = {str(item) for item in items}
+        for a in texts:
+            item_counts[a] = item_counts.get(a, 0) + 1
+            for b in texts:
+                if a < b:
+                    pair_counts[a, b] = pair_counts.get((a, b), 0) + 1
     rows = []
-    for (a, b), count_ab in counter.pair_counts.items():
-        count_a = counter.item_counts[a]
-        count_b = counter.item_counts[b]
+    for (a, b), count_ab in pair_counts.items():
+        count_a = item_counts[a]
+        count_b = item_counts[b]
         if (count_a, a) > (count_b, b):
             a, b, count_a, count_b = b, a, count_b, count_a
         rows.append((a, b, count_a, count_b, count_ab, count_ab / count_a, count_ab / count_b))
@@ -368,8 +379,8 @@ def test_stats_rows_match_naive_sort(parts):
     merged = CooccurrenceCounter()
     for counter in counters:
         merged.merge(counter)
-    for counter in counters + [merged]:
-        want = reference_stats_rows(counter)
+    for counter, samples in zip(counters + [merged], parts + [sum(parts, [])]):
+        want = reference_stats_rows(samples)
         out = io.StringIO()
         assert counter.write_stats(out) == len(want)
         assert out.getvalue() == ''.join(

@@ -28,7 +28,8 @@ class TestTagPath:
             TagPath.parse('WEIRD:thing')
 
     def test_bad_component_rejected(self):
-        for text in ('CLASS:Ad-ware', 'CLASS:', 'CLASS:a b', 'CLASS:Mixed'):
+        for text in ('CLASS:Ad-ware', 'CLASS:', 'CLASS:a b', 'CLASS:Mixed', 'FAM:zbot\n',
+                     'FILE:OS\n'):
             with pytest.raises(TaxonomyError):
                 TagPath.parse(text)
 
@@ -55,8 +56,9 @@ class TestItems:
         assert item.name == 'miner'
 
     def test_bad_unknown_token_rejected(self):
-        with pytest.raises(TaxonomyError):
-            parse_item('UNK:Not-A-Token')
+        for text in ('UNK:Not-A-Token', 'UNK:abcd\n'):
+            with pytest.raises(TaxonomyError):
+                parse_item(text)
 
     @pytest.mark.parametrize('item, category, name, text', [
         (TagPath.parse('FILE:OS:windows'), 'FILE', 'windows', 'FILE:OS:windows'),

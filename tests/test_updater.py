@@ -5,7 +5,7 @@ import pytest
 from avtag import updater
 from avtag.labeler import STATS_HEADER
 from avtag.ruleset import RuleSet, TaggingRule, load_rules, serialize_rules
-from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, load_taxonomy, serialize_taxonomy
+from avtag.taxonomy import TagPath, UnknownToken, load_taxonomy, serialize_taxonomy
 from avtag.updater import (
     DEFAULT_MIN_COUNT,
     DEFAULT_MIN_REL,
