@@ -6,7 +6,7 @@ engine that mines tag co-occurrence statistics to propose new taxonomy
 entries, alias tagging rules, and expansion rules.
 '''
 
-from .labeler import SampleReport, analyze_sample
+from .labeler import CompiledKB, SampleReport, analyze_sample
 from .ruleset import RuleSet, load_rules
 from .taxonomy import TagPath, UnknownToken, load_taxonomy, parse_item
 from .updater import UpdateConfig, filter_strong, infer
@@ -16,6 +16,6 @@ __version__ = '0.1.0'
 #: the names README's library example uses; everything else is importable
 #: from its submodule
 __all__ = [
-    'RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'UpdateConfig', 'analyze_sample',
-    'filter_strong', 'infer', 'load_rules', 'load_taxonomy', 'parse_item',
+    'CompiledKB', 'RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'UpdateConfig',
+    'analyze_sample', 'filter_strong', 'infer', 'load_rules', 'load_taxonomy', 'parse_item',
 ]

@@ -133,7 +133,7 @@ def run_label(args):
         if not os.path.isfile(path):
             return _fail('input file not found: %s' % (path,))
     try:
-        taxonomy, rules = _load_data_files(args.taxonomy, args.tagging, args.expansion)
+        kb = labeler.CompiledKB(*_load_data_files(args.taxonomy, args.tagging, args.expansion))
         allowlist = _load_allowlist(args.engines) if args.engines else None
     except (OSError, ValueError) as exc:  # ValueError: also a file that is not UTF-8
         return _fail(exc)
@@ -147,8 +147,8 @@ def run_label(args):
             tags_out, compat_out, stats_out = (
                 staging.open(path) if path else None
                 for path in (args.tags_out, args.compat_out, args.stats_out))
-            labeled = labeler.label_reports(_read_reports(args.input, counts), rules, taxonomy,
-                                            allowlist, tags_out, compat_out, counter)
+            labeled = labeler.label_reports(_read_reports(args.input, counts), kb, allowlist,
+                                            tags_out, compat_out, counter)
             if labeled == 0:
                 return _fail('no samples parsed (%d lines read, %d skipped)'
                              % (counts['read'], counts['skipped']))

@@ -13,15 +13,16 @@ distinct count triple once.  The stats file is the one bridge to the update
 engine, which reads it back with updater.parse_stats.
 
 Expansion distributes over union, so each token's items are computed once per
-knowledge base and then looked up.  A token index is keyed by every token that
-hits a tagging rule or a tag name; on a token's first sighting its value is
-filled with its (pre-expansion items, expanded items), computed by tag_tokens
-and expand and stored as frozensets of canonical item strings (``FAM:zbot``,
+knowledge base and then looked up.  Labeling runs on a CompiledKB: a snapshot
+of a taxonomy and rule set, plus a token index keyed by every token that hits
+a tagging rule or a tag name.  On a token's first sighting its value is filled
+with its (pre-expansion items, expanded items), computed by tag_tokens and
+expand and stored as frozensets of canonical item strings (``FAM:zbot``,
 ``CLASS:worm``).  Other tokens are never stored, since they are unbounded; a
 kept unknown token becomes ``UNK:<token>``.
 Labeling a label is then tokenize, index lookup and set union.  Ranking items
 and counted items are therefore canonical strings, not TagPath/UnknownToken
-objects; see analyze_sample for when the index is rebuilt.
+objects.
 '''
 
 import itertools
@@ -171,33 +172,35 @@ def expand(tags, rules, taxonomy):
     return result
 
 
-def _token_index(rules, taxonomy):
-    '''The token index kept on the rule set; a new one if the knowledge base changed.
+class CompiledKB:
+    '''A knowledge base compiled for labeling: copies of a taxonomy and rule set.
 
-    A new index holds every tagging-rule token and tag name, each with the
-    value None until _index_token fills it.
+    `index` maps every tagging-rule token and tag name to its entry, None
+    until the token is first seen.  The copies make the object a snapshot:
+    editing the taxonomy or rules it was compiled from leaves it as it was,
+    so compile again to label with the edited knowledge base.  One compiled
+    object can be shared by threads and corpus partitions.
     '''
-    # holding the objects keeps their ids from being reused by new ones; threads
-    # that race here lose at most some entries, which are then recomputed
-    kb = (taxonomy, rules.tagging, rules.expansion)
-    sizes = (len(taxonomy), len(rules.tagging), len(rules.expansion))
-    cached = rules.token_index
-    if cached is None or cached[1] != sizes or any(a is not b for a, b in zip(cached[0], kb)):
-        index = dict.fromkeys(itertools.chain(rules.tagging, taxonomy.tag_names()))
-        cached = rules.token_index = (kb, sizes, index)
-    return cached[2]
+
+    __slots__ = ('taxonomy', 'rules', 'index')
+
+    def __init__(self, taxonomy, rules):
+        self.taxonomy = taxonomy.copy()
+        self.rules = rules.copy()
+        self.index = dict.fromkeys(itertools.chain(self.rules.tagging,
+                                                   self.taxonomy.tag_names()))
 
 
-def _index_token(index, token, rules, taxonomy):
-    '''Stores and returns the entry of a token that hits a rule or a tag name.'''
-    tags, _ = tag_tokens((token,), rules, taxonomy)
-    entry = (frozenset(map(str, tags)), frozenset(map(str, expand(tags, rules, taxonomy))))
-    index[token] = entry
+def _index_token(kb, token):
+    '''Stores and returns the index entry of a token that hits a rule or a tag name.'''
+    tags, _ = tag_tokens((token,), kb.rules, kb.taxonomy)
+    entry = (frozenset(map(str, tags)),
+             frozenset(map(str, expand(tags, kb.rules, kb.taxonomy))))
+    kb.index[token] = entry
     return entry
 
 
-def analyze_sample(report, rules, taxonomy, allowlist=None, with_stats=False,
-                   with_ranking=True):
+def analyze_sample(report, kb, allowlist=None, with_stats=False, with_ranking=True):
     '''One pass over a sample's labels: (TagRanking, pre-expansion stat items).
 
     The ranking uses post-expansion items; the statistics item set uses the
@@ -205,14 +208,10 @@ def analyze_sample(report, rules, taxonomy, allowlist=None, with_stats=False,
     The first element is None unless with_ranking is set (the default), the
     second None unless with_stats is set.  Items are canonical strings.
 
-    Token entries are cached on `rules` (RuleSet.token_index).  The index is
-    dropped when `taxonomy`, `rules.tagging` or `rules.expansion` is another
-    object than in the previous call with these rules, or when one of them
-    changed size.  Adding a rule or a taxonomy node in place is therefore
-    seen; replacing an existing rule or node in place is not, so label with a
-    copy() of the edited object after such an edit.
+    `kb` is a CompiledKB; labeling fills its token index and reads the
+    knowledge base as it was when `kb` was compiled.
     '''
-    index = _token_index(rules, taxonomy)
+    index = kb.index
     expanded_engines = defaultdict(list)
     raw_items = []
     for engine, label in report.av_labels.items():
@@ -229,7 +228,7 @@ def analyze_sample(report, rules, taxonomy, allowlist=None, with_stats=False,
                     expanded.add(unknown)
                 continue
             if entry is None:
-                entry = _index_token(index, token, rules, taxonomy)
+                entry = _index_token(kb, token)
             raw |= entry[0]
             expanded |= entry[1]
         if with_ranking:
@@ -356,21 +355,20 @@ class CooccurrenceCounter:
         return written
 
 
-def label_reports(reports, rules, taxonomy, allowlist=None, tags_out=None, compat_out=None,
-                  counter=None):
+def label_reports(reports, kb, allowlist=None, tags_out=None, compat_out=None, counter=None):
     '''Labels a report stream, one report at a time; returns how many were labeled.
 
-    Each report's tag line goes to `tags_out` and its compat line to
-    `compat_out` (text handles), and its pre-expansion items are counted into
-    `counter` (a CooccurrenceCounter); a sink left None is skipped, and with
-    neither `tags_out` nor `compat_out` no ranking is built.
+    Reports are labeled with `kb`, a CompiledKB.  Each report's tag line goes
+    to `tags_out` and its compat line to `compat_out` (text handles), and its
+    pre-expansion items are counted into `counter` (a CooccurrenceCounter); a
+    sink left None is skipped, and with neither `tags_out` nor `compat_out` no
+    ranking is built.
     '''
     with_stats = counter is not None
     with_ranking = tags_out is not None or compat_out is not None
     labeled = 0
     for report in reports:
-        ranking, stat_items = analyze_sample(report, rules, taxonomy, allowlist, with_stats,
-                                             with_ranking)
+        ranking, stat_items = analyze_sample(report, kb, allowlist, with_stats, with_ranking)
         labeled += 1
         if tags_out is not None:
             tags_out.write(ranking.format_line() + '\n')

@@ -7,7 +7,7 @@ whose single destination is the literal ``GEN`` marks the token as generic
 (mapped to no tags at all).
 '''
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .taxonomy import TagPath, TaxonomyError, is_taggable
 
@@ -44,23 +44,15 @@ class ExpansionRule:
         object.__setattr__(self, 'targets', frozenset(self.targets))
 
 
+@dataclass(slots=True)
 class RuleSet:
     '''Validated tagging rules (by token) plus expansion rules (by source path).'''
 
-    def __init__(self, tagging=None, expansion=None):
-        self.tagging = dict(tagging or {})
-        self.expansion = dict(expansion or {})
-        #: the labeler's lazily filled token index for these rules (see
-        #: labeler.analyze_sample); a copy starts without one
-        self.token_index = None
+    tagging: dict = field(default_factory=dict)
+    expansion: dict = field(default_factory=dict)
 
     def copy(self):
-        return RuleSet(self.tagging, self.expansion)
-
-    def __eq__(self, other):
-        return (isinstance(other, RuleSet)
-                and self.tagging == other.tagging
-                and self.expansion == other.expansion)
+        return RuleSet(dict(self.tagging), dict(self.expansion))
 
 
 def _resolve_destination(text, taxonomy, what):

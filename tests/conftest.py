@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from avtag.labeler import STATS_HEADER, CooccurrenceCounter, label_reports
+from avtag.labeler import STATS_HEADER, CompiledKB, CooccurrenceCounter, label_reports
 from avtag.ruleset import load_rules
 from avtag.taxonomy import TagPath, Taxonomy, load_taxonomy
 from avtag.updater import parse_stats
@@ -191,7 +191,7 @@ def stats_file(counter):
 def counted_relations(reports, rules, taxonomy):
     '''Labels the reports into a counter; returns the Relations of its stats file.'''
     counter = CooccurrenceCounter()
-    label_reports(reports, rules, taxonomy, counter=counter)
+    label_reports(reports, CompiledKB(taxonomy, rules), counter=counter)
     return parse_stats(stats_file(counter))
 
 

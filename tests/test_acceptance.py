@@ -11,7 +11,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 from avtag.cli import main
-from avtag.labeler import CooccurrenceCounter, SampleReport, analyze_sample
+from avtag.labeler import CompiledKB, CooccurrenceCounter, SampleReport, analyze_sample
 from avtag.ruleset import RuleSet, load_rules
 from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, load_taxonomy
 from avtag.updater import (Relation, UpdateConfig, infer, is_equivalent, is_strong,
@@ -229,7 +229,7 @@ def test_criterion_7_expansion_engine_count(base_taxonomy, base_rules):
     labels = {'A': 'Worm', 'B': 'worm!x', 'C': 'SelfPropagate',
               'D': 'selfpropagate', 'E': 'SELFPROPAGATE'}
     ranking = analyze_sample(SampleReport(sample_id(7), labels),
-                             base_rules, base_taxonomy)[0]
+                             CompiledKB(base_taxonomy, base_rules))[0]
     by_item = {str(a.item): a.count for a in ranking}
     assert by_item == {'BEH:selfpropagate': 5, 'CLASS:worm': 2}
     assert ranking.format_line().split('\t')[1] == 'BEH:selfpropagate|5,CLASS:worm|2'
@@ -289,6 +289,7 @@ def test_criterion_8_scale_determinism(data_dir, request):
     taxonomy = load_taxonomy((data_dir / 'taxonomy').read_text())
     rules = load_rules((data_dir / 'tagging').read_text(),
                        (data_dir / 'expansion').read_text(), taxonomy)
+    kb = CompiledKB(taxonomy, rules)  # one compiled knowledge base shared by all workers
     reports = [SampleReport.from_dict(json.loads(line))
                for line in big.read_text().splitlines()]
     chunk_size = (len(reports) + 7) // 8
@@ -299,8 +300,7 @@ def test_criterion_8_scale_determinism(data_dir, request):
         counter = CooccurrenceCounter()
         lines = []
         for report in chunk:
-            ranking, items = analyze_sample(report, rules, taxonomy,
-                                            with_stats=True)
+            ranking, items = analyze_sample(report, kb, with_stats=True)
             lines.append(ranking.format_line())
             counter.add_items(items)
         return lines, counter

@@ -8,6 +8,7 @@ import pytest
 
 from avtag import labeler
 from avtag.labeler import (
+    CompiledKB,
     CooccurrenceCounter,
     SampleReport,
     analyze_sample,
@@ -137,58 +138,58 @@ class TestLabelSample:
     def test_five_engine_expansion_counts(self, base_rules, base_taxonomy):
         labels = {'A': 'Worm.gen', 'B': 'WORM', 'C': 'SelfPropagate',
                   'D': 'selfpropagate!x', 'E': 'malicious.SELFPROPAGATE'}
-        ranking = analyze_sample(report(labels), base_rules, base_taxonomy)[0]
+        ranking = analyze_sample(report(labels), CompiledKB(base_taxonomy, base_rules))[0]
         assert ranking.format_line().split('\t')[1] == (
             'BEH:selfpropagate|5,CLASS:worm|2')
 
     def test_single_engine_items_pruned(self, base_rules, base_taxonomy):
-        ranking = analyze_sample(report({'A': 'Zbot'}), base_rules, base_taxonomy)[0]
+        ranking = analyze_sample(report({'A': 'Zbot'}), CompiledKB(base_taxonomy, base_rules))[0]
         assert len(ranking) == 0
         assert ranking.format_line() == ranking.sample_id
 
     def test_within_engine_duplicates_count_once(self, base_rules, base_taxonomy):
         labels = {'A': 'Zbot.zbot.zbot', 'B': 'zbot'}
-        ranking = analyze_sample(report(labels), base_rules, base_taxonomy)[0]
+        ranking = analyze_sample(report(labels), CompiledKB(base_taxonomy, base_rules))[0]
         assert ranking.format_line().split('\t')[1] == 'FAM:zbot|2'
 
     def test_engine_allowlist_case_insensitive(self, base_rules, base_taxonomy):
         labels = {'GoodAV': 'Zbot', 'FineAV': 'zbot', 'BadAV': 'zbot'}
-        ranking = analyze_sample(report(labels), base_rules, base_taxonomy,
+        ranking = analyze_sample(report(labels), CompiledKB(base_taxonomy, base_rules),
                                  allowlist={'goodav', 'fineav'})[0]
         [assignment] = list(ranking)
         assert assignment.engines == frozenset({'GoodAV', 'FineAV'})
 
     def test_ranking_ties_put_tags_before_unknowns(self, base_rules, base_taxonomy):
         labels = {'A': 'zzztok.bebeg', 'B': 'zzztok/Bebeg'}
-        ranking = analyze_sample(report(labels), base_rules, base_taxonomy)[0]
+        ranking = analyze_sample(report(labels), CompiledKB(base_taxonomy, base_rules))[0]
         assert ranking.format_line().split('\t')[1] == 'FAM:bebeg|2,UNK:zzztok|2'
 
     def test_count_descending_then_canonical(self, base_rules, base_taxonomy):
         labels = {'A': 'virut.zbot', 'B': 'virut.zbot', 'C': 'virut'}
-        ranking = analyze_sample(report(labels), base_rules, base_taxonomy)[0]
+        ranking = analyze_sample(report(labels), CompiledKB(base_taxonomy, base_rules))[0]
         assert [str(a.item) for a in ranking] == ['FAM:virut', 'FAM:zbot']
 
 
 class TestCompatFamily:
     def test_family_tag_wins(self, base_rules, base_taxonomy):
         labels = {'A': 'Zbot.gen', 'B': 'zbot!x'}
-        assert compat_family(analyze_sample(report(labels), base_rules,
-                                            base_taxonomy)[0]) == 'zbot'
+        kb = CompiledKB(base_taxonomy, base_rules)
+        assert compat_family(analyze_sample(report(labels), kb)[0]) == 'zbot'
 
     def test_family_beats_unknown_on_tie(self, base_rules, base_taxonomy):
         labels = {'A': 'zbot.aaaunk', 'B': 'zbot.aaaunk'}
-        assert compat_family(analyze_sample(report(labels), base_rules,
-                                            base_taxonomy)[0]) == 'zbot'
+        kb = CompiledKB(base_taxonomy, base_rules)
+        assert compat_family(analyze_sample(report(labels), kb)[0]) == 'zbot'
 
     def test_unknown_token_as_family(self, base_rules, base_taxonomy):
         labels = {'A': 'newfam.worm', 'B': 'newfam'}
-        assert compat_family(analyze_sample(report(labels), base_rules,
-                                            base_taxonomy)[0]) == 'newfam'
+        kb = CompiledKB(base_taxonomy, base_rules)
+        assert compat_family(analyze_sample(report(labels), kb)[0]) == 'newfam'
 
     def test_non_family_tags_ignored(self, base_rules, base_taxonomy):
         labels = {'A': 'worm', 'B': 'worm'}
-        assert compat_family(analyze_sample(report(labels), base_rules,
-                                            base_taxonomy)[0]) is None
+        kb = CompiledKB(base_taxonomy, base_rules)
+        assert compat_family(analyze_sample(report(labels), kb)[0]) is None
 
     def test_singleton_line(self):
         assert format_compat_line('ff00', None) == 'ff00\tSINGLETON:ff00'
@@ -314,7 +315,7 @@ class TestFormatStats:
         reports = [report({'A': 'virut.zbot', 'B': 'virut.zbot'}, 1),
                    report({'A': 'zbot', 'B': 'zbot'}, 2)]
         counter = CooccurrenceCounter()
-        label_reports(reports, base_rules, base_taxonomy, counter=counter)
+        label_reports(reports, CompiledKB(base_taxonomy, base_rules), counter=counter)
         assert stats_file(counter) == (
             't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji\n'
             'FAM:virut\tFAM:zbot\t1\t2\t1\t1.000000\t0.500000\n')
@@ -354,11 +355,11 @@ class TestLabelReports:
         analyze = labeler.analyze_sample
 
         def spy(*args):
-            calls.append(args[4:])
+            calls.append(args[3:])
             return analyze(*args)
         monkeypatch.setattr(labeler, 'analyze_sample', spy)
         kwargs = {name: CooccurrenceCounter() if name == 'counter' else io.StringIO()
                   for name in sinks}
         reports = [report(GOLDEN_LABELS, n) for n in (1, 2)]
-        assert label_reports(reports, base_rules, base_taxonomy, **kwargs) == 2
+        assert label_reports(reports, CompiledKB(base_taxonomy, base_rules), **kwargs) == 2
         assert calls == [('counter' in sinks, with_ranking)] * 2

@@ -10,9 +10,9 @@ import types
 
 import avtag
 
-#: the seven names README's library example imports from the package, plus the
+#: the eight names README's library example imports from the package, plus the
 #: four its prose names
-PUBLIC = ['RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'UpdateConfig',
+PUBLIC = ['CompiledKB', 'RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'UpdateConfig',
           'analyze_sample', 'filter_strong', 'infer', 'load_rules', 'load_taxonomy',
           'parse_item']
 

@@ -4,10 +4,11 @@ The reference runs tokenize -> tag_tokens -> expand on every engine label and
 keeps TagPath/UnknownToken items, the way labeling worked before the token
 index.  Hypothesis draws random knowledge bases, labels and engine allowlists;
 every sample's tag line, compat family and statistics items must equal the
-reference exactly.  The rest checks that a token index never outlives the
-knowledge base it was filled from, that a counter's stats rows come in the
-order and orientation a naive count and sort of its samples' pairs gives,
-and that parse_stats reads those rows back.
+reference exactly.  The rest checks that a CompiledKB is a snapshot of the
+knowledge base it was compiled from (one compiled after an edit labels with
+the edit, one compiled before it labels as before), that a counter's stats
+rows come in the order and orientation a naive count and sort of its
+samples' pairs gives, and that parse_stats reads those rows back.
 '''
 
 import io
@@ -17,8 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings, strategies as st
 
-from avtag.labeler import (MIN_ENGINES, STATS_HEADER, CooccurrenceCounter, SampleReport,
-                           _token_index, analyze_sample, compat_family, expand, label_reports,
+from avtag.labeler import (MIN_ENGINES, STATS_HEADER, CompiledKB, CooccurrenceCounter,
+                           SampleReport, analyze_sample, compat_family, expand, label_reports,
                            tag_tokens)
 from avtag.ruleset import ExpansionRule, RuleError, TaggingRule, load_rules
 from avtag.taxonomy import (CATEGORIES, TagPath, UnknownToken, is_taggable, load_taxonomy,
@@ -61,17 +62,19 @@ def reference_analyze(report, rules, taxonomy, allowlist=None):
     return line, family, stat_items
 
 
-def indexed_analyze(report, rules, taxonomy, allowlist=None):
-    ranking, stat_items = analyze_sample(report, rules, taxonomy, allowlist,
-                                         with_stats=True)
+def indexed_analyze(report, kb, allowlist=None):
+    ranking, stat_items = analyze_sample(report, kb, allowlist, with_stats=True)
     return (ranking.format_line(), compat_family(ranking),
             sorted(str(item) for item in stat_items))
 
 
-def assert_matches_reference(reports, rules, taxonomy, allowlist=None):
+def assert_matches_reference(reports, rules, taxonomy, allowlist=None, kb=None):
+    '''Labels with `kb`, by default compiled now, against the reference on `rules`, `taxonomy`.'''
+    if kb is None:
+        kb = CompiledKB(taxonomy, rules)
     for report in reports:
         want = reference_analyze(report, rules, taxonomy, allowlist)
-        assert indexed_analyze(report, rules, taxonomy, allowlist) == want
+        assert indexed_analyze(report, kb, allowlist) == want
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +156,14 @@ allowlists = st.none() | st.sets(st.sampled_from([e.lower() for e in ENGINES] + 
 def test_indexed_labeler_matches_reference(kb, samples, allowlist):
     taxonomy, rules = kb
     reports = [SampleReport(sample_id(n), labels) for n, labels in enumerate(samples)]
+    kb = CompiledKB(taxonomy, rules)
     # the second pass reads every known token from the filled index
-    assert_matches_reference(reports + reports, rules, taxonomy, allowlist)
+    assert_matches_reference(reports + reports, rules, taxonomy, allowlist, kb)
 
     # the corpus loop: one pass writes every output
     tags_out, compat_out, counted = io.StringIO(), io.StringIO(), CooccurrenceCounter()
-    assert label_reports(iter(reports), rules, taxonomy, allowlist,
-                         tags_out, compat_out, counted) == len(reports)
+    assert label_reports(iter(reports), kb, allowlist, tags_out, compat_out,
+                         counted) == len(reports)
     want_tags, want_compat, reference = [], [], CooccurrenceCounter()
     for report in reports:
         line, family, stat_items = reference_analyze(report, rules, taxonomy, allowlist)
@@ -173,8 +177,7 @@ def test_indexed_labeler_matches_reference(kb, samples, allowlist):
 
     # the corpus loop with only a counter, which builds no ranking
     stats_only = CooccurrenceCounter()
-    assert label_reports(iter(reports), rules, taxonomy, allowlist,
-                         counter=stats_only) == len(reports)
+    assert label_reports(iter(reports), kb, allowlist, counter=stats_only) == len(reports)
     assert stats_file(stats_only) == stats_file(reference)
 
 
@@ -183,21 +186,22 @@ def test_indexed_labeler_matches_reference(kb, samples, allowlist):
        allowlist=allowlists)
 def test_stats_only_analysis_matches_full_analysis(kb, samples, allowlist):
     taxonomy, rules = kb
+    kb = CompiledKB(taxonomy, rules)
     for n, labels in enumerate(samples):
         report = SampleReport(sample_id(n), labels)
         if n % 2 == 0:  # stats only first: the first sample meets an empty index
-            stats_only = analyze_sample(report, rules, taxonomy, allowlist, with_stats=True,
+            stats_only = analyze_sample(report, kb, allowlist, with_stats=True,
                                         with_ranking=False)
-            full = analyze_sample(report, rules, taxonomy, allowlist, with_stats=True)
+            full = analyze_sample(report, kb, allowlist, with_stats=True)
         else:
-            full = analyze_sample(report, rules, taxonomy, allowlist, with_stats=True)
-            stats_only = analyze_sample(report, rules, taxonomy, allowlist, with_stats=True,
+            full = analyze_sample(report, kb, allowlist, with_stats=True)
+            stats_only = analyze_sample(report, kb, allowlist, with_stats=True,
                                         with_ranking=False)
         assert stats_only == (None, full[1])
 
 
 # ---------------------------------------------------------------------------
-# the index never outlives the knowledge base it was filled from
+# a compiled knowledge base is a snapshot of the one it was compiled from
 
 def base_kb():
     '''A private copy of the base knowledge base, safe to edit in place.'''
@@ -209,61 +213,91 @@ def two_engine_report(label, n=1):
     return SampleReport(sample_id(n), {'A': label, 'B': label.upper()})
 
 
+def compiled_and_labeled(report, rules, taxonomy):
+    '''A CompiledKB of the knowledge base as it is now, checked against the
+    reference, and its output for the report.'''
+    kb = CompiledKB(taxonomy, rules)
+    assert_matches_reference([report], rules, taxonomy, kb=kb)
+    return kb, indexed_analyze(report, kb)
+
+
 def test_tagging_rule_added_in_place_after_labeling():
     taxonomy, rules = base_kb()
     report = two_engine_report('zbot.worm.zeus')
-    assert_matches_reference([report], rules, taxonomy)
+    before, want_before = compiled_and_labeled(report, rules, taxonomy)
     rules.tagging['zeus'] = TaggingRule('zeus', {TagPath.parse('FAM:zbot')})
     rules.tagging['worm'] = TaggingRule('worm', {TagPath.parse('CLASS:virus')})
-    assert_matches_reference([report], rules, taxonomy)
-    assert indexed_analyze(report, rules, taxonomy)[0].endswith(
-        '\tCLASS:virus|2,FAM:zbot|2')
+    _, want_after = compiled_and_labeled(report, rules, taxonomy)
+    assert want_after[0].endswith('\tCLASS:virus|2,FAM:zbot|2')
+    assert indexed_analyze(report, before) == want_before != want_after
 
 
 def test_expansion_rule_added_in_place_after_labeling():
     taxonomy, rules = base_kb()
     report = two_engine_report('zbot')
-    assert_matches_reference([report], rules, taxonomy)
+    before, want_before = compiled_and_labeled(report, rules, taxonomy)
     zbot = TagPath.parse('FAM:zbot')
     rules.expansion[zbot] = ExpansionRule(zbot, {TagPath.parse('BEH:infosteal')})
-    assert_matches_reference([report], rules, taxonomy)
-    assert 'BEH:infosteal|2' in indexed_analyze(report, rules, taxonomy)[0]
+    _, want_after = compiled_and_labeled(report, rules, taxonomy)
+    assert 'BEH:infosteal|2' in want_after[0]
+    assert indexed_analyze(report, before) == want_before != want_after
 
 
 def test_taxonomy_node_added_or_removed_in_place_after_labeling():
     taxonomy, rules = base_kb()
     report = two_engine_report('virut.newfam')
-    assert_matches_reference([report], rules, taxonomy)
+    before, want_before = compiled_and_labeled(report, rules, taxonomy)
     taxonomy.add(TagPath.parse('FAM:virut:newfam'))
-    assert_matches_reference([report], rules, taxonomy)
-    assert indexed_analyze(report, rules, taxonomy)[2] == ['FAM:virut', 'FAM:virut:newfam']
+    added, want_added = compiled_and_labeled(report, rules, taxonomy)
+    assert want_added[2] == ['FAM:virut', 'FAM:virut:newfam']
+    assert indexed_analyze(report, before) == want_before != want_added
     taxonomy.remove(TagPath.parse('FAM:virut:newfam'))
     taxonomy.remove(TagPath.parse('FAM:virut'))
-    assert_matches_reference([report], rules, taxonomy)
-    assert indexed_analyze(report, rules, taxonomy)[2] == ['UNK:newfam', 'UNK:virut']
+    _, want_removed = compiled_and_labeled(report, rules, taxonomy)
+    assert want_removed[2] == ['UNK:newfam', 'UNK:virut']
+    assert indexed_analyze(report, added) == want_added
 
 
 def test_rule_replaced_in_place_is_seen_through_a_copy():
     taxonomy, rules = base_kb()
     report = two_engine_report('dloader')
-    assert_matches_reference([report], rules, taxonomy)
+    before, want_before = compiled_and_labeled(report, rules, taxonomy)
     rules.tagging['dloader'] = TaggingRule('dloader', {TagPath.parse('CLASS:bot')})
     fresh = rules.copy()
-    assert_matches_reference([report], fresh, taxonomy)
-    assert indexed_analyze(report, fresh, taxonomy)[0].endswith('\tCLASS:bot|2')
+    _, want_after = compiled_and_labeled(report, fresh, taxonomy)
+    assert want_after[0].endswith('\tCLASS:bot|2')
+    assert indexed_analyze(report, before) == want_before != want_after
+
+
+def test_rule_replaced_in_place_after_labeling_is_seen_by_a_new_compile():
+    '''The replaced rule keeps the rule count; a CompiledKB from after the edit sees
+    it, and one from before the edit does not, whether or not it labeled before.'''
+    taxonomy, rules = base_kb()
+    report = two_engine_report('dloader')
+    before = CompiledKB(taxonomy, rules)
+    unused = CompiledKB(taxonomy, rules)
+    assert indexed_analyze(report, before)[0].endswith('\tCLASS:downloader|2')
+    rules.tagging['dloader'] = TaggingRule('dloader', {TagPath.parse('CLASS:bot')})
+    after = CompiledKB(taxonomy, rules)
+    assert indexed_analyze(report, after)[0].endswith('\tCLASS:bot|2')
+    assert_matches_reference([report], rules, taxonomy, kb=after)
+    assert indexed_analyze(report, before)[0].endswith('\tCLASS:downloader|2')
+    assert indexed_analyze(report, unused)[0].endswith('\tCLASS:downloader|2')
 
 
 def test_same_size_replacements_are_seen():
     taxonomy, rules = base_kb()
     report = two_engine_report('zbot.dloader')
-    assert_matches_reference([report], rules, taxonomy)
+    before, want_before = compiled_and_labeled(report, rules, taxonomy)
     rules.tagging = dict(rules.tagging,
                          dloader=TaggingRule('dloader', {TagPath.parse('CLASS:bot')}))
-    assert_matches_reference([report], rules, taxonomy)
+    replaced, want_replaced = compiled_and_labeled(report, rules, taxonomy)
+    assert indexed_analyze(report, before) == want_before != want_replaced
     other = load_taxonomy(BASE_TAXONOMY.replace('FAM:zbot', 'FAM:zbotx'))
     assert len(other) == len(taxonomy)
-    assert_matches_reference([report], rules, other)
-    assert indexed_analyze(report, rules, other)[0].endswith('\tCLASS:bot|2,UNK:zbot|2')
+    _, want_other = compiled_and_labeled(report, rules, other)
+    assert want_other[0].endswith('\tCLASS:bot|2,UNK:zbot|2')
+    assert indexed_analyze(report, replaced) == want_replaced != want_other
 
 
 def test_unknown_tokens_add_no_index_keys():
@@ -272,16 +306,17 @@ def test_unknown_tokens_add_no_index_keys():
     known = set(rules.tagging) | set(taxonomy.tag_names())
     reports = [SampleReport(sample_id(n), {'A': 'unk%dx.q%d' % (n, n), 'B': 'unk%dx' % n})
                for n in range(500)]
-    assert_matches_reference(reports, rules, taxonomy)
-    index = _token_index(rules, taxonomy)
-    assert set(index) <= known
+    kb = CompiledKB(taxonomy, rules)
+    assert_matches_reference(reports, rules, taxonomy, kb=kb)
+    assert set(kb.index) == known
 
 
 def test_threads_sharing_one_rule_set_match_reference():
-    '''Threads that fill one index at the same time all see complete entries.'''
+    '''Threads that fill one CompiledKB's index at the same time all see complete entries.'''
     families = ['fam%03dx' % n for n in range(300)]
     taxonomy = load_taxonomy(''.join('CLASS:worm:%s\n' % name for name in families))
     rules = load_rules('', '', taxonomy)
+    kb = CompiledKB(taxonomy, rules)
     reports = [SampleReport(sample_id(n), {'A': families[n], 'B': '.'.join(families[n:n + 3])})
                for n in range(len(families))]
     want = [reference_analyze(report, rules, taxonomy) for report in reports]
@@ -289,7 +324,7 @@ def test_threads_sharing_one_rule_set_match_reference():
 
     def label_all():
         start.wait(timeout=60)
-        return [indexed_analyze(report, rules, taxonomy) for report in reports]
+        return [indexed_analyze(report, kb) for report in reports]
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -312,17 +347,19 @@ def test_update_then_relabel_matches_reference():
     reports = []
     for label, copies in sorted(corpus.items()):
         reports += [two_engine_report(label, len(reports) + n) for n in range(copies)]
-    assert_matches_reference(reports, rules, taxonomy)
+    old_kb = CompiledKB(taxonomy, rules)
+    assert_matches_reference(reports, rules, taxonomy, kb=old_kb)
 
     config = UpdateConfig()
     relations = counted_relations(reports, rules, taxonomy)
     result = infer(filter_strong(relations, config), taxonomy, rules, config)
 
-    assert_matches_reference(reports, result.rules, result.taxonomy)
-    before = [indexed_analyze(r, rules, taxonomy)[0] for r in reports]
-    after = [indexed_analyze(r, result.rules, result.taxonomy)[0] for r in reports]
+    new_kb = CompiledKB(result.taxonomy, result.rules)
+    assert_matches_reference(reports, result.rules, result.taxonomy, kb=new_kb)
+    before = [indexed_analyze(r, old_kb)[0] for r in reports]
+    after = [indexed_analyze(r, new_kb)[0] for r in reports]
     changed = {line.split('\t', 1)[1] for line, old in zip(after, before) if line != old}
-    # virlock and zeus were cached as families of their own before the update
+    # virlock and zeus were indexed as families of their own before the update
     assert changed == {'FAM:darkkomet|2',                # fynloski became an alias
                        'CLASS:virus|2,FAM:virlocker|2',  # virlock retired into virlocker
                        'FAM:zbot|2'}                     # zeus retired into zbot
