@@ -1,8 +1,8 @@
 '''Per-sample labeling pipeline and dataset-level co-occurrence statistics.
 
 For every engine label of a sample: tokenize, apply tagging rules, expand.
-Every item (tag or unknown token) remembers the set of engines whose label
-produced it; items seen by fewer than two engines are pruned.  The same
+Every item (tag or unknown token) is counted once per engine whose label
+produced it; items counted fewer than two times are pruned.  The same
 per-engine item extraction, taken before expansion, feeds the co-occurrence
 counters used by the update engine.  label_reports is the one loop that runs
 this over a stream of reports.  It ranks a sample only for a tags or compat
@@ -26,7 +26,7 @@ objects.
 '''
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .taxonomy import UNKNOWN_CATEGORY
@@ -93,24 +93,13 @@ class SampleReport:
         return cls(sample_id, av_labels)
 
 
-@dataclass(slots=True)
-class TagAssignment:
-    '''An output item together with the engines whose labels produced it.'''
-
-    item: str
-    engines: frozenset
-
-    def __post_init__(self):
-        self.engines = frozenset(self.engines)
-
-    @property
-    def count(self):
-        return len(self.engines)
+#: an output item and the number of engines whose labels produced it
+TagAssignment = namedtuple('TagAssignment', 'item count')
 
 
 @dataclass(slots=True)
 class TagRanking:
-    '''Pruned assignments of one sample, ordered by engine count.'''
+    '''Pruned (item, count) assignments of one sample, by descending count, then item.'''
 
     sample_id: str
     assignments: list
@@ -123,10 +112,8 @@ class TagRanking:
 
     def format_line(self):
         '''`<sample_id>\\t<item>|<count>,...`; bare sample_id when empty.'''
-        if not self.assignments:
-            return self.sample_id
-        items = ','.join('%s|%d' % (a.item, a.count) for a in self.assignments)
-        return '%s\t%s' % (self.sample_id, items)
+        items = ','.join('%s|%d' % entry for entry in self.assignments)
+        return '%s\t%s' % (self.sample_id, items) if items else self.sample_id
 
 
 def tag_tokens(tokens, rules, taxonomy):
@@ -212,7 +199,7 @@ def analyze_sample(report, kb, allowlist=None, with_stats=False, with_ranking=Tr
     knowledge base as it was when `kb` was compiled.
     '''
     index = kb.index
-    expanded_engines = defaultdict(list)
+    expanded_items = []
     raw_items = []
     for engine, label in report.av_labels.items():
         if allowlist is not None and engine.lower() not in allowlist:
@@ -232,17 +219,14 @@ def analyze_sample(report, kb, allowlist=None, with_stats=False, with_ranking=Tr
             raw |= entry[0]
             expanded |= entry[1]
         if with_ranking:
-            for item in expanded:
-                expanded_engines[item].append(engine)
+            expanded_items.extend(expanded)
         if with_stats:
             raw_items.extend(raw)
     ranking = stat_items = None
     if with_ranking:
-        ranked = sorted((-len(engines), item, engines)
-                        for item, engines in expanded_engines.items()
-                        if len(engines) >= MIN_ENGINES)
-        ranking = TagRanking(report.sample_id,
-                             [TagAssignment(item, engines) for _, item, engines in ranked])
+        ranked = sorted((-count, item) for item, count in Counter(expanded_items).items()
+                        if count >= MIN_ENGINES)
+        ranking = TagRanking(report.sample_id, [TagAssignment(item, -key) for key, item in ranked])
     if with_stats:
         stat_items = {item for item, count in Counter(raw_items).items()
                       if count >= MIN_ENGINES}
@@ -257,12 +241,12 @@ def compat_family(ranking):
     as analyze_sample produces them.
     '''
     best_key = None
-    for assignment in ranking:
-        category, _, rest = assignment.item.partition(':')
+    for item, count in ranking:
+        category, _, rest = item.partition(':')
         if category == 'FAM':
-            candidate = (-assignment.count, 0, rest.rpartition(':')[2])
+            candidate = (-count, 0, rest.rpartition(':')[2])
         elif category == UNKNOWN_CATEGORY:
-            candidate = (-assignment.count, 1, rest)
+            candidate = (-count, 1, rest)
         else:
             continue
         if best_key is None or candidate < best_key:

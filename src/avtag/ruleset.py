@@ -107,8 +107,11 @@ def _collapse_aliases(raw_rules, line_of):
         resolved[token] = frozenset(flat)
         return resolved[token]
 
-    for token in raw_rules:
-        resolve(token)
+    try:
+        for token in raw_rules:
+            resolve(token)
+    except RecursionError:  # the chain from `token` is deeper than the stack allows
+        raise RuleError('tagging line %d: alias chain too deep' % line_of[token]) from None
     return resolved
 
 
@@ -129,9 +132,12 @@ def _check_expansion_acyclic(expansion):
                 visit(target, trail + [source])
         color[source] = BLACK
 
-    for source in sorted(expansion, key=str):
-        if color[source] == WHITE:
-            visit(source, [])
+    try:
+        for source in sorted(expansion, key=str):
+            if color[source] == WHITE:
+                visit(source, [])
+    except RecursionError:  # the chain from `source` is deeper than the stack allows
+        raise RuleError('expansion chain from %s too deep' % (source,)) from None
 
 
 def load_rules(tagging_text, expansion_text, taxonomy):

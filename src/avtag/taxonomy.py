@@ -58,6 +58,9 @@ class TagPath:
     def __setattr__(self, name, value):
         raise AttributeError('TagPath is immutable')
 
+    def __reduce__(self):
+        return (TagPath, (self.components,))
+
     @classmethod
     def parse(cls, text):
         '''Parses the canonical ':'-joined string form.'''

@@ -438,10 +438,6 @@ def _act_file_unk(state, a, b):
     state.add_alias(a.name, a.parent().child(b.name))
 
 
-def _act_fam_fam(state, a, b):
-    state.add_alias(a.name, b)
-
-
 _TOP_BLOCK = {
     ('UNK', 'FAM'): _act_unk_fam,
     ('UNK', 'CLASS'): _act_unk_class_or_beh,
@@ -450,7 +446,7 @@ _TOP_BLOCK = {
     ('UNK', 'UNK'): _act_unk_unk,
     ('FAM', 'UNK'): _act_fam_unk,
     ('FILE', 'UNK'): _act_file_unk,
-    ('FAM', 'FAM'): _act_fam_fam,
+    ('FAM', 'FAM'): _act_unk_fam,
 }
 
 _BOTTOM_BLOCK = {

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -197,6 +198,20 @@ def counted_relations(reports, rules, taxonomy):
 
 # ---------------------------------------------------------------------------
 # randomized structure generators (seeded by the caller)
+
+def deep_chain_texts():
+    '''Taxonomy, tagging and expansion texts of chains deeper than the recursion limit.
+
+    The taxonomy holds FAM:fam0..FAM:famN; the tagging rules alias fam<n> to
+    FAM:fam<n+1> and the expansion rules map FAM:fam<n> to FAM:fam<n+1>.  N is
+    three times the recursion limit, so a recursive walk of either chain
+    overflows the stack.
+    '''
+    depth = 3 * sys.getrecursionlimit()
+    return (''.join('FAM:fam%d\n' % n for n in range(depth + 1)),
+            ''.join('fam%d\tFAM:fam%d\n' % (n, n + 1) for n in range(depth)),
+            ''.join('FAM:fam%d\tFAM:fam%d\n' % (n, n + 1) for n in range(depth)))
+
 
 def random_taxonomy(rng, size=25):
     '''Random tree of taggable nodes with globally unique names.'''

@@ -9,8 +9,8 @@ from avtag.ruleset import load_rules
 from avtag.taxonomy import load_taxonomy
 
 from conftest import (GOLDEN_FAMILY, GOLDEN_LABELS, GOLDEN_SAMPLE_ID, GOLDEN_TAG_LINE,
-                      MATRIX_ROWS, MATRIX_ROWS_FIXPOINT, MATRIX_TAXONOMY, sample_id,
-                      sample_line, stats_text)
+                      MATRIX_ROWS, MATRIX_ROWS_FIXPOINT, MATRIX_TAXONOMY, deep_chain_texts,
+                      sample_id, sample_line, stats_text)
 
 GOLDEN_STATS = '''\
 t_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji
@@ -37,6 +37,14 @@ def update_args(data_dir, stats_path, outdir, *extra):
             '--tagging', str(data_dir / 'tagging'),
             '--expansion', str(data_dir / 'expansion'),
             '-o', str(outdir), *extra]
+
+
+def write_deep_chain(data_dir, chain):
+    '''Writes knowledge-base files whose `chain` rules (tagging or expansion) nest too deep.'''
+    taxonomy_text, tagging, expansion = deep_chain_texts()
+    (data_dir / 'taxonomy').write_text(taxonomy_text)
+    (data_dir / 'tagging').write_text(tagging if chain == 'tagging' else '')
+    (data_dir / 'expansion').write_text(expansion if chain == 'expansion' else '')
 
 
 def write_lines(path, lines):
@@ -312,6 +320,16 @@ class TestLabelCommand:
         assert 'samples.jsonl:2: skipping malformed line' in err
         assert 'samples read 3, labeled 2, skipped 1' in err
 
+    def test_alias_chain_deeper_than_recursion_limit_fails(self, tmp_path, capsys):
+        write_deep_chain(tmp_path, 'tagging')
+        inp = tmp_path / 'samples.jsonl'
+        write_lines(inp, [sample_line(sample_id(1), {'A': 'fam0', 'B': 'fam0'})])
+        tags = tmp_path / 'tags.out'
+        assert main(label_args(tmp_path, '-i', str(inp), '--tags-out', str(tags))) == 1
+        assert capsys.readouterr().err == (
+            "error: tagging line 1: alias chain too deep\n")
+        assert not tags.exists()
+
     def test_missing_input_file_fails(self, data_dir, capsys):
         tags = data_dir / 'tags.out'
         assert main(label_args(data_dir, '-i', str(data_dir / 'nosuch.jsonl'),
@@ -483,6 +501,16 @@ class TestUpdateCommand:
         stats.write_text('UNK:tok\tFAM:zbot\t5\t10\n')
         assert main(update_args(data_dir, stats, data_dir / 'out')) == 1
         assert 'stats line 1' in capsys.readouterr().err
+
+    def test_expansion_chain_deeper_than_recursion_limit_fails(self, tmp_path, capsys):
+        write_deep_chain(tmp_path, 'expansion')
+        stats = tmp_path / 'stats'
+        stats.write_text(stats_text([]))
+        outdir = tmp_path / 'out'
+        assert main(update_args(tmp_path, stats, outdir)) == 1
+        assert capsys.readouterr().err == (
+            'error: expansion chain from FAM:fam0 too deep\n')
+        assert not outdir.exists()
 
     def test_missing_stats_file_fails(self, data_dir, capsys):
         assert main(update_args(data_dir, data_dir / 'nosuch', data_dir / 'out')) == 1

@@ -5,7 +5,7 @@ import pytest
 from avtag.ruleset import RuleError, RuleSet, load_rules, serialize_rules
 from avtag.taxonomy import TagPath, load_taxonomy
 
-from conftest import random_taxonomy
+from conftest import deep_chain_texts, random_taxonomy
 
 
 @pytest.fixture
@@ -95,6 +95,17 @@ class TestAliasCollapse:
         with pytest.raises(RuleError) as err:
             load_rules('zeus\tzbot\nzbot\tzeus\n', '', taxonomy)
         assert 'cycle' in str(err.value)
+
+
+@pytest.mark.parametrize('chain, message', [
+    ('tagging', "tagging line 1: alias chain too deep"),
+    ('expansion', 'expansion chain from FAM:fam0 too deep')], ids=['tagging', 'expansion'])
+def test_chain_deeper_than_recursion_limit_rejected(chain, message):
+    taxonomy_text, tagging, expansion = deep_chain_texts()
+    texts = (tagging, '') if chain == 'tagging' else ('', expansion)
+    with pytest.raises(RuleError) as err:
+        load_rules(*texts, load_taxonomy(taxonomy_text))
+    assert str(err.value) == message
 
 
 class TestExpansionParse:

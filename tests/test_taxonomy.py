@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -37,6 +38,12 @@ class TestTagPath:
         path = TagPath.parse('CLASS:grayware:adware')
         assert str(path.parent()) == 'CLASS:grayware'
         assert TagPath.parse('CLASS').parent() is None
+
+    def test_pickle_roundtrip(self):
+        path = TagPath.parse('FILE:OS:windows')
+        copy = pickle.loads(pickle.dumps(path))
+        assert copy == path and str(copy) == 'FILE:OS:windows'
+        assert hash(copy) == hash(path)
 
 
 class TestItems:
@@ -298,6 +305,13 @@ class TestRoundTrip:
             taxonomy = random_taxonomy(rng, size=rng.randint(1, 40))
             text = serialize_taxonomy(taxonomy)
             assert load_taxonomy(text) == taxonomy
+
+    def test_pickle_roundtrip(self):
+        taxonomy = random_taxonomy(random.Random(7), size=500)
+        copy = pickle.loads(pickle.dumps(taxonomy))
+        assert copy == taxonomy
+        assert copy._name_index == taxonomy._name_index
+        assert copy._child_counts == taxonomy._child_counts
 
 
 class TestOrderProperties:
