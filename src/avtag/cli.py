@@ -20,7 +20,7 @@ UPDATE_OUTPUT_NAMES = ('taxonomy', 'tagging', 'expansion', 'unhandled.tsv', 'cha
 
 
 def _read_text(path):
-    with open(path, encoding='utf-8') as handle:
+    with open(path, encoding='utf-8-sig') as handle:  # -sig: drops a leading BOM
         return handle.read()
 
 
@@ -94,7 +94,7 @@ def _fail(message):
 def _read_reports(paths, counts):
     '''Yields the report of every usable input line; counts the lines read and skipped.'''
     for path in paths:
-        with open(path, encoding='utf-8') as handle:
+        with open(path, encoding='utf-8-sig') as handle:
             for lineno, raw in enumerate(handle, 1):
                 line = raw.strip()
                 if not line:

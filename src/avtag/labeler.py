@@ -128,9 +128,9 @@ def tag_tokens(tokens, rules, taxonomy):
     tags = set()
     unknowns = set()
     for token in tokens:
-        rule = rules.tagging.get(token)
-        if rule is not None:
-            tags.update(rule.destinations)
+        dests = rules.tagging.get(token)
+        if dests is not None:
+            tags.update(dests)
             continue
         path = taxonomy.resolve_name(token)
         if path is not None:
@@ -146,12 +146,10 @@ def expand(tags, rules, taxonomy):
     queue = list(tags)
     while queue:
         tag = queue.pop()
-        rule = rules.expansion.get(tag)
-        if rule is not None:
-            for target in rule.targets:
-                if target not in result:
-                    result.add(target)
-                    queue.append(target)
+        for target in rules.expansion.get(tag, ()):
+            if target not in result:
+                result.add(target)
+                queue.append(target)
         for ancestor in taxonomy.tag_ancestors(tag):
             if ancestor not in result:
                 result.add(ancestor)

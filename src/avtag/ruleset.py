@@ -5,6 +5,10 @@ comma-separated destination list.  Destinations may be full tag paths or bare
 tag names (resolved through the taxonomy's unique-name index).  A tagging rule
 whose single destination is the literal ``GEN`` marks the token as generic
 (mapped to no tags at all).
+
+Loaded, the rules are two plain maps: ``tagging`` from a token to the
+frozenset of TagPaths it maps to (empty for a generic token), and
+``expansion`` from a source TagPath to the frozenset of TagPaths it implies.
 '''
 
 from dataclasses import dataclass, field
@@ -18,35 +22,11 @@ class RuleError(ValueError):
     '''Raised for malformed or inconsistent rule files.'''
 
 
-@dataclass(frozen=True, slots=True)
-class TaggingRule:
-    '''Maps one token to a frozen set of destination tags (empty = generic).'''
-
-    token: str
-    destinations: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, 'destinations', frozenset(self.destinations))
-
-    @property
-    def is_generic(self):
-        return not self.destinations
-
-
-@dataclass(frozen=True, slots=True)
-class ExpansionRule:
-    '''Maps a source tag to the set of extra tags it implies.'''
-
-    source: TagPath
-    targets: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, 'targets', frozenset(self.targets))
-
-
 @dataclass(slots=True)
 class RuleSet:
-    '''Validated tagging rules (by token) plus expansion rules (by source path).'''
+    '''Validated rules: `tagging` maps a token to its frozenset of tags (empty
+    when generic); `expansion` maps a source tag to its frozenset of target tags.
+    '''
 
     tagging: dict = field(default_factory=dict)
     expansion: dict = field(default_factory=dict)
@@ -122,7 +102,7 @@ def _check_expansion_acyclic(expansion):
 
     def visit(source, trail):
         color[source] = GREY
-        for target in sorted(expansion[source].targets, key=str):
+        for target in sorted(expansion[source], key=str):
             if target not in expansion:
                 continue
             if color[target] == GREY:
@@ -175,14 +155,13 @@ def load_rules(tagging_text, expansion_text, taxonomy):
         raw_rules[token] = destinations
         line_of[token] = lineno
 
-    collapsed = _collapse_aliases(raw_rules, line_of)
-    tagging = {token: TaggingRule(token, dests) for token, dests in collapsed.items()}
-    for rule in tagging.values():
-        for dest in rule.destinations:
-            if dest.name == rule.token:
+    tagging = _collapse_aliases(raw_rules, line_of)
+    for token, dests in tagging.items():
+        for dest in dests:
+            if dest.name == token:
                 raise RuleError(
                     'tagging line %d: collapsed rule %r maps to tag named after itself'
-                    % (line_of[rule.token], rule.token))
+                    % (line_of[token], token))
 
     expansion = {}
     for lineno, raw in enumerate(expansion_text.splitlines(), 1):
@@ -210,7 +189,7 @@ def load_rules(tagging_text, expansion_text, taxonomy):
                 targets.add(target)
         except RuleError as exc:
             raise RuleError('expansion line %d: %s' % (lineno, exc)) from None
-        expansion[source] = ExpansionRule(source, targets)
+        expansion[source] = frozenset(targets)
 
     _check_expansion_acyclic(expansion)
     return RuleSet(tagging, expansion)
@@ -220,16 +199,11 @@ def serialize_rules(ruleset):
     '''Deterministic normal form: sorted lines, full destination paths.'''
     tagging_lines = []
     for token in sorted(ruleset.tagging):
-        rule = ruleset.tagging[token]
-        if rule.is_generic:
-            tagging_lines.append('%s\t%s' % (token, GENERIC_MARKER))
-        else:
-            dests = ','.join(sorted(str(d) for d in rule.destinations))
-            tagging_lines.append('%s\t%s' % (token, dests))
+        dests = ','.join(sorted(map(str, ruleset.tagging[token]))) or GENERIC_MARKER
+        tagging_lines.append('%s\t%s' % (token, dests))
     expansion_lines = []
     for source in sorted(ruleset.expansion, key=str):
-        rule = ruleset.expansion[source]
-        targets = ','.join(sorted(str(t) for t in rule.targets))
+        targets = ','.join(sorted(map(str, ruleset.expansion[source])))
         expansion_lines.append('%s\t%s' % (source, targets))
     tagging_text = '\n'.join(tagging_lines) + '\n' if tagging_lines else ''
     expansion_text = '\n'.join(expansion_lines) + '\n' if expansion_lines else ''

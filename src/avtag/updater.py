@@ -10,8 +10,7 @@ import collections
 from dataclasses import dataclass, field
 
 from .labeler import _STATS_COUNTS, STATS_HEADER
-from .ruleset import ExpansionRule, RuleError, TaggingRule
-from .ruleset import _check_expansion_acyclic
+from .ruleset import RuleError, _check_expansion_acyclic
 from .taxonomy import TagPath, TaxonomyError, UnknownToken, is_taggable, parse_item
 
 DEFAULT_MIN_COUNT = 20
@@ -190,12 +189,12 @@ def resolve_item(item, taxonomy, rules):
     seen = set()
     while name not in seen:
         seen.add(name)
-        rule = rules.tagging.get(name)
-        if rule is None:
+        dests = rules.tagging.get(name)
+        if dests is None:
             break
-        if len(rule.destinations) != 1:
+        if len(dests) != 1:
             return None
-        path = next(iter(rule.destinations))
+        (path,) = dests
         name = path.name
     else:
         return None
@@ -216,11 +215,7 @@ def _known_resolved(a, b, taxonomy, rules, equivalence):
             return True
         if equivalence and taxonomy.is_ancestor(a, b):
             return True
-    if isinstance(a, TagPath):
-        rule = rules.expansion.get(a)
-        if rule is not None and b in rule.targets:
-            return True
-    return False
+    return isinstance(a, TagPath) and b in rules.expansion.get(a, ())
 
 
 def is_known(relation, taxonomy, rules, config=None):
@@ -286,13 +281,12 @@ class _WorkState:
         referring = []
         if old is not None:
             olds = {old}  # set against set compares stored hashes (see _remap_expansion)
-            referring = [other for other in self.rules.tagging.values()
-                         if not olds.isdisjoint(other.destinations)]
-            for other in referring:
-                if other.token == dest.name:
-                    raise _ActionError(
-                        'rewriting rule %r to %s would alias the rule to itself'
-                        % (other.token, dest))
+            referring = [other for other, dests in self.rules.tagging.items()
+                         if not olds.isdisjoint(dests)]
+            if dest.name in referring:
+                raise _ActionError(
+                    'rewriting rule %r to %s would alias the rule to itself'
+                    % (dest.name, dest))
         if dest not in self.taxonomy:
             try:
                 self.taxonomy.check_add([dest], removed=old)
@@ -303,6 +297,11 @@ class _WorkState:
         if old is not None:
             remapped, edges_removed, edges_added = _remap_expansion(
                 self.rules.expansion, old, dest)
+        # load_rules collapses a destination named after a rule token, so such
+        # an alias would reload as a different rule
+        if dest.name in self.rules.tagging:
+            raise _ActionError('alias destination %s is named after tagging rule %r'
+                               % (dest, dest.name))
 
         # all validations passed; commit
         if old is not None:
@@ -310,16 +309,15 @@ class _WorkState:
             self.changes.taxonomy_removed.append(old)
         if dest not in self.taxonomy:
             self.changes.taxonomy_added.extend(self.taxonomy.add(dest))
-        self.rules.tagging[token] = TaggingRule(token, (dest,))
+        self.rules.tagging[token] = frozenset({dest})
         self.changes.tagging_added.append(token)
         for other in referring:
-            rewritten = (other.destinations - {old}) | {dest}
-            self.rules.tagging[other.token] = TaggingRule(other.token, rewritten)
-        for source, rule in remapped.items():
-            if rule is None:
+            self.rules.tagging[other] = self.rules.tagging[other] - {old} | {dest}
+        for source, targets in remapped.items():
+            if targets is None:
                 del self.rules.expansion[source]
             else:
-                self.rules.expansion[source] = rule
+                self.rules.expansion[source] = targets
         self.changes.expansion_removed.extend(edges_removed)
         self.changes.expansion_added.extend(edges_added)
 
@@ -334,14 +332,13 @@ class _WorkState:
         if target == source or target.is_ancestor_of(source):
             raise _ActionError('expansion %s => %s is already implicit'
                                % (source, target))
-        existing = self.rules.expansion.get(source)
-        targets = existing.targets if existing is not None else frozenset()
+        targets = self.rules.expansion.get(source, frozenset())
         if target in targets:
             raise _ActionError('expansion %s => %s already present' % (source, target))
         if _expansion_reaches(self.rules.expansion, target, source):
             raise _ActionError('expansion %s => %s would create a cycle'
                                % (source, target))
-        self.rules.expansion[source] = ExpansionRule(source, targets | {target})
+        self.rules.expansion[source] = targets | {target}
         self.changes.expansion_added.append((source, target))
 
 
@@ -350,10 +347,7 @@ def _expansion_reaches(expansion, start, goal):
     stack = [start]
     seen = set()
     while stack:
-        rule = expansion.get(stack.pop())
-        if rule is None:
-            continue
-        for target in rule.targets:
+        for target in expansion.get(stack.pop()) or ():  # None: a rule dropped in a view
             if target == goal:
                 return True
             if target not in seen:
@@ -370,7 +364,7 @@ def _remap_expansion(expansion, old, new):
     '''Rewrites the expansion rules that refer to a retired tag; validates the result.
 
     Returns (rules to replace, removed edges, added edges); the first maps a
-    source to its new ExpansionRule, or to None when the rule goes away.
+    source to its new target set, or to None when the rule goes away.
     Only the retired tag's own rule, the rules that target it and the rule
     of `new` change.  Targets that would become the rule's own source (or an
     ancestor of it) are dropped; a rule remapped onto an existing source
@@ -380,8 +374,8 @@ def _remap_expansion(expansion, old, new):
     # isdisjoint between two sets uses the hashes they store; `old in targets`
     # would call TagPath.__hash__ once per rule
     olds = {old}
-    touched = [source for source, rule in expansion.items()
-               if not olds.isdisjoint(rule.targets)]
+    touched = [source for source, targets in expansion.items()
+               if not olds.isdisjoint(targets)]
     if old in expansion:
         touched.append(old)
     if not touched:
@@ -391,24 +385,24 @@ def _remap_expansion(expansion, old, new):
     targets_of = {}
     for source in touched:
         new_source = new if source == old else source
-        targets = {new if t == old else t for t in expansion[source].targets}
+        targets = {new if t == old else t for t in expansion[source]}
         targets_of.setdefault(new_source, set()).update(
             t for t in targets if t != new_source and not t.is_ancestor_of(new_source))
     remapped = dict.fromkeys(touched)
-    remapped.update((source, ExpansionRule(source, targets))
+    remapped.update((source, frozenset(targets))
                     for source, targets in targets_of.items() if targets)
     # the map was acyclic and every new edge starts or ends at `new`, so any
     # cycle passes through it
     view = collections.ChainMap(remapped, expansion)
     if _expansion_reaches(view, new, new):
         try:
-            _check_expansion_acyclic({source: rule for source, rule in view.items()
-                                      if rule is not None})
+            _check_expansion_acyclic({source: targets for source, targets in view.items()
+                                      if targets is not None})
         except RuleError as exc:
             raise _ActionError('retiring %s: %s' % (old, exc)) from None
-    before = {(source, t) for source in touched for t in expansion[source].targets}
-    after = {(source, t) for source, rule in remapped.items() if rule is not None
-             for t in rule.targets}
+    before = {(source, t) for source in touched for t in expansion[source]}
+    after = {(source, t) for source, targets in remapped.items() if targets is not None
+             for t in targets}
     return (remapped, sorted(before - after, key=_edge_key),
             sorted(after - before, key=_edge_key))
 

@@ -148,7 +148,7 @@ def test_criterion_4_update_rule_matrix():
                         'zeus': 'FAM:zbot'}
     assert set(result.changes.tagging_added) == set(expected_aliases)
     for token, dest in expected_aliases.items():
-        assert result.rules.tagging[token].destinations == frozenset(
+        assert result.rules.tagging[token] == frozenset(
             {TagPath.parse(dest)})
     assert {(str(s), str(t)) for s, t in result.changes.expansion_added} == {
         ('FAM:packerfam', 'FILE:packed'), ('FAM:bebeg', 'BEH:infosteal'),

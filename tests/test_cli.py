@@ -1,3 +1,4 @@
+import codecs
 import subprocess
 import sys
 
@@ -308,6 +309,35 @@ class TestLabelCommand:
         assert err.startswith('error: ') and "can't decode byte 0xff" in err
         assert not tags.exists()
 
+    def test_input_with_utf8_bom_read_from_its_first_line(self, data_dir, capsys):
+        inp = data_dir / 'samples.jsonl'
+        line = sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS) + '\n'
+        inp.write_bytes(codecs.BOM_UTF8 + line.encode())
+        tags = data_dir / 'tags.out'
+        assert main(label_args(data_dir, '-i', str(inp), '--tags-out', str(tags))) == 0
+        assert tags.read_text() == GOLDEN_TAG_LINE + '\n'
+        assert 'samples read 1, labeled 1, skipped 0' in capsys.readouterr().err
+
+    @pytest.mark.parametrize('source', ['taxonomy', 'tagging', 'expansion'])
+    def test_data_file_with_utf8_bom_loads(self, data_dir, source):
+        path = data_dir / source
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        tags = data_dir / 'tags.out'
+        assert main(label_args(data_dir, '-i', str(inp), '--tags-out', str(tags))) == 0
+        assert tags.read_text() == GOLDEN_TAG_LINE + '\n'
+
+    def test_engine_allowlist_with_utf8_bom_matches_its_first_engine(self, data_dir):
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        engines = data_dir / 'engines'
+        engines.write_bytes(codecs.BOM_UTF8 + b'firstav\nsecondav\n')
+        tags = data_dir / 'tags.out'
+        assert main(label_args(data_dir, '-i', str(inp), '--engines', str(engines),
+                               '--tags-out', str(tags))) == 0
+        assert tags.read_text() == '%s\tFAM:bebeg|2\n' % GOLDEN_SAMPLE_ID
+
     def test_deeply_nested_line_skipped(self, data_dir, capsys):
         inp = data_dir / 'samples.jsonl'
         labels = {'A': 'Zbot', 'B': 'zbot'}
@@ -440,6 +470,14 @@ class TestUpdateCommand:
         assert 'fynloski\tFAM:darkkomet' in (outdir / 'tagging').read_text()
         counts = read_counts(outdir / 'changelog.txt')
         assert counts['relations strong'] == 1 and counts['tagging added'] == 1
+
+    def test_stats_with_utf8_bom_read_from_its_first_row(self, data_dir):
+        stats = data_dir / 'stats'
+        text = stats_text([('UNK:fynloski', 'FAM:darkkomet', 30, 30, 30)])
+        stats.write_bytes(codecs.BOM_UTF8 + text.encode())
+        outdir = data_dir / 'out'
+        assert main(update_args(data_dir, stats, outdir)) == 0
+        assert 'fynloski\tFAM:darkkomet' in (outdir / 'tagging').read_text()
 
     def test_invalid_thresholds_fail(self, data_dir, capsys):
         stats = data_dir / 'stats'

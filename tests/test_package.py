@@ -20,7 +20,7 @@ PUBLIC = ['CompiledKB', 'RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'U
 SUBMODULE_NAMES = {
     'labeler': ['CooccurrenceCounter', 'TagAssignment', 'TagRanking', 'compat_family',
                 'expand', 'label_reports', 'tag_tokens'],
-    'ruleset': ['ExpansionRule', 'RuleError', 'TaggingRule', 'serialize_rules'],
+    'ruleset': ['RuleError', 'serialize_rules'],
     'taxonomy': ['CATEGORIES', 'Taxonomy', 'TaxonomyError', 'serialize_taxonomy'],
     'tokenizer': ['tokenize'],
     'updater': ['Relation', 'UpdateResult', 'is_equivalent', 'is_known', 'is_strong',

@@ -12,6 +12,7 @@ samples' pairs gives, and that parse_stats reads those rows back.
 '''
 
 import io
+import pickle
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from avtag.labeler import (MIN_ENGINES, STATS_HEADER, CompiledKB, CooccurrenceCounter,
                            SampleReport, analyze_sample, compat_family, expand, label_reports,
                            tag_tokens)
-from avtag.ruleset import ExpansionRule, RuleError, TaggingRule, load_rules
+from avtag.ruleset import RuleError, load_rules
 from avtag.taxonomy import (CATEGORIES, TagPath, UnknownToken, is_taggable, load_taxonomy,
                             parse_item)
 from avtag.tokenizer import tokenize
@@ -225,8 +226,8 @@ def test_tagging_rule_added_in_place_after_labeling():
     taxonomy, rules = base_kb()
     report = two_engine_report('zbot.worm.zeus')
     before, want_before = compiled_and_labeled(report, rules, taxonomy)
-    rules.tagging['zeus'] = TaggingRule('zeus', {TagPath.parse('FAM:zbot')})
-    rules.tagging['worm'] = TaggingRule('worm', {TagPath.parse('CLASS:virus')})
+    rules.tagging['zeus'] = frozenset({TagPath.parse('FAM:zbot')})
+    rules.tagging['worm'] = frozenset({TagPath.parse('CLASS:virus')})
     _, want_after = compiled_and_labeled(report, rules, taxonomy)
     assert want_after[0].endswith('\tCLASS:virus|2,FAM:zbot|2')
     assert indexed_analyze(report, before) == want_before != want_after
@@ -237,7 +238,7 @@ def test_expansion_rule_added_in_place_after_labeling():
     report = two_engine_report('zbot')
     before, want_before = compiled_and_labeled(report, rules, taxonomy)
     zbot = TagPath.parse('FAM:zbot')
-    rules.expansion[zbot] = ExpansionRule(zbot, {TagPath.parse('BEH:infosteal')})
+    rules.expansion[zbot] = frozenset({TagPath.parse('BEH:infosteal')})
     _, want_after = compiled_and_labeled(report, rules, taxonomy)
     assert 'BEH:infosteal|2' in want_after[0]
     assert indexed_analyze(report, before) == want_before != want_after
@@ -262,7 +263,7 @@ def test_rule_replaced_in_place_is_seen_through_a_copy():
     taxonomy, rules = base_kb()
     report = two_engine_report('dloader')
     before, want_before = compiled_and_labeled(report, rules, taxonomy)
-    rules.tagging['dloader'] = TaggingRule('dloader', {TagPath.parse('CLASS:bot')})
+    rules.tagging['dloader'] = frozenset({TagPath.parse('CLASS:bot')})
     fresh = rules.copy()
     _, want_after = compiled_and_labeled(report, fresh, taxonomy)
     assert want_after[0].endswith('\tCLASS:bot|2')
@@ -277,7 +278,7 @@ def test_rule_replaced_in_place_after_labeling_is_seen_by_a_new_compile():
     before = CompiledKB(taxonomy, rules)
     unused = CompiledKB(taxonomy, rules)
     assert indexed_analyze(report, before)[0].endswith('\tCLASS:downloader|2')
-    rules.tagging['dloader'] = TaggingRule('dloader', {TagPath.parse('CLASS:bot')})
+    rules.tagging['dloader'] = frozenset({TagPath.parse('CLASS:bot')})
     after = CompiledKB(taxonomy, rules)
     assert indexed_analyze(report, after)[0].endswith('\tCLASS:bot|2')
     assert_matches_reference([report], rules, taxonomy, kb=after)
@@ -290,7 +291,7 @@ def test_same_size_replacements_are_seen():
     report = two_engine_report('zbot.dloader')
     before, want_before = compiled_and_labeled(report, rules, taxonomy)
     rules.tagging = dict(rules.tagging,
-                         dloader=TaggingRule('dloader', {TagPath.parse('CLASS:bot')}))
+                         dloader=frozenset({TagPath.parse('CLASS:bot')}))
     replaced, want_replaced = compiled_and_labeled(report, rules, taxonomy)
     assert indexed_analyze(report, before) == want_before != want_replaced
     other = load_taxonomy(BASE_TAXONOMY.replace('FAM:zbot', 'FAM:zbotx'))
@@ -309,6 +310,22 @@ def test_unknown_tokens_add_no_index_keys():
     kb = CompiledKB(taxonomy, rules)
     assert_matches_reference(reports, rules, taxonomy, kb=kb)
     assert set(kb.index) == known
+
+
+def test_rule_set_and_compiled_kb_survive_pickle():
+    '''A pickled RuleSet and a pickled, partly filled CompiledKB label as the originals.'''
+    taxonomy, rules = base_kb()
+    rules.expansion[TagPath.parse('FAM:zbot')] = frozenset({TagPath.parse('BEH:infosteal')})
+    reports = [two_engine_report(label, n) for n, label in
+               enumerate(['zbot.dloader', 'trojan.ircbot.skodna', 'bitcoinminer.win'])]
+    kb = CompiledKB(taxonomy, rules)
+    indexed_analyze(reports[0], kb)
+    rules_copy = pickle.loads(pickle.dumps(rules))
+    kb_copy = pickle.loads(pickle.dumps(kb))
+    assert rules_copy == rules and kb_copy.index == kb.index
+    assert_matches_reference(reports, rules_copy, taxonomy, kb=kb_copy)
+    assert ([indexed_analyze(report, kb_copy) for report in reports]
+            == [indexed_analyze(report, kb) for report in reports])
 
 
 def test_threads_sharing_one_rule_set_match_reference():

@@ -33,19 +33,19 @@ def paths(*texts):
 class TestTaggingParse:
     def test_single_destination_by_name(self, taxonomy):
         rules = load_rules('downldr\tdownloader\n', '', taxonomy)
-        assert rules.tagging['downldr'].destinations == paths('CLASS:downloader')
+        assert rules.tagging['downldr'] == paths('CLASS:downloader')
 
     def test_multiple_destinations(self, taxonomy):
         rules = load_rules('ircbot\tirc,bot\n', '', taxonomy)
-        assert rules.tagging['ircbot'].destinations == paths('FILE:irc', 'CLASS:bot')
+        assert rules.tagging['ircbot'] == paths('FILE:irc', 'CLASS:bot')
 
     def test_full_path_destination(self, taxonomy):
         rules = load_rules('hidden\tCLASS:grayware:adware\n', '', taxonomy)
-        assert rules.tagging['hidden'].destinations == paths('CLASS:grayware:adware')
+        assert rules.tagging['hidden'] == paths('CLASS:grayware:adware')
 
     def test_generic_token(self, taxonomy):
         rules = load_rules('trojan\tGEN\n', '', taxonomy)
-        assert rules.tagging['trojan'].is_generic
+        assert rules.tagging['trojan'] == frozenset()
 
     def test_generic_mixed_with_tags_rejected(self, taxonomy):
         with pytest.raises(RuleError):
@@ -81,15 +81,15 @@ class TestTaggingParse:
 class TestAliasCollapse:
     def test_chain_rewritten_to_final_destinations(self, taxonomy):
         rules = load_rules('zeus\tzbot\nzeusgen\tzeus\n', '', taxonomy)
-        assert rules.tagging['zeusgen'].destinations == paths('FAM:zbot')
+        assert rules.tagging['zeusgen'] == paths('FAM:zbot')
         # no destination's name may remain another rule's token
-        for rule in rules.tagging.values():
-            for dest in rule.destinations:
+        for dests in rules.tagging.values():
+            for dest in dests:
                 assert dest.name not in rules.tagging
 
     def test_chain_through_generic_empties_the_rule(self, taxonomy):
         rules = load_rules('foo\tGEN\noldfoo\tfoo\n', '', taxonomy)
-        assert rules.tagging['oldfoo'].is_generic
+        assert rules.tagging['oldfoo'] == frozenset()
 
     def test_alias_cycle_rejected(self, taxonomy):
         with pytest.raises(RuleError) as err:
@@ -111,8 +111,7 @@ def test_chain_deeper_than_recursion_limit_rejected(chain, message):
 class TestExpansionParse:
     def test_target_by_name(self, taxonomy):
         rules = load_rules('', 'CLASS:worm\tselfpropagate\n', taxonomy)
-        rule = rules.expansion[TagPath.parse('CLASS:worm')]
-        assert rule.targets == paths('BEH:selfpropagate')
+        assert rules.expansion[TagPath.parse('CLASS:worm')] == paths('BEH:selfpropagate')
 
     def test_source_must_be_full_path(self, taxonomy):
         with pytest.raises(RuleError):

@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avtag.ruleset import ExpansionRule, TaggingRule
 from avtag.taxonomy import (CATEGORIES, TagPath, Taxonomy, TaxonomyError, UnknownToken,
                             load_taxonomy, parse_item, serialize_taxonomy)
 
@@ -81,9 +80,7 @@ class TestItems:
 
     @pytest.mark.parametrize('make', [
         lambda: UnknownToken('skodna'),
-        lambda: TaggingRule('zeus', {TagPath.parse('FAM:zbot')}),
-        lambda: ExpansionRule(TagPath.parse('FAM:zbot'), {TagPath.parse('CLASS:worm')}),
-    ], ids=['UnknownToken', 'TaggingRule', 'ExpansionRule'])
+    ], ids=['UnknownToken'])
     def test_frozen_slots_record_refuses_a_new_attribute(self, make):
         # Known CPython behaviour (3.10 to 3.13): the frozen __setattr__ that
         # dataclass generates calls super() on the class as it was before slots

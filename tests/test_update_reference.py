@@ -12,8 +12,7 @@ reason.  The inputs must come out unchanged.
 
 from hypothesis import given, settings, strategies as st
 
-from avtag.ruleset import (ExpansionRule, RuleError, TaggingRule, _check_expansion_acyclic,
-                           load_rules, serialize_rules)
+from avtag.ruleset import RuleError, _check_expansion_acyclic, load_rules, serialize_rules
 from avtag.taxonomy import (CATEGORIES, TagPath, TaxonomyError, is_taggable, load_taxonomy,
                             serialize_taxonomy)
 from avtag.updater import (_BOTTOM_BLOCK, _TOP_BLOCK, ChangeLog, Relation, Unhandled,
@@ -47,30 +46,28 @@ def _reaches(expansion, start, goal):
         if node in seen:
             continue
         seen.add(node)
-        rule = expansion.get(node)
-        if rule is not None:
-            stack.extend(rule.targets)
+        stack.extend(expansion.get(node, ()))
     return False
 
 
 def _edges(expansion):
-    return {(source, target) for source, rule in expansion.items() for target in rule.targets}
+    return {(source, target) for source, targets in expansion.items() for target in targets}
 
 
 def reference_remap(expansion, old, new):
     '''(new mapping, removed edges, added edges), rebuilt over the whole map.'''
-    if old not in expansion and not any(old in rule.targets for rule in expansion.values()):
+    if old not in expansion and not any(old in targets for targets in expansion.values()):
         return expansion, [], []
     result = {}
-    for source, rule in expansion.items():
+    for source, old_targets in expansion.items():
         new_source = new if source == old else source
-        targets = {new if t == old else t for t in rule.targets}
+        targets = {new if t == old else t for t in old_targets}
         targets = {t for t in targets
                    if t != new_source and not _is_path_prefix(t, new_source)}
         if new_source in result:
-            targets |= result[new_source].targets
+            targets |= result[new_source]
         if targets:
-            result[new_source] = ExpansionRule(new_source, targets)
+            result[new_source] = frozenset(targets)
     try:
         _check_expansion_acyclic(result)
     except RuleError as exc:
@@ -116,11 +113,11 @@ class ReferenceState:
         if old is not None and _has_children(self.taxonomy, old):
             raise _ActionError('cannot retire %s: node has children' % (old,))
         if old is not None:
-            for other in self.rules.tagging.values():
-                if old in other.destinations and other.token == dest.name:
+            for other, dests in self.rules.tagging.items():
+                if old in dests and other == dest.name:
                     raise _ActionError(
                         'rewriting rule %r to %s would alias the rule to itself'
-                        % (other.token, dest))
+                        % (other, dest))
         if dest not in self.taxonomy:
             probe = self.taxonomy.copy()
             if old is not None:
@@ -133,6 +130,9 @@ class ReferenceState:
         if old is not None:
             new_expansion, edges_removed, edges_added = reference_remap(
                 self.rules.expansion, old, dest)
+        if any(other == dest.name for other in self.rules.tagging):
+            raise _ActionError('alias destination %s is named after tagging rule %r'
+                               % (dest, dest.name))
 
         if old is not None:
             self.taxonomy.remove(old)
@@ -142,14 +142,13 @@ class ReferenceState:
             for node in self.taxonomy.add(dest):
                 self.changes.taxonomy_added.append(node)
             self.taxonomy_dirty = True
-        self.rules.tagging[token] = TaggingRule(token, (dest,))
+        self.rules.tagging[token] = frozenset({dest})
         self.changes.tagging_added.append(token)
         self.tagging_dirty = True
         if old is not None:
-            for other_token, other in list(self.rules.tagging.items()):
-                if other_token != token and old in other.destinations:
-                    rewritten = (other.destinations - {old}) | {dest}
-                    self.rules.tagging[other_token] = TaggingRule(other_token, rewritten)
+            for other, dests in list(self.rules.tagging.items()):
+                if other != token and old in dests:
+                    self.rules.tagging[other] = (dests - {old}) | {dest}
             if edges_removed or edges_added:
                 self.rules.expansion = new_expansion
                 self.changes.expansion_removed.extend(edges_removed)
@@ -163,13 +162,12 @@ class ReferenceState:
             raise _ActionError('expansion target %s is not a tag in the taxonomy' % (target,))
         if target == source or _is_path_prefix(target, source):
             raise _ActionError('expansion %s => %s is already implicit' % (source, target))
-        existing = self.rules.expansion.get(source)
-        targets = existing.targets if existing is not None else frozenset()
+        targets = self.rules.expansion.get(source, frozenset())
         if target in targets:
             raise _ActionError('expansion %s => %s already present' % (source, target))
         if _reaches(self.rules.expansion, target, source):
             raise _ActionError('expansion %s => %s would create a cycle' % (source, target))
-        self.rules.expansion[source] = ExpansionRule(source, targets | {target})
+        self.rules.expansion[source] = targets | {target}
         self.changes.expansion_added.append((source, target))
         self.expansion_dirty = True
 
@@ -270,6 +268,10 @@ def assert_infer_matches_reference(relations, taxonomy, rules, config=UpdateConf
     assert serialize_taxonomy(got.taxonomy) == serialize_taxonomy(want.taxonomy)
     assert serialize_rules(got.rules) == serialize_rules(want.rules)
     assert got.rules == want.rules and got.taxonomy == want.taxonomy
+    # the written files reload to what infer holds in memory
+    reloaded = load_taxonomy(serialize_taxonomy(got.taxonomy))
+    assert reloaded == got.taxonomy
+    assert load_rules(*serialize_rules(got.rules), reloaded) == got.rules
     assert format_unhandled(got.unhandled) == format_unhandled(want.unhandled)
     counts = (len(relations), len(strong), len(strong) - len(kept))
     assert format_changelog(got, *counts) == format_changelog(want, *counts)
@@ -333,7 +335,8 @@ ACTION_ERRORS = [
     (make_kb('FAM:zbot:sub\n'), [('add_alias', 'zbot', P('FAM:other'))],
      'cannot retire FAM:zbot: node has children'),
     # the other add_alias guards: a rule rewritten to its own name, a token that
-    # has a rule, a token aliased to its own name, a structural destination
+    # has a rule, a token aliased to its own name, a structural destination, a
+    # destination named after a rule token
     (make_kb('FAM:zbot\nFAM:zeus\n', 'zbot\tFAM:zeus\n'),
      [('add_alias', 'zeus', P('FAM:zbot'))],
      "rewriting rule 'zbot' to FAM:zbot would alias the rule to itself"),
@@ -343,6 +346,9 @@ ACTION_ERRORS = [
      "alias 'zbot' -> CLASS:zbot maps a token to its own name"),
     (make_kb('FILE:OS:windows\n'), [('add_alias', 'zbot', P('FILE:OS'))],
      'alias destination FILE:OS is structural'),
+    (make_kb('FAM:zbot\nFAM:other\n', 'zbot\tFAM:other\n'),
+     [('add_alias', 'newtok', P('FAM:zbot'))],
+     "alias destination FAM:zbot is named after tagging rule 'zbot'"),
     # a cycle closed by remapping the retired tag's rules onto the destination
     (make_kb('FAM:zeus\nFAM:zbot\nCLASS:virus\n', '', 'FAM:zeus\tvirus\nCLASS:virus\tzbot\n'),
      [('add_alias', 'zeus', P('FAM:zbot'))],
@@ -453,6 +459,17 @@ def test_remap_cycle_and_self_alias_inside_infer():
     assert reasons == [
         'retiring FAM:zeus: expansion cycle: CLASS:virus -> FAM:zbot -> CLASS:virus',
         "rewriting rule 'zbot' to FAM:zbot would alias the rule to itself"]
+
+
+def test_alias_destination_named_after_a_rule_refused():
+    '''load_rules collapses a destination named after a rule token, so the alias
+    newtok -> FAM:zbot next to the rule zbot -> FAM:other would reload as FAM:other.'''
+    taxonomy, rules = make_kb('FAM:zbot\nFAM:other\nCLASS:worm\n', 'zbot\tFAM:other\n')
+    rows = [('UNK:newtok', 'FAM:zbot', 30, 60, 30)]
+    want = assert_infer_matches_reference(parse_stats(stats_text(rows)), taxonomy, rules)
+    assert [entry.reason for entry in want.unhandled] == [
+        "alias destination FAM:zbot is named after tagging rule 'zbot'"]
+    assert 'newtok' not in want.rules.tagging
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from avtag import updater
 from avtag.labeler import STATS_HEADER
-from avtag.ruleset import RuleSet, TaggingRule, load_rules, serialize_rules
+from avtag.ruleset import RuleSet, load_rules, serialize_rules
 from avtag.taxonomy import TagPath, UnknownToken, load_taxonomy, serialize_taxonomy
 from avtag.updater import (
     DEFAULT_MIN_COUNT,
@@ -171,16 +171,16 @@ class TestResolveItem:
     def test_rule_chain_chased_defensively(self, base_taxonomy):
         # loaded rules are always collapsed, but hand-built chains still resolve
         rules = RuleSet(tagging={
-            'zeus': TaggingRule('zeus', (TagPath.parse('FAM:zbot'),)),
-            'zbot': TaggingRule('zbot', (TagPath.parse('FAM:virut'),)),
+            'zeus': frozenset((TagPath.parse('FAM:zbot'),)),
+            'zbot': frozenset((TagPath.parse('FAM:virut'),)),
         })
         got = resolve_item(UnknownToken('zeus'), base_taxonomy, rules)
         assert got == TagPath.parse('FAM:virut')
 
     def test_rule_cycle_resolves_to_none(self, base_taxonomy):
         rules = RuleSet(tagging={
-            'aaacyc': TaggingRule('aaacyc', (TagPath(('FAM', 'bbbcyc')),)),
-            'bbbcyc': TaggingRule('bbbcyc', (TagPath(('FAM', 'aaacyc')),)),
+            'aaacyc': frozenset((TagPath(('FAM', 'bbbcyc')),)),
+            'bbbcyc': frozenset((TagPath(('FAM', 'aaacyc')),)),
         })
         assert resolve_item(UnknownToken('aaacyc'), base_taxonomy, rules) is None
 
@@ -231,7 +231,7 @@ class TestMatrixActions:
         result = run_rows([('UNK:fynloski', 'FAM:darkkomet', 50, 100, 50)],
                           matrix_taxonomy, matrix_rules)
         assert len(result.consumed_topblock) == 1
-        assert result.rules.tagging['fynloski'].destinations == frozenset(
+        assert result.rules.tagging['fynloski'] == frozenset(
             {TagPath.parse('FAM:darkkomet')})
         assert not result.changes.taxonomy_dirty and result.changes.tagging_dirty
 
@@ -264,7 +264,7 @@ class TestMatrixActions:
                           matrix_taxonomy, matrix_rules)
         assert TagPath.parse('FAM:virlock') not in result.taxonomy
         assert TagPath.parse('FAM:virlocker') in result.taxonomy
-        assert result.rules.tagging['virlock'].destinations == frozenset(
+        assert result.rules.tagging['virlock'] == frozenset(
             {TagPath.parse('FAM:virlocker')})
 
     def test_file_tag_renamed_to_token(self, matrix_taxonomy, matrix_rules):
@@ -272,14 +272,14 @@ class TestMatrixActions:
                           matrix_taxonomy, matrix_rules)
         assert TagPath.parse('FILE:packed:themida') not in result.taxonomy
         assert TagPath.parse('FILE:packed:themidanew') in result.taxonomy
-        assert result.rules.tagging['themida'].destinations == frozenset(
+        assert result.rules.tagging['themida'] == frozenset(
             {TagPath.parse('FILE:packed:themidanew')})
 
     def test_family_aliased_to_family(self, matrix_taxonomy, matrix_rules):
         result = run_rows([('FAM:zeus', 'FAM:zbot', 70, 140, 70)],
                           matrix_taxonomy, matrix_rules)
         assert TagPath.parse('FAM:zeus') not in result.taxonomy
-        assert result.rules.tagging['zeus'].destinations == frozenset(
+        assert result.rules.tagging['zeus'] == frozenset(
             {TagPath.parse('FAM:zbot')})
         assert result.changes.taxonomy_removed == [TagPath.parse('FAM:zeus')]
 
@@ -287,7 +287,7 @@ class TestMatrixActions:
         result = run_rows([('UNK:cryptomalware', 'CLASS:miner', 95, 100, 95)],
                           matrix_taxonomy, matrix_rules)
         assert len(result.consumed_equivalence) == 1
-        assert result.rules.tagging['cryptomalware'].destinations == frozenset(
+        assert result.rules.tagging['cryptomalware'] == frozenset(
             {TagPath.parse('CLASS:miner')})
         assert TagPath.parse('FAM:cryptomalware') not in result.taxonomy
 
@@ -295,7 +295,7 @@ class TestMatrixActions:
         result = run_rows([('UNK:aaasame', 'UNK:bbbsame', 100, 100, 97)],
                           matrix_taxonomy, matrix_rules)
         assert len(result.consumed_equivalence) == 1
-        assert result.rules.tagging['aaasame'].destinations == frozenset(
+        assert result.rules.tagging['aaasame'] == frozenset(
             {TagPath.parse('FAM:bbbsame')})
         assert TagPath.parse('FAM:aaasame') not in result.taxonomy
 
@@ -308,8 +308,8 @@ class TestMatrixActions:
         result = run_rows(rows, matrix_taxonomy, matrix_rules)
         assert len(result.consumed_expansion) == 5
         edges = {(str(source), str(target))
-                 for source, rule in result.rules.expansion.items()
-                 for target in rule.targets}
+                 for source, targets in result.rules.expansion.items()
+                 for target in targets}
         assert edges == {('FAM:packerfam', 'FILE:packed'),
                          ('FAM:bebeg', 'BEH:infosteal'),
                          ('FAM:virut', 'CLASS:virus'),
@@ -439,7 +439,7 @@ class TestAliasRewrites:
         taxonomy = load_taxonomy('FAM:zbot\nFAM:zeus\n')
         rules = load_rules('zeusgen\tzeus\n', '', taxonomy)
         result = run_rows([('FAM:zeus', 'FAM:zbot', 70, 140, 70)], taxonomy, rules)
-        assert result.rules.tagging['zeusgen'].destinations == frozenset(
+        assert result.rules.tagging['zeusgen'] == frozenset(
             {TagPath.parse('FAM:zbot')})
         assert result.changes.tagging_added == ['zeus']
         # the rewritten artifacts reload without dangling references
@@ -455,7 +455,7 @@ class TestAliasRewrites:
         zbot = TagPath.parse('FAM:zbot')
         infosteal = TagPath.parse('BEH:infosteal')
         assert zeus not in result.rules.expansion
-        assert result.rules.expansion[zbot].targets == frozenset({infosteal})
+        assert result.rules.expansion[zbot] == frozenset({infosteal})
         assert result.changes.expansion_removed == [(zeus, infosteal)]
         assert result.changes.expansion_added == [(zbot, infosteal)]
 
@@ -466,8 +466,8 @@ class TestAliasRewrites:
                            taxonomy)
         result = run_rows([('FAM:zeus', 'FAM:zbot', 70, 140, 70)], taxonomy, rules)
         merged = result.rules.expansion[TagPath.parse('FAM:zbot')]
-        assert merged.targets == frozenset({TagPath.parse('BEH:infosteal'),
-                                            TagPath.parse('BEH:selfpropagate')})
+        assert merged == frozenset({TagPath.parse('BEH:infosteal'),
+                                    TagPath.parse('BEH:selfpropagate')})
 
     def test_expansion_remap_drops_self_target(self):
         # a rule targeting the retired tag would point at its own source after
@@ -475,7 +475,7 @@ class TestAliasRewrites:
         taxonomy = load_taxonomy('FAM:zbot\nFAM:zeus\n')
         rules = load_rules('', 'FAM:zbot\tzeus\n', taxonomy)
         result = run_rows([('FAM:zeus', 'FAM:zbot', 70, 140, 70)], taxonomy, rules)
-        assert result.rules.tagging['zeus'].destinations == frozenset(
+        assert result.rules.tagging['zeus'] == frozenset(
             {TagPath.parse('FAM:zbot')})
         assert result.rules.expansion == {}
         assert result.changes.expansion_removed == [(TagPath.parse('FAM:zbot'),
