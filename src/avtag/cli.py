@@ -43,8 +43,11 @@ class _Staging:
         self._staged = []  # (handle on a temporary file, path it replaces)
 
     def open(self, path, binary=False):
+        # a random name, so that no file left by an earlier run can block this one;
+        # not from secrets, which loads OpenSSL (3.7 MiB more peak RSS), nor from
+        # tempfile.mkstemp, which creates the file readable by its owner only
         tmp = os.path.join(os.path.dirname(path),
-                           '.%s.%d.tmp' % (os.path.basename(path), os.getpid()))
+                           '.%s.%s.tmp' % (os.path.basename(path), os.urandom(8).hex()))
         try:
             handle = (open(tmp, 'xb') if binary
                       else open(tmp, 'x', encoding='utf-8', newline=''))
@@ -188,11 +191,12 @@ def run_update(args):
     os_removed = len(strong) - len(kept)
     result = updater.infer(kept, taxonomy, rules, config)
 
-    tagging_text, expansion_text = serialize_rules(result.rules)
+    changes = result.changes
+    if changes.tagging_dirty or changes.expansion_dirty:  # else both files are copied
+        tagging_text, expansion_text = serialize_rules(result.rules)
     try:
         os.makedirs(args.outdir, exist_ok=True)
         # an artifact the run did not change is copied byte for byte
-        changes = result.changes
         contents = {
             outputs['taxonomy']: (serialize_taxonomy(result.taxonomy) if changes.taxonomy_dirty
                                   else _read_bytes(args.taxonomy)),

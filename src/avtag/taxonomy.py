@@ -19,6 +19,9 @@ UNKNOWN_CATEGORY = 'UNK'
 
 _TAGGABLE_RE = re.compile(r'[a-z0-9]+')
 _STRUCTURAL_RE = re.compile(r'[A-Z][A-Z0-9]*')
+#: a whole valid path in canonical form: a category, then taggable or structural components
+_PATH_RE = re.compile(r'(?:%s)(?::(?:%s|%s))*' % (
+    '|'.join(CATEGORIES), _TAGGABLE_RE.pattern, _STRUCTURAL_RE.pattern))
 
 
 class TaxonomyError(ValueError):
@@ -35,6 +38,13 @@ def is_structural(component):
     return bool(_STRUCTURAL_RE.fullmatch(component))
 
 
+def _check_component(component):
+    if not (is_taggable(component) or is_structural(component)):
+        raise TaxonomyError(
+            'bad path component %r (lowercase alphanumeric tag or UPPERCASE structural)'
+            % (component,))
+
+
 class TagPath:
     '''Immutable path of a taxonomy node; canonical form joins components with ':'.'''
 
@@ -48,10 +58,7 @@ class TagPath:
             raise TaxonomyError(
                 "bad category %r (expected one of %s)" % (components[0], ', '.join(CATEGORIES)))
         for comp in components[1:]:
-            if not (is_taggable(comp) or is_structural(comp)):
-                raise TaxonomyError(
-                    'bad path component %r (lowercase alphanumeric tag or UPPERCASE structural)'
-                    % (comp,))
+            _check_component(comp)
         object.__setattr__(self, 'components', components)
         object.__setattr__(self, '_str', ':'.join(components))
 
@@ -64,7 +71,9 @@ class TagPath:
     @classmethod
     def parse(cls, text):
         '''Parses the canonical ':'-joined string form.'''
-        return cls(text.split(':'))
+        if _PATH_RE.fullmatch(text):
+            return _trusted(tuple(text.split(':')), text)
+        return cls(text.split(':'))  # invalid: raises the validating constructor's error
 
     @property
     def category(self):
@@ -88,10 +97,11 @@ class TagPath:
         '''Parent path, or None for category roots.'''
         if self.is_root:
             return None
-        return TagPath(self.components[:-1])
+        return _trusted(self.components[:-1], self._str[:self._str.rindex(':')])
 
     def child(self, component):
-        return TagPath(self.components + (component,))
+        _check_component(component)
+        return _trusted(self.components + (component,), self._str + ':' + component)
 
     def is_ancestor_of(self, other):
         '''True iff self is a proper prefix of other's path.'''
@@ -104,11 +114,20 @@ class TagPath:
     def __repr__(self):
         return 'TagPath(%r)' % (self._str,)
 
+    # components never contain ':', so the canonical string stands for them
     def __eq__(self, other):
-        return isinstance(other, TagPath) and self.components == other.components
+        return isinstance(other, TagPath) and self._str == other._str
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(self._str)
+
+
+def _trusted(components, text):
+    '''TagPath of components already known to be valid, and their ':'-joined text.'''
+    path = object.__new__(TagPath)
+    object.__setattr__(path, 'components', components)
+    object.__setattr__(path, '_str', text)
+    return path
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,7 +217,8 @@ class Taxonomy:
             if is_taggable(name):
                 clash = self._name_index.get(name)
                 if clash is None or clash == removed:
-                    clash = next((node for node in pending if node.name == name), None)
+                    clash = (next((node for node in pending if node.name == name), None)
+                             if pending else None)
                 if clash is not None:
                     raise TaxonomyError(
                         'name %r already used by %s (adding %s)' % (name, clash, prefix))
@@ -223,8 +243,15 @@ class Taxonomy:
         Validates name uniqueness for every node it would create before
         mutating anything, so a failed add leaves the taxonomy untouched.
         '''
-        missing = self._missing(path)
         counts = self._child_counts
+        parent = path.components[:-1]
+        # common case: a new node with a free name under a present parent (a
+        # category root or a node with children) creates only itself
+        if ((len(parent) == 1 or parent in counts)
+                and path not in self._nodes and path.name not in self._name_index):
+            missing = [path]
+        else:
+            missing = self._missing(path)
         for node in missing:
             self._nodes.add(node)
             if node.is_tag:
@@ -275,9 +302,10 @@ class Taxonomy:
         Structural components and the category root are skipped; works from the
         path's components alone, so it is usable for any well-formed path.
         '''
-        return [TagPath(path.components[:k])
-                for k in range(2, len(path.components))
-                if is_taggable(path.components[k - 1])]
+        components = path.components
+        return [_trusted(components[:k], ':'.join(components[:k]))
+                for k in range(2, len(components))
+                if is_taggable(components[k - 1])]
 
 
 def load_taxonomy(text):

@@ -1,4 +1,5 @@
 import codecs
+import os
 import subprocess
 import sys
 
@@ -232,6 +233,18 @@ class TestLabelCommand:
         assert "No such file or directory: '%s'" % tags in err
         assert '.tmp' not in err
 
+    def test_file_left_by_an_earlier_run_does_not_block_the_output(self, data_dir):
+        # a run killed mid-write leaves its temporary file; the process id in
+        # its name may come up again
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        leftover = data_dir / ('.stats.tsv.%d.tmp' % os.getpid())
+        leftover.write_text('partial')
+        stats = data_dir / 'stats.tsv'
+        assert main(label_args(data_dir, '-i', str(inp), '--stats-out', str(stats))) == 0
+        assert stats.read_text() == GOLDEN_STATS
+        assert leftover.read_text() == 'partial'
+
     def test_uncreatable_stats_output_fails_before_labeling(self, data_dir, monkeypatch,
                                                            capsys):
         inp = data_dir / 'samples.jsonl'
@@ -462,6 +475,16 @@ class TestUpdateCommand:
         counts = read_counts(outdir / 'changelog.txt')
         assert counts['relations all'] == 1 and counts['relations strong'] == 0
 
+    def test_rules_not_serialized_when_unchanged(self, data_dir, monkeypatch):
+        def serialize_rules(rules):
+            raise AssertionError('rules serialized though no rule changed')
+        monkeypatch.setattr(cli, 'serialize_rules', serialize_rules)
+        stats = data_dir / 'stats'
+        stats.write_text(stats_text([('UNK:fynloski', 'FAM:darkkomet', 10, 20, 10)]))
+        assert main(update_args(data_dir, stats, data_dir / 'out')) == 0
+        for name in ('tagging', 'expansion'):
+            assert (data_dir / 'out' / name).read_bytes() == (data_dir / name).read_bytes()
+
     def test_thresholds_settable_on_command_line(self, data_dir):
         stats = data_dir / 'stats'
         stats.write_text(stats_text([('UNK:fynloski', 'FAM:darkkomet', 10, 20, 10)]))
@@ -515,6 +538,17 @@ class TestUpdateCommand:
         with pytest.raises(expected):
             main(update_args(matrix_dir, matrix_dir / 'stats', outdir))
         assert {path.name: path.read_bytes() for path in outdir.iterdir()} == before
+
+    def test_files_left_by_an_earlier_run_do_not_block_the_outputs(self, matrix_dir):
+        outdir = matrix_dir / 'out'
+        outdir.mkdir()
+        leftovers = [outdir / ('.%s.%d.tmp' % (name, os.getpid()))
+                     for name in cli.UPDATE_OUTPUT_NAMES]
+        for leftover in leftovers:
+            leftover.write_text('partial')
+        assert main(update_args(matrix_dir, matrix_dir / 'stats', outdir)) == 0
+        assert read_counts(outdir / 'changelog.txt')['relations all'] == 17
+        assert all(leftover.read_text() == 'partial' for leftover in leftovers)
 
     def test_structural_names_never_become_alias_tokens(self, tmp_path):
         (tmp_path / 'taxonomy').write_text('BEH:x2017\nFILE:PACKER:upx\nFAM:zbot\n')

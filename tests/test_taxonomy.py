@@ -5,9 +5,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avtag.taxonomy import (CATEGORIES, TagPath, Taxonomy, TaxonomyError, UnknownToken,
-                            load_taxonomy, parse_item, serialize_taxonomy)
+                            is_taggable, load_taxonomy, parse_item, serialize_taxonomy)
 
 from conftest import random_taxonomy
+
+
+def outcome(build):
+    '''(result, None), or (None, the text of the TaxonomyError that build() raised).'''
+    try:
+        return build(), None
+    except TaxonomyError as exc:
+        return None, str(exc)
+
+
+def assert_same(got, want):
+    assert got.components == want.components
+    assert str(got) == str(want)
+    assert got == want and hash(got) == hash(want)
+
+
+# the path grammar's characters, and ones that a loose check could let through
+ALPHABET = ':abzABZ09_ \né\u0663'
+components = st.sampled_from(['a', 'z0', '9', 'OS', 'X1']) | st.text(ALPHABET, max_size=4)
+path_texts = st.text(ALPHABET, max_size=12) | st.builds(
+    lambda head, rest: ':'.join([head] + rest),
+    st.sampled_from(CATEGORIES + ('Fam',)), st.lists(components, max_size=3))
 
 
 class TestTagPath:
@@ -43,6 +65,32 @@ class TestTagPath:
         copy = pickle.loads(pickle.dumps(path))
         assert copy == path and str(copy) == 'FILE:OS:windows'
         assert hash(copy) == hash(path)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(text=path_texts, component=components)
+    def test_parse_matches_the_validating_constructor(self, text, component):
+        got, error = outcome(lambda: TagPath.parse(text))
+        want, want_error = outcome(lambda: TagPath(text.split(':')))
+        assert error == want_error
+        if want is None:
+            return
+        assert_same(got, want)
+        assert_same(pickle.loads(pickle.dumps(got)), want)
+        if want.is_root:
+            assert got.parent() is None
+        else:
+            assert_same(got.parent(), TagPath(want.components[:-1]))
+        child, error = outcome(lambda: got.child(component))
+        want_child, want_error = outcome(lambda: TagPath(want.components + (component,)))
+        assert error == want_error
+        if want_child is not None:
+            assert_same(child, want_child)
+        ancestors = Taxonomy().tag_ancestors(got)
+        want_ancestors = [TagPath(want.components[:k]) for k in range(2, len(want.components))
+                          if is_taggable(want.components[k - 1])]
+        assert len(ancestors) == len(want_ancestors)
+        for ancestor, want_ancestor in zip(ancestors, want_ancestors):
+            assert_same(ancestor, want_ancestor)
 
 
 class TestItems:
@@ -246,6 +294,58 @@ class TestChildCounts:
             for taxonomy in taxonomies:
                 for node in list(taxonomy) + [path]:
                     assert taxonomy.has_children(node) == scan_has_children(taxonomy, node)
+
+
+def reference_add(taxonomy, path):
+    '''Taxonomy.add without its early exit: every node it creates comes from _missing.'''
+    missing = taxonomy._missing(path)
+    counts = taxonomy._child_counts
+    for node in missing:
+        taxonomy._nodes.add(node)
+        if node.is_tag:
+            taxonomy._name_index[node.name] = node
+        parent = node.components[:-1]
+        counts[parent] = counts.get(parent, 0) + 1
+    return missing
+
+
+class TestAddReference:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(['add', 'add', 'remove']),
+                              paths | st.sampled_from(CATEGORIES).map(lambda c: TagPath((c,)))),
+                    max_size=40))
+    def test_add_matches_the_reference(self, steps):
+        got, want = Taxonomy(), Taxonomy()
+        for op, path in steps:
+            if op == 'add':
+                assert outcome(lambda: got.add(path)) == outcome(lambda: reference_add(want, path))
+            else:
+                assert outcome(lambda: got.remove(path)) == outcome(lambda: want.remove(path))
+            assert internals(got) == internals(want)
+
+    @pytest.mark.parametrize('text,error', [
+        ('FAM:a:b\nFAM:a\n', None),  # a child listed before its parent
+        ('FAM:a\nFAM:b\nFAM:a:c\nFAM:a:d\n', None),  # a childless leaf later gets children
+        ('FAM:a\nFILE:OS:win\nFAM:a\nFILE:OS:win\nFILE:OS\n', None),  # duplicate lines
+        ('FAM:a\nCLASS:x:x\n', "line 2: name 'x' repeated within path CLASS:x:x"),
+        ('FAM:a:b\nFAM:a:a\n', "line 2: name 'a' already used by FAM:a (adding FAM:a:a)"),
+        ('FAM:a\nFAM:b\nCLASS:a\n', "line 3: name 'a' already used by FAM:a (adding CLASS:a)"),
+    ])
+    def test_load_matches_the_reference(self, monkeypatch, text, error):
+        got = outcome(lambda: internals(load_taxonomy(text)))
+        monkeypatch.setattr(Taxonomy, 'add', reference_add)
+        assert got == outcome(lambda: internals(load_taxonomy(text)))
+        assert got[1] == error
+
+    def test_new_node_under_a_present_parent_skips_the_prefix_walk(self, monkeypatch):
+        taxonomy = load_taxonomy('FAM:a:b\n')
+
+        def walk(*args):
+            raise AssertionError('_missing called')
+        monkeypatch.setattr(Taxonomy, '_missing', walk)
+        for text in ('FAM:c', 'FAM:a:d', 'FILE:OS'):  # under a root, or a node with children
+            path = TagPath.parse(text)
+            assert taxonomy.add(path) == [path]
 
 
 class TestCheckAdd:
