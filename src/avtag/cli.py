@@ -187,7 +187,7 @@ def run_update(args):
         return _fail('refusing to overwrite input file %s' % (clash,))
 
     strong = [r for r in relations if updater.is_strong(r, config)]
-    kept = updater.filter_strong(strong, config)
+    kept = [r for r in strong if not updater.involves_os_tag(r)]
     os_removed = len(strong) - len(kept)
     result = updater.infer(kept, taxonomy, rules, config)
 

@@ -21,8 +21,10 @@ expand and stored as frozensets of canonical item strings (``FAM:zbot``,
 ``CLASS:worm``).  Other tokens are never stored, since they are unbounded; a
 kept unknown token becomes ``UNK:<token>``.
 Labeling a label is then tokenize, index lookup and set union.  Ranking items
-and counted items are therefore canonical strings, not TagPath/UnknownToken
-objects.
+and counted items are therefore plain canonical strings.  A TagPath or
+UnknownToken equals its canonical string, but the index stores exact str
+values, which keep CPython's fast string paths for the dicts and sets built
+from them.
 '''
 
 import itertools

@@ -102,18 +102,18 @@ def _check_expansion_acyclic(expansion):
 
     def visit(source, trail):
         color[source] = GREY
-        for target in sorted(expansion[source], key=str):
+        for target in sorted(expansion[source]):
             if target not in expansion:
                 continue
             if color[target] == GREY:
-                cycle = ' -> '.join(str(p) for p in trail + [source, target])
+                cycle = ' -> '.join(trail + [source, target])
                 raise RuleError('expansion cycle: %s' % cycle)
             if color[target] == WHITE:
                 visit(target, trail + [source])
         color[source] = BLACK
 
     try:
-        for source in sorted(expansion, key=str):
+        for source in sorted(expansion):
             if color[source] == WHITE:
                 visit(source, [])
     except RecursionError:  # the chain from `source` is deeper than the stack allows
@@ -199,11 +199,11 @@ def serialize_rules(ruleset):
     '''Deterministic normal form: sorted lines, full destination paths.'''
     tagging_lines = []
     for token in sorted(ruleset.tagging):
-        dests = ','.join(sorted(map(str, ruleset.tagging[token]))) or GENERIC_MARKER
+        dests = ','.join(sorted(ruleset.tagging[token])) or GENERIC_MARKER
         tagging_lines.append('%s\t%s' % (token, dests))
     expansion_lines = []
-    for source in sorted(ruleset.expansion, key=str):
-        targets = ','.join(sorted(map(str, ruleset.expansion[source])))
+    for source in sorted(ruleset.expansion):
+        targets = ','.join(sorted(ruleset.expansion[source]))
         expansion_lines.append('%s\t%s' % (source, targets))
     tagging_text = '\n'.join(tagging_lines) + '\n' if tagging_lines else ''
     expansion_text = '\n'.join(expansion_lines) + '\n' if expansion_lines else ''

@@ -7,10 +7,14 @@ structural: they organize the tree but are never taggable themselves.
 
 Tokens that match no tag and no tagging rule are *unknown*; they live in the
 UNK pseudo-category, which is never a tree node.
+
+Both item kinds, TagPath and UnknownToken (``UNK:<token>``), are str
+subclasses whose value is the item's canonical string: an item equals,
+hashes and sorts as that string, and a plain string finds it in a set or
+dict.
 '''
 
 import re
-from dataclasses import dataclass
 
 CATEGORIES = ('BEH', 'CLASS', 'FAM', 'FILE')
 
@@ -45,12 +49,15 @@ def _check_component(component):
             % (component,))
 
 
-class TagPath:
-    '''Immutable path of a taxonomy node; canonical form joins components with ':'.'''
+class TagPath(str):
+    '''Path of a taxonomy node, as its canonical string: components joined with ':'.
 
-    __slots__ = ('components', '_str')
+    The constructor takes the components and validates them.
+    '''
 
-    def __init__(self, components):
+    __slots__ = ()
+
+    def __new__(cls, components):
         components = tuple(components)
         if not components:
             raise TaxonomyError('empty tag path')
@@ -59,100 +66,88 @@ class TagPath:
                 "bad category %r (expected one of %s)" % (components[0], ', '.join(CATEGORIES)))
         for comp in components[1:]:
             _check_component(comp)
-        object.__setattr__(self, 'components', components)
-        object.__setattr__(self, '_str', ':'.join(components))
+        return str.__new__(cls, ':'.join(components))
 
-    def __setattr__(self, name, value):
-        raise AttributeError('TagPath is immutable')
-
-    def __reduce__(self):
-        return (TagPath, (self.components,))
+    def __getnewargs__(self):
+        return (self.components,)
 
     @classmethod
     def parse(cls, text):
         '''Parses the canonical ':'-joined string form.'''
         if _PATH_RE.fullmatch(text):
-            return _trusted(tuple(text.split(':')), text)
+            return str.__new__(cls, text)
         return cls(text.split(':'))  # invalid: raises the validating constructor's error
 
     @property
+    def components(self):
+        return tuple(self.split(':'))
+
+    @property
     def category(self):
-        return self.components[0]
+        return self.partition(':')[0]
 
     @property
     def name(self):
         '''Final path component.'''
-        return self.components[-1]
+        return self.rpartition(':')[2]
 
     @property
     def is_tag(self):
         '''True when the node itself is taggable (final component lowercase).'''
-        return is_taggable(self.components[-1])
+        return is_taggable(self.name)
 
     @property
     def is_root(self):
-        return len(self.components) == 1
+        return ':' not in self
 
     def parent(self):
         '''Parent path, or None for category roots.'''
-        if self.is_root:
-            return None
-        return _trusted(self.components[:-1], self._str[:self._str.rindex(':')])
+        cut = self.rfind(':')
+        return None if cut < 0 else str.__new__(TagPath, self[:cut])
 
     def child(self, component):
         _check_component(component)
-        return _trusted(self.components + (component,), self._str + ':' + component)
+        return str.__new__(TagPath, self + ':' + component)
 
     def is_ancestor_of(self, other):
         '''True iff self is a proper prefix of other's path.'''
-        n = len(self.components)
-        return n < len(other.components) and other.components[:n] == self.components
-
-    def __str__(self):
-        return self._str
+        return other.startswith(self + ':')
 
     def __repr__(self):
-        return 'TagPath(%r)' % (self._str,)
-
-    # components never contain ':', so the canonical string stands for them
-    def __eq__(self, other):
-        return isinstance(other, TagPath) and self._str == other._str
-
-    def __hash__(self):
-        return hash(self._str)
+        return 'TagPath(%s)' % str.__repr__(self)
 
 
-def _trusted(components, text):
-    '''TagPath of components already known to be valid, and their ':'-joined text.'''
-    path = object.__new__(TagPath)
-    object.__setattr__(path, 'components', components)
-    object.__setattr__(path, '_str', text)
-    return path
-
-
-@dataclass(frozen=True, slots=True)
-class UnknownToken:
+class UnknownToken(str):
     '''A token with no tagging rule and no taxonomy entry (UNK pseudo-category).
 
-    Shares the item protocol of TagPath: `category` (UNK), `name` (the token)
-    and str(), the canonical string "UNK:<token>".  Every tag category sorts
-    before UNK, so sorted canonical strings put tags ahead of unknown tokens.
+    Its value is the canonical string "UNK:<token>".  It shares the item
+    protocol of TagPath: `category` (UNK) and `name` (the token, also
+    `text`).  Every tag category sorts before UNK, so sorted items put tags
+    ahead of unknown tokens.
     '''
 
-    text: str
+    __slots__ = ()
 
     category = UNKNOWN_CATEGORY
 
+    def __new__(cls, text):
+        return str.__new__(cls, UNKNOWN_CATEGORY + ':' + text)
+
+    def __getnewargs__(self):
+        return (self.name,)
+
     @property
     def name(self):
-        return self.text
+        return self[len(UNKNOWN_CATEGORY) + 1:]
 
-    def __str__(self):
-        return UNKNOWN_CATEGORY + ':' + self.text
+    text = name
+
+    def __repr__(self):
+        return 'UnknownToken(%r)' % (self.name,)
 
 
 def parse_item(text):
-    '''Inverse of str() on a TagPath or UnknownToken.'''
+    '''The TagPath or UnknownToken whose canonical string is `text`.'''
     if text.startswith(UNKNOWN_CATEGORY + ':'):
         token = text[len(UNKNOWN_CATEGORY) + 1:]
         if not is_taggable(token):
@@ -167,14 +162,14 @@ class Taxonomy:
     Maintains a name index mapping every taggable node's final component to its
     full path; that name is globally unique across the taxonomy, which is what
     makes implicit tagging (token == tag name) unambiguous.  It also counts
-    each node's direct children, keyed by the node's components, so that
-    has_children is one lookup.
+    each node's direct children, keyed by the node's canonical string, so
+    that has_children is one lookup.
     '''
 
     def __init__(self):
         self._nodes = {TagPath((c,)) for c in CATEGORIES}
         self._name_index = {}
-        #: components of a node -> number of its direct children (only nodes that have some)
+        #: a node's string -> number of its direct children (only nodes that have some)
         self._child_counts = {}
 
     def __contains__(self, path):
@@ -184,7 +179,7 @@ class Taxonomy:
         return len(self._nodes)
 
     def __iter__(self):
-        return iter(sorted(self._nodes, key=str))
+        return iter(sorted(self._nodes))
 
     def __eq__(self, other):
         return isinstance(other, Taxonomy) and self._nodes == other._nodes
@@ -244,10 +239,10 @@ class Taxonomy:
         mutating anything, so a failed add leaves the taxonomy untouched.
         '''
         counts = self._child_counts
-        parent = path.components[:-1]
+        parent = path.rpartition(':')[0]
         # common case: a new node with a free name under a present parent (a
         # category root or a node with children) creates only itself
-        if ((len(parent) == 1 or parent in counts)
+        if ((parent in CATEGORIES or parent in counts)
                 and path not in self._nodes and path.name not in self._name_index):
             missing = [path]
         else:
@@ -256,7 +251,7 @@ class Taxonomy:
             self._nodes.add(node)
             if node.is_tag:
                 self._name_index[node.name] = node
-            parent = node.components[:-1]
+            parent = node.rpartition(':')[0]
             counts[parent] = counts.get(parent, 0) + 1
         return missing
 
@@ -271,14 +266,14 @@ class Taxonomy:
         self._nodes.discard(path)
         if path.is_tag and self._name_index.get(path.name) == path:
             del self._name_index[path.name]
-        parent = path.components[:-1]
+        parent = path.rpartition(':')[0]
         if self._child_counts[parent] == 1:
             del self._child_counts[parent]
         else:
             self._child_counts[parent] -= 1
 
     def has_children(self, path):
-        return path.components in self._child_counts
+        return path in self._child_counts
 
     def is_ancestor(self, a, b):
         '''True iff a is a proper ancestor of b (proper prefix of b's path).'''
@@ -300,12 +295,15 @@ class Taxonomy:
         '''Taggable proper-ancestor paths of `path`, nearest root first.
 
         Structural components and the category root are skipped; works from the
-        path's components alone, so it is usable for any well-formed path.
+        path's string alone, so it is usable for any well-formed path.
         '''
-        components = path.components
-        return [_trusted(components[:k], ':'.join(components[:k]))
-                for k in range(2, len(components))
-                if is_taggable(components[k - 1])]
+        prefix, *components = path.split(':')
+        ancestors = []
+        for component in components[:-1]:
+            prefix += ':' + component
+            if is_taggable(component):
+                ancestors.append(str.__new__(TagPath, prefix))
+        return ancestors
 
 
 def load_taxonomy(text):
@@ -328,7 +326,7 @@ def load_taxonomy(text):
 
 def serialize_taxonomy(taxonomy):
     '''Deterministic file form: every non-root node, one per line, sorted.'''
-    lines = [str(node) for node in taxonomy if not node.is_root]
+    lines = [node for node in taxonomy if not node.is_root]
     if not lines:
         return ''
     return '\n'.join(lines) + '\n'

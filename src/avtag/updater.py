@@ -39,7 +39,7 @@ class Relation:
 
     t_i is the less frequent item (ties broken lexicographically), therefore
     rel_ij >= rel_ji always holds.  The endpoints are TagPath/UnknownToken
-    items; str() gives the canonical string of either.
+    items, each its canonical string.
     '''
 
     t_i: object
@@ -51,8 +51,8 @@ class Relation:
     rel_ji: float
 
     def key(self):
-        '''Canonical (t_i, t_j) strings.'''
-        return (str(self.t_i), str(self.t_j))
+        '''The (t_i, t_j) endpoints, which sort as their canonical strings.'''
+        return (self.t_i, self.t_j)
 
     def as_tuple(self):
         return self.key() + (self.count_i, self.count_j, self.count_ij,
@@ -153,7 +153,7 @@ def is_strong(relation, config):
 
 
 def _under_os(item):
-    return (str(item) + ':').startswith('FILE:OS:')
+    return (item + ':').startswith('FILE:OS:')
 
 
 def involves_os_tag(relation):
@@ -280,9 +280,7 @@ class _WorkState:
             raise _ActionError('cannot retire %s: node has children' % (old,))
         referring = []
         if old is not None:
-            olds = {old}  # set against set compares stored hashes (see _remap_expansion)
-            referring = [other for other, dests in self.rules.tagging.items()
-                         if not olds.isdisjoint(dests)]
+            referring = [other for other, dests in self.rules.tagging.items() if old in dests]
             if dest.name in referring:
                 raise _ActionError(
                     'rewriting rule %r to %s would alias the rule to itself'
@@ -356,10 +354,6 @@ def _expansion_reaches(expansion, start, goal):
     return False
 
 
-def _edge_key(edge):
-    return (str(edge[0]), str(edge[1]))
-
-
 def _remap_expansion(expansion, old, new):
     '''Rewrites the expansion rules that refer to a retired tag; validates the result.
 
@@ -371,11 +365,7 @@ def _remap_expansion(expansion, old, new):
     merges target sets.  Raises _ActionError when the rewrite would create a
     cycle.
     '''
-    # isdisjoint between two sets uses the hashes they store; `old in targets`
-    # would call TagPath.__hash__ once per rule
-    olds = {old}
-    touched = [source for source, targets in expansion.items()
-               if not olds.isdisjoint(targets)]
+    touched = [source for source, targets in expansion.items() if old in targets]
     if old in expansion:
         touched.append(old)
     if not touched:
@@ -403,8 +393,7 @@ def _remap_expansion(expansion, old, new):
     before = {(source, t) for source in touched for t in expansion[source]}
     after = {(source, t) for source, targets in remapped.items() if targets is not None
              for t in targets}
-    return (remapped, sorted(before - after, key=_edge_key),
-            sorted(after - before, key=_edge_key))
+    return remapped, sorted(before - after), sorted(after - before)
 
 
 def _act_unk_fam(state, a, b):
@@ -555,12 +544,12 @@ def format_changelog(result, relations_all, relations_strong, relations_os_remov
     ]
     entries = []
     for sign, paths in (('+', changes.taxonomy_added), ('-', changes.taxonomy_removed)):
-        entries.extend('taxonomy %s %s' % (sign, path) for path in sorted(paths, key=str))
+        entries.extend('taxonomy %s %s' % (sign, path) for path in sorted(paths))
     for sign, tokens in (('+', changes.tagging_added), ('-', changes.tagging_removed)):
         entries.extend('tagging %s %s' % (sign, token) for token in sorted(tokens))
     for sign, edges in (('+', changes.expansion_added), ('-', changes.expansion_removed)):
         entries.extend('expansion %s %s => %s' % (sign, source, target)
-                       for source, target in sorted(edges, key=_edge_key))
+                       for source, target in sorted(edges))
     if entries:
         lines.append('')
         lines.extend(entries)

@@ -1,5 +1,6 @@
 import codecs
 import os
+import random
 import subprocess
 import sys
 
@@ -10,9 +11,10 @@ from avtag.cli import main
 from avtag.ruleset import load_rules
 from avtag.taxonomy import load_taxonomy
 
-from conftest import (GOLDEN_FAMILY, GOLDEN_LABELS, GOLDEN_SAMPLE_ID, GOLDEN_TAG_LINE,
-                      MATRIX_ROWS, MATRIX_ROWS_FIXPOINT, MATRIX_TAXONOMY, deep_chain_texts,
-                      sample_id, sample_line, stats_text)
+from conftest import (BASE_EXPANSION, BASE_TAGGING, BASE_TAXONOMY, GOLDEN_FAMILY,
+                      GOLDEN_LABELS, GOLDEN_SAMPLE_ID, GOLDEN_TAG_LINE, MATRIX_ROWS,
+                      MATRIX_ROWS_FIXPOINT, MATRIX_TAXONOMY, deep_chain_texts, sample_id,
+                      sample_line, stats_text)
 
 GOLDEN_STATS = '''\
 t_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji
@@ -609,6 +611,52 @@ class TestModuleInvocation:
         assert proc.returncode == 0, proc.stderr
         assert tags.read_text() == GOLDEN_TAG_LINE + '\n'
         assert 'samples read 1, labeled 1, skipped 0' in proc.stderr
+
+    def test_outputs_independent_of_hash_seed(self, tmp_path):
+        '''label's three outputs and update's five are the same bytes under any hash seed.'''
+        kb, matrix = tmp_path / 'kb', tmp_path / 'matrix'
+        for directory, texts in ((kb, (BASE_TAXONOMY, BASE_TAGGING, BASE_EXPANSION)),
+                                 (matrix, (MATRIX_TAXONOMY, '', ''))):
+            directory.mkdir()
+            for name, text in zip(('taxonomy', 'tagging', 'expansion'), texts):
+                (directory / name).write_text(text)
+        (matrix / 'stats').write_text(stats_text(MATRIX_ROWS))
+        # planted pairs of tag names, rule tokens and unknown tokens, plus noise
+        rng = random.Random(3)
+        groups = [('bebeg', 'skodna'), ('darkkomet', 'fynloski'), ('zeroaccess', 'gingerbreak'),
+                  ('virut', 'worm'), ('ircbot', 'themida', 'win'), ('zbot', 'trojan', 'dloader')]
+        noise = [token for group in groups for token in group] + ['risktool', 'sality']
+        lines = []
+        for n in range(240):
+            planted = '.'.join(groups[n % len(groups)])
+            labels = {engine: planted for engine in 'ABC'}
+            labels['D'] = '.'.join(rng.sample(noise, 2))
+            labels['E'] = '.'.join(rng.sample(noise, 2))
+            lines.append(sample_line(sample_id(n), labels))
+        inp = tmp_path / 'samples.jsonl'
+        write_lines(inp, lines)
+
+        outputs = {}
+        for seed in ('0', '1'):
+            out = tmp_path / ('seed' + seed)
+            runs = [
+                label_args(kb, '-i', str(inp), '--tags-out', str(out / 'tags'),
+                           '--compat-out', str(out / 'compat'), '--stats-out', str(out / 'stats')),
+                update_args(kb, out / 'stats', out / 'mined', '-n', '10', '-T', '0.8'),
+                update_args(matrix, matrix / 'stats', out / 'matrix'),
+            ]
+            out.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            for args in runs:
+                proc = subprocess.run([sys.executable, '-m', 'avtag.cli', *args],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+            outputs[seed] = {path.relative_to(out): path.read_bytes()
+                             for path in sorted(out.rglob('*')) if path.is_file()}
+        assert len(outputs['0']) == 3 + 5 + 5
+        assert outputs['0'] == outputs['1']
+        for update in ('mined', 'matrix'):
+            assert read_counts(tmp_path / 'seed0' / update / 'changelog.txt')['taxonomy added']
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 
@@ -114,29 +115,50 @@ class TestItems:
             with pytest.raises(TaxonomyError):
                 parse_item(text)
 
+    # explicit ids: an item is a str, which pytest would otherwise put into the id
     @pytest.mark.parametrize('item, category, name, text', [
         (TagPath.parse('FILE:OS:windows'), 'FILE', 'windows', 'FILE:OS:windows'),
         (UnknownToken('skodna'), 'UNK', 'skodna', 'UNK:skodna'),
-    ])
+    ], ids=['item0-FILE-windows-FILE:OS:windows', 'item1-UNK-skodna-UNK:skodna'])
     def test_both_item_kinds_share_one_protocol(self, item, category, name, text):
         assert (str(item), item.category, item.name) == (text, category, name)
         assert parse_item(text) == item and hash(parse_item(text)) == hash(item)
+
+    @pytest.mark.parametrize('item, text', [
+        (TagPath.parse('FILE:OS:windows'), 'FILE:OS:windows'),
+        (TagPath(('FAM',)), 'FAM'),
+        (UnknownToken('skodna'), 'UNK:skodna'),
+    ], ids=['TagPath', 'root', 'UnknownToken'])
+    def test_item_is_its_canonical_string(self, item, text):
+        assert isinstance(item, str) and item == text and hash(item) == hash(text)
+        assert str(item) == text and type(str(item)) is str
+        assert {text: 1}[item] == 1 and item in {text} and text in {item}
+        others = ['CLASS:zz', 'FAM', 'FAM:a', 'FILE:OS', 'UNK:a', 'UNK:zz']
+        assert sorted(others + [item]) == sorted(others + [text])
+        assert [item < other for other in others] == [text < other for other in others]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(item, protocol))
+            assert type(again) is type(item) and again == item
+        for again in (copy.copy(item), copy.deepcopy(item)):
+            assert type(again) is type(item) and again == item
+            assert (again.category, again.name) == (item.category, item.name)
 
     def test_tags_sort_before_unknowns(self):
         rendered = sorted([str(UnknownToken('aaa')), str(TagPath.parse('FILE:irc'))])
         assert rendered == ['FILE:irc', 'UNK:aaa']
 
     @pytest.mark.parametrize('make', [
+        lambda: TagPath.parse('FILE:OS:windows'),
         lambda: UnknownToken('skodna'),
-    ], ids=['UnknownToken'])
+    ], ids=['TagPath', 'UnknownToken'])
     def test_frozen_slots_record_refuses_a_new_attribute(self, make):
-        # Known CPython behaviour (3.10 to 3.13): the frozen __setattr__ that
-        # dataclass generates calls super() on the class as it was before slots
-        # were added, so a name that is not a field raises TypeError, not
-        # FrozenInstanceError.  The message differs between versions.
+        # an item is a str subclass with empty __slots__: it has no instance
+        # dict, and its attributes are read-only class attributes or properties
         record, fresh = make(), make()
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             record.category = 'FAM'
+        with pytest.raises(AttributeError):
+            record.extra = 1
         assert record == fresh
         assert getattr(record, 'category', None) == getattr(fresh, 'category', None)
 
@@ -304,7 +326,7 @@ def reference_add(taxonomy, path):
         taxonomy._nodes.add(node)
         if node.is_tag:
             taxonomy._name_index[node.name] = node
-        parent = node.components[:-1]
+        parent = node.rpartition(':')[0]
         counts[parent] = counts.get(parent, 0) + 1
     return missing
 
