@@ -29,7 +29,6 @@ from them.
 
 import itertools
 from collections import Counter, defaultdict, namedtuple
-from dataclasses import dataclass
 
 from .taxonomy import UNKNOWN_CATEGORY
 from .tokenizer import tokenize
@@ -54,12 +53,10 @@ _NOT_KNOWN = object()
 _ID_FORBIDDEN = ('\t', '\r', '\n')
 
 
-@dataclass(slots=True)
-class SampleReport:
+class SampleReport(namedtuple('SampleReport', 'sample_id av_labels')):
     '''One input sample: id (preferring sha256) plus engine -> raw label map.'''
 
-    sample_id: str
-    av_labels: dict
+    __slots__ = ()
 
     HASH_FIELDS = ('sha256', 'sha1', 'md5')
 
@@ -99,12 +96,14 @@ class SampleReport:
 TagAssignment = namedtuple('TagAssignment', 'item count')
 
 
-@dataclass(slots=True)
 class TagRanking:
     '''Pruned (item, count) assignments of one sample, by descending count, then item.'''
 
-    sample_id: str
-    assignments: list
+    __slots__ = ('sample_id', 'assignments')
+
+    def __init__(self, sample_id, assignments):
+        self.sample_id = sample_id
+        self.assignments = assignments
 
     def __iter__(self):
         return iter(self.assignments)

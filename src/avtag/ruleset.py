@@ -11,8 +11,6 @@ frozenset of TagPaths it maps to (empty for a generic token), and
 ``expansion`` from a source TagPath to the frozenset of TagPaths it implies.
 '''
 
-from dataclasses import dataclass, field
-
 from .taxonomy import TagPath, TaxonomyError, is_taggable
 
 GENERIC_MARKER = 'GEN'
@@ -22,14 +20,28 @@ class RuleError(ValueError):
     '''Raised for malformed or inconsistent rule files.'''
 
 
-@dataclass(slots=True)
 class RuleSet:
     '''Validated rules: `tagging` maps a token to its frozenset of tags (empty
     when generic); `expansion` maps a source tag to its frozenset of target tags.
+    Two rule sets are equal when both maps are.
     '''
 
-    tagging: dict = field(default_factory=dict)
-    expansion: dict = field(default_factory=dict)
+    __slots__ = ('tagging', 'expansion')
+
+    def __init__(self, tagging=None, expansion=None):
+        self.tagging = {} if tagging is None else tagging
+        self.expansion = {} if expansion is None else expansion
+
+    def __eq__(self, other):
+        if not isinstance(other, RuleSet):
+            return NotImplemented
+        return self.tagging == other.tagging and self.expansion == other.expansion
+
+    def __reduce__(self):  # pickles at every protocol, which __slots__ alone does not
+        return RuleSet, (self.tagging, self.expansion)
+
+    def __repr__(self):
+        return 'RuleSet(tagging=%r, expansion=%r)' % (self.tagging, self.expansion)
 
     def copy(self):
         return RuleSet(dict(self.tagging), dict(self.expansion))

@@ -121,9 +121,9 @@ class UnknownToken(str):
     '''A token with no tagging rule and no taxonomy entry (UNK pseudo-category).
 
     Its value is the canonical string "UNK:<token>".  It shares the item
-    protocol of TagPath: `category` (UNK) and `name` (the token, also
-    `text`).  Every tag category sorts before UNK, so sorted items put tags
-    ahead of unknown tokens.
+    protocol of TagPath: `category` (UNK) and `name` (the token).  Every tag
+    category sorts before UNK, so sorted items put tags ahead of unknown
+    tokens.
     '''
 
     __slots__ = ()
@@ -139,8 +139,6 @@ class UnknownToken(str):
     @property
     def name(self):
         return self[len(UNKNOWN_CATEGORY) + 1:]
-
-    text = name
 
     def __repr__(self):
         return 'UnknownToken(%r)' % (self.name,)

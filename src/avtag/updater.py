@@ -7,7 +7,6 @@ pair the matrix does not cover is reported for manual review.
 '''
 
 import collections
-from dataclasses import dataclass, field
 
 from .labeler import _STATS_COUNTS, STATS_HEADER
 from .ruleset import RuleError, _check_expansion_acyclic
@@ -20,21 +19,25 @@ DEFAULT_MIN_REL = 0.94
 _STATS_ROW = '%s\t%s' + _STATS_COUNTS
 
 
-@dataclass(frozen=True)
-class UpdateConfig:
+class UpdateConfig(collections.namedtuple('UpdateConfig', 'n T')):
     '''Strength thresholds: minimum per-item support n, minimum joint frequency T.'''
-    n: int = DEFAULT_MIN_COUNT
-    T: float = DEFAULT_MIN_REL
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError('n must be >= 1, got %r' % (self.n,))
-        if not 0 < self.T <= 1:
-            raise ValueError('T must be in (0, 1], got %r' % (self.T,))
+    __slots__ = ()
+
+    def __new__(cls, n=DEFAULT_MIN_COUNT, T=DEFAULT_MIN_REL):
+        if n < 1:
+            raise ValueError('n must be >= 1, got %r' % (n,))
+        if not 0 < T <= 1:
+            raise ValueError('T must be in (0, 1], got %r' % (T,))
+        return super().__new__(cls, n, T)
+
+    @classmethod
+    def _make(cls, iterable):  # named tuples' _replace builds through _make: check it too
+        return cls(*iterable)
 
 
-@dataclass(slots=True)
-class Relation:
+class Relation(collections.namedtuple(
+        'Relation', 't_i t_j count_i count_j count_ij rel_ij rel_ji')):
     '''Seven-value co-occurrence record for one unordered item pair, as parse_stats reads it.
 
     t_i is the less frequent item (ties broken lexicographically), therefore
@@ -42,46 +45,32 @@ class Relation:
     items, each its canonical string.
     '''
 
-    t_i: object
-    t_j: object
-    count_i: int
-    count_j: int
-    count_ij: int
-    rel_ij: float
-    rel_ji: float
+    __slots__ = ()
 
     def key(self):
         '''The (t_i, t_j) endpoints, which sort as their canonical strings.'''
-        return (self.t_i, self.t_j)
-
-    def as_tuple(self):
-        return self.key() + (self.count_i, self.count_j, self.count_ij,
-                             self.rel_ij, self.rel_ji)
+        return self[:2]
 
     def format_row(self):
-        return _STATS_ROW % (
-            self.t_i, self.t_j, self.count_i, self.count_j, self.count_ij,
-            self.rel_ij, self.rel_ji)
+        return _STATS_ROW % self
 
 
-@dataclass
-class ChangeLog:
+class ChangeLog(collections.namedtuple('ChangeLog', (
+        'taxonomy_added taxonomy_removed tagging_added tagging_removed'
+        ' expansion_added expansion_removed'))):
     '''Added/removed entries per artifact; expansion entries are (source, target) edges.
 
-    An artifact is dirty, its file to be written anew, when the log holds an
-    entry for it.
+    `ChangeLog()` starts with six new empty lists.  An artifact is dirty, its
+    file to be written anew, when the log holds an entry for it.
     '''
-    taxonomy_added: list = field(default_factory=list)
-    taxonomy_removed: list = field(default_factory=list)
-    tagging_added: list = field(default_factory=list)
-    tagging_removed: list = field(default_factory=list)
-    expansion_added: list = field(default_factory=list)
-    expansion_removed: list = field(default_factory=list)
+
+    __slots__ = ()
+
+    def __new__(cls, *lists):
+        return super().__new__(cls, *(lists or ([] for _ in cls._fields)))
 
     def total(self):
-        return (len(self.taxonomy_added) + len(self.taxonomy_removed)
-                + len(self.tagging_added) + len(self.tagging_removed)
-                + len(self.expansion_added) + len(self.expansion_removed))
+        return sum(map(len, self))
 
     @property
     def taxonomy_dirty(self):
@@ -96,22 +85,13 @@ class ChangeLog:
         return bool(self.expansion_added or self.expansion_removed)
 
 
-@dataclass
-class Unhandled:
-    relation: Relation
-    reason: str
+#: a strong relation that no update rule applied to, and why
+Unhandled = collections.namedtuple('Unhandled', 'relation reason')
 
-
-@dataclass
-class UpdateResult:
-    taxonomy: object
-    rules: object
-    changes: ChangeLog
-    unhandled: list
-    consumed_known: list
-    consumed_equivalence: list
-    consumed_topblock: list
-    consumed_expansion: list
+#: infer's updated artifacts, their change log, and each strong relation by fate
+UpdateResult = collections.namedtuple('UpdateResult', (
+    'taxonomy rules changes unhandled consumed_known consumed_equivalence'
+    ' consumed_topblock consumed_expansion'))
 
 
 def parse_stats(text):
@@ -205,6 +185,12 @@ def resolve_item(item, taxonomy, rules):
 
 
 def _known_resolved(a, b, taxonomy, rules, equivalence):
+    '''True when the knowledge base already captures a relation between resolved endpoints.
+
+    That is when either endpoint resolved to None or both to the same item,
+    when b is a taxonomy ancestor of a (either way round for an equivalence),
+    or when the expansion rule of a already contains b.
+    '''
     if a is None or b is None:
         return True
     if a == b:
@@ -216,21 +202,6 @@ def _known_resolved(a, b, taxonomy, rules, equivalence):
         if equivalence and taxonomy.is_ancestor(a, b):
             return True
     return isinstance(a, TagPath) and b in rules.expansion.get(a, ())
-
-
-def is_known(relation, taxonomy, rules, config=None):
-    '''True when the relation is already captured by the knowledge base.
-
-    Endpoints are alias-resolved first; the relation is known when they
-    resolve to the same item, when the resolved t_j is a taxonomy ancestor of
-    the resolved t_i (either direction for equivalences, which need a config
-    to be recognized), or when an expansion rule from the resolved t_i already
-    contains the resolved t_j.
-    '''
-    a = resolve_item(relation.t_i, taxonomy, rules)
-    b = resolve_item(relation.t_j, taxonomy, rules)
-    equivalence = config is not None and is_equivalent(relation, config)
-    return _known_resolved(a, b, taxonomy, rules, equivalence)
 
 
 class _ActionError(Exception):

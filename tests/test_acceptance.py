@@ -89,7 +89,7 @@ def test_criterion_2_cooccurrence_oracle():
     for _ in range(50):
         items = rng.sample(pool, rng.randint(5, 15))
         reports, expected_sets = random_reports(rng, 500, items, engines)
-        got = [r.as_tuple() for r in counted_relations(reports, rules, taxonomy)]
+        got = [tuple(r) for r in counted_relations(reports, rules, taxonomy)]
         assert got == oracle_relations(expected_sets)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, '50 oracle datasets took %.1fs' % elapsed
@@ -111,7 +111,7 @@ def test_criterion_3_threshold_boundaries(base_taxonomy, base_rules):
     for n in range(100, 700):
         reports.append(SampleReport(sample_id(n), {'A': 'Virus', 'B': 'VIRUS'}))
     [rel] = counted_relations(reports, base_rules, base_taxonomy)
-    assert rel.as_tuple()[:5] == ('FAM:virut', 'CLASS:virus', 100, 700, 100)
+    assert tuple(rel)[:5] == ('FAM:virut', 'CLASS:virus', 100, 700, 100)
     assert abs(rel.rel_ij - 1.0) < 1e-9
     assert abs(rel.rel_ji - 1 / 7) < 1e-9
     assert is_strong(rel, config) and not is_equivalent(rel, config)

@@ -222,25 +222,25 @@ class TestCooccurrence:
         labels = {'A': 'virut.zbot', 'B': 'virut.zbot'}
         relations = counted_relations([report(labels)], base_rules, base_taxonomy)
         [rel] = relations
-        assert rel.as_tuple() == ('FAM:virut', 'FAM:zbot', 1, 1, 1, 1.0, 1.0)
+        assert tuple(rel) == ('FAM:virut', 'FAM:zbot', 1, 1, 1, 1.0, 1.0)
 
     def test_orientation_least_frequent_first(self, base_rules, base_taxonomy):
         reports = [report({'A': 'virut.zbot', 'B': 'virut.zbot'}, 1),
                    report({'A': 'zbot', 'B': 'zbot'}, 2)]
         [rel] = counted_relations(reports, base_rules, base_taxonomy)
-        assert rel.as_tuple() == ('FAM:virut', 'FAM:zbot', 1, 2, 1, 1.0, 0.5)
+        assert tuple(rel) == ('FAM:virut', 'FAM:zbot', 1, 2, 1, 1.0, 0.5)
 
     def test_tie_breaks_lexicographically(self, base_rules, base_taxonomy):
         [rel] = counted_relations([report({'A': 'zbot.virut', 'B': 'zbot.virut'})],
                                   base_rules, base_taxonomy)
-        assert (rel.as_tuple()[0], rel.as_tuple()[1]) == ('FAM:virut', 'FAM:zbot')
+        assert tuple(rel)[:2] == ('FAM:virut', 'FAM:zbot')
 
     def test_items_counted_before_expansion(self, base_rules, base_taxonomy):
         relations = counted_relations([report({'A': 'Worm.zbot', 'B': 'worm.zbot'})],
                                       base_rules, base_taxonomy)
         [rel] = relations
         # ranking would include BEH:selfpropagate; statistics must not
-        assert rel.as_tuple()[:2] == ('CLASS:worm', 'FAM:zbot')
+        assert tuple(rel)[:2] == ('CLASS:worm', 'FAM:zbot')
 
     def test_single_engine_samples_contribute_nothing(self, base_rules, base_taxonomy):
         relations = counted_relations([report({'A': 'virut.zbot'})],
@@ -255,7 +255,7 @@ class TestCooccurrence:
         got = counted_relations(reports, RuleSet(), Taxonomy())
         want = brute_force_relations([{UnknownToken(i) for i in s}
                                       for s in expected_sets])
-        assert [r.as_tuple() for r in got] == [r.as_tuple() for r in want]
+        assert [tuple(r) for r in got] == [tuple(r) for r in want]
 
     def test_merge_equals_sequential(self):
         rng = random.Random(5)
@@ -277,8 +277,8 @@ class TestCooccurrence:
                 merged.merge(part)
             assert merged.item_counts == whole.item_counts
             assert merged.pair_counts == whole.pair_counts
-            assert ([r.as_tuple() for r in parse_stats(stats_file(merged))]
-                    == [r.as_tuple() for r in parse_stats(stats_file(whole))])
+            assert ([tuple(r) for r in parse_stats(stats_file(merged))]
+                    == [tuple(r) for r in parse_stats(stats_file(whole))])
 
     def test_sample_order_irrelevant(self, base_rules, base_taxonomy):
         reports = [report({'A': 'virut.zbot', 'B': 'virut.zbot'}, n)
@@ -287,8 +287,8 @@ class TestCooccurrence:
                     for n in range(3)]
         forward = counted_relations(reports, base_rules, base_taxonomy)
         backward = counted_relations(reports[::-1], base_rules, base_taxonomy)
-        assert ([r.as_tuple() for r in forward]
-                == [r.as_tuple() for r in backward])
+        assert ([tuple(r) for r in forward]
+                == [tuple(r) for r in backward])
 
 
     def test_counter_memory_per_pair(self):

@@ -1,11 +1,14 @@
 '''The package namespace: what `import avtag` offers and where the rest lives.
 
-Also: no module imports a name it never reads.
+Also: no module imports a name it never reads, and importing the CLI loads
+no module that slows every command's start-up.
 '''
 
 import ast
 import importlib
 import os
+import subprocess
+import sys
 import types
 
 import avtag
@@ -23,7 +26,7 @@ SUBMODULE_NAMES = {
     'ruleset': ['RuleError', 'serialize_rules'],
     'taxonomy': ['CATEGORIES', 'Taxonomy', 'TaxonomyError', 'serialize_taxonomy'],
     'tokenizer': ['tokenize'],
-    'updater': ['Relation', 'UpdateResult', 'is_equivalent', 'is_known', 'is_strong',
+    'updater': ['Relation', 'UpdateResult', 'is_equivalent', 'is_strong',
                 'parse_stats'],
 }
 
@@ -70,3 +73,10 @@ def test_no_module_imports_a_name_it_never_reads():
                     if unused:
                         found[os.path.relpath(path, root)] = unused
     assert found == {}
+
+
+def test_cli_import_loads_no_slow_module():
+    '''`import avtag.cli`, in a fresh interpreter, adds no dataclasses, inspect, ast or dis.'''
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), 'import_check.py')
+    run = subprocess.run([sys.executable, script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

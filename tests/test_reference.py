@@ -56,7 +56,7 @@ def reference_analyze(report, rules, taxonomy, allowlist=None):
         if isinstance(item, TagPath) and item.category == 'FAM':
             candidates.append((negative, 0, item.name))
         elif isinstance(item, UnknownToken):
-            candidates.append((negative, 1, item.text))
+            candidates.append((negative, 1, item.name))
     family = min(candidates)[2] if candidates else None
     stat_items = sorted(str(item) for item, engines in raw_engines.items()
                         if len(engines) >= MIN_ENGINES)
@@ -439,4 +439,4 @@ def test_stats_rows_match_naive_sort(parts):
         assert counter.write_stats(out) == len(want)
         assert out.getvalue() == ''.join(
             [STATS_HEADER + '\n'] + [_STATS_ROW % row + '\n' for row in want])
-        assert [relation.as_tuple() for relation in parse_stats(out.getvalue())] == want
+        assert [tuple(relation) for relation in parse_stats(out.getvalue())] == want

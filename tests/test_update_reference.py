@@ -191,7 +191,7 @@ def reference_infer(strong, taxonomy, rules, config):
                 progress = True
                 continue
             if equivalence:
-                dest = b if isinstance(b, TagPath) else TagPath(('FAM', b.text))
+                dest = b if isinstance(b, TagPath) else TagPath(('FAM', b.name))
                 try:
                     state.add_alias(a.name, dest)
                 except _ActionError as exc:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from avtag.taxonomy import TagPath, UnknownToken, load_taxonomy, serialize_taxon
 from avtag.updater import (
     DEFAULT_MIN_COUNT,
     DEFAULT_MIN_REL,
+    ChangeLog,
     Relation,
     UpdateConfig,
     _ActionError,
@@ -19,7 +22,6 @@ from avtag.updater import (
     infer,
     involves_os_tag,
     is_equivalent,
-    is_known,
     is_strong,
     parse_stats,
     resolve_item,
@@ -58,10 +60,52 @@ class TestConfig:
         for n, T in ((0, 0.94), (-3, 0.94), (20, 0.0), (20, -0.1), (20, 1.5)):
             with pytest.raises(ValueError):
                 UpdateConfig(n=n, T=T)
+            with pytest.raises(ValueError):
+                UpdateConfig()._replace(n=n, T=T)
 
     def test_boundary_values_accepted(self):
         UpdateConfig(n=1, T=1.0)
         UpdateConfig(n=1, T=1e-9)
+
+    def test_frozen_pair(self):
+        config = UpdateConfig(n=5, T=0.7)
+        for name in ('n', 'T', 'other'):
+            with pytest.raises(AttributeError):
+                setattr(config, name, 1)
+        n, T = config
+        assert (n, T) == (5, 0.7)
+
+
+RECORDS = {
+    'RuleSet': lambda: RuleSet(
+        {'zeus': frozenset({TagPath.parse('FAM:zbot')}), 'trojan': frozenset()},
+        {TagPath.parse('CLASS:worm'): frozenset({TagPath.parse('BEH:selfpropagate')})}),
+    'UpdateConfig': lambda: UpdateConfig(n=5, T=0.7),
+    'Relation': lambda: relation('UNK:fynloski', 'FAM:darkkomet', 50, 100, 50),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize('make', RECORDS.values(), ids=list(RECORDS))
+    def test_pickle_and_copy_keep_type_and_value(self, make):
+        record = make()
+        copies = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in copies + [copy.copy(record)]:
+            assert type(again) is type(record)
+            assert again == record and not again != record
+
+    def test_rule_sets_equal_only_with_equal_maps(self):
+        rules = RECORDS['RuleSet']()
+        assert rules == rules.copy() and rules != RuleSet()
+        assert rules != RuleSet(rules.tagging) and rules != RuleSet(expansion=rules.expansion)
+
+    def test_change_logs_share_no_list(self):
+        first, second = ChangeLog(), ChangeLog()
+        assert len({id(entries) for entries in first + second}) == 2 * len(ChangeLog._fields)
+        first.tagging_added.append('zeus')
+        assert second == ChangeLog() and second.total() == 0 and not second.tagging_dirty
+        assert first.total() == 1 and first.tagging_dirty
 
 
 class TestParseStats:
@@ -199,6 +243,13 @@ class TestResolveItem:
         assert got == UnknownToken('mysterytok')
 
 
+def is_known(rel, taxonomy, rules, config=None):
+    '''True when infer finds `rel` already captured by the knowledge base.'''
+    consumed_known = infer([rel], taxonomy, rules, config).consumed_known
+    assert consumed_known in ([], [rel])
+    return consumed_known == [rel]
+
+
 class TestIsKnown:
     def test_same_resolution(self, base_taxonomy, base_rules):
         rel = relation('UNK:downldr', 'CLASS:downloader', 30, 60, 30)
@@ -209,10 +260,10 @@ class TestIsKnown:
         assert is_known(rel, base_taxonomy, base_rules)
 
     def test_reverse_ancestry_needs_equivalence(self, base_taxonomy, base_rules):
-        config = UpdateConfig()
-        rel = relation('CLASS:grayware', 'CLASS:grayware:adware', 200, 200, 200)
+        # rel_ji is 0.8: an equivalence at T=0.8, not at the default T
+        rel = relation('CLASS:grayware', 'CLASS:grayware:adware', 200, 250, 200)
         assert not is_known(rel, base_taxonomy, base_rules)
-        assert is_known(rel, base_taxonomy, base_rules, config)
+        assert is_known(rel, base_taxonomy, base_rules, UpdateConfig(T=0.8))
 
     def test_expansion_containment_is_directional(self, base_taxonomy, base_rules):
         covered = relation('CLASS:worm', 'BEH:selfpropagate', 90, 180, 90)
