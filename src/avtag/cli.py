@@ -174,19 +174,18 @@ def run_update(args):
         config = updater.UpdateConfig(n=args.n, T=args.T)
     except ValueError as exc:
         return _fail(exc)
-    try:
-        taxonomy, rules = _load_data_files(args.taxonomy, args.tagging, args.expansion)
-        relations = updater.parse_stats(_read_text(args.stats))
-    except (OSError, ValueError) as exc:
-        return _fail(exc)
-
     outputs = {name: os.path.join(args.outdir, name) for name in UPDATE_OUTPUT_NAMES}
     clash = _overwritten_input(outputs.values(),
                                (args.taxonomy, args.tagging, args.expansion, args.stats))
     if clash:
         return _fail('refusing to overwrite input file %s' % (clash,))
+    try:
+        taxonomy, rules = _load_data_files(args.taxonomy, args.tagging, args.expansion)
+        with open(args.stats, encoding='utf-8-sig') as handle:  # -sig: drops a leading BOM
+            relations_all, strong = updater.parse_stats(handle, config)
+    except (OSError, ValueError) as exc:  # ValueError: also a file that is not UTF-8
+        return _fail(exc)
 
-    strong = [r for r in relations if updater.is_strong(r, config)]
     kept = [r for r in strong if not updater.involves_os_tag(r)]
     os_removed = len(strong) - len(kept)
     result = updater.infer(kept, taxonomy, rules, config)
@@ -206,7 +205,7 @@ def run_update(args):
                                    else _read_bytes(args.expansion)),
             outputs['unhandled.tsv']: updater.format_unhandled(result.unhandled),
             outputs['changelog.txt']: updater.format_changelog(
-                result, len(relations), len(strong), os_removed),
+                result, relations_all, len(strong), os_removed),
         }
         with _Staging() as staging:
             for path, content in contents.items():
@@ -217,7 +216,7 @@ def run_update(args):
 
     sys.stderr.write(
         'relations: all %d, strong %d, os_removed %d, known %d, out %d\n'
-        % (len(relations), len(strong), os_removed,
+        % (relations_all, len(strong), os_removed,
            len(result.consumed_known), len(result.unhandled)))
     sys.stderr.write(
         'taxonomy +%d -%d, tagging +%d -%d, expansion +%d -%d\n'

@@ -49,20 +49,21 @@ class RuleSet:
 
 def _resolve_destination(text, taxonomy, what):
     '''Resolves a destination written as a full path or a unique tag name.'''
-    if ':' in text:
+    if ':' not in text:
+        path = taxonomy.resolve_name(text)
+        if path is None:
+            raise RuleError('unknown %s name %r' % (what, text))
+        return path  # the name index holds tags only
+    if text not in taxonomy:
         try:
             path = TagPath.parse(text)
         except TaxonomyError as exc:
             raise RuleError('bad %s %r: %s' % (what, text, exc)) from None
-        if path not in taxonomy:
-            raise RuleError('unknown %s %s' % (what, path))
-    else:
-        path = taxonomy.resolve_name(text)
-        if path is None:
-            raise RuleError('unknown %s name %r' % (what, text))
-    if not path.is_tag:
-        raise RuleError('%s %s is structural, not a tag' % (what, path))
-    return path
+        raise RuleError('unknown %s %s' % (what, path))
+    # a taxonomy node is a valid path, whose structural name starts A-Z
+    if text.rpartition(':')[2][:1].isupper():
+        raise RuleError('%s %s is structural, not a tag' % (what, text))
+    return str.__new__(TagPath, text)
 
 
 def _split_line(line):

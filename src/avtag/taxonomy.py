@@ -94,7 +94,7 @@ class TagPath(str):
     @property
     def is_tag(self):
         '''True when the node itself is taggable (final component lowercase).'''
-        return is_taggable(self.name)
+        return not self.rpartition(':')[2][:1].isupper()  # valid: structural iff it starts A-Z
 
     @property
     def is_root(self):
@@ -206,8 +206,8 @@ class Taxonomy:
         missing.reverse()
         names = set()
         for prefix in missing:
-            name = prefix.name
-            if is_taggable(name):
+            name = prefix.rpartition(':')[2]
+            if not name[:1].isupper():
                 clash = self._name_index.get(name)
                 if clash is None or clash == removed:
                     clash = (next((node for node in pending if node.name == name), None)
@@ -237,19 +237,19 @@ class Taxonomy:
         mutating anything, so a failed add leaves the taxonomy untouched.
         '''
         counts = self._child_counts
-        parent = path.rpartition(':')[0]
+        parent, _, name = path.rpartition(':')
         # common case: a new node with a free name under a present parent (a
         # category root or a node with children) creates only itself
         if ((parent in CATEGORIES or parent in counts)
-                and path not in self._nodes and path.name not in self._name_index):
+                and path not in self._nodes and name not in self._name_index):
             missing = [path]
         else:
             missing = self._missing(path)
         for node in missing:
+            parent, _, name = node.rpartition(':')
             self._nodes.add(node)
-            if node.is_tag:
-                self._name_index[node.name] = node
-            parent = node.rpartition(':')[0]
+            if not name[:1].isupper():  # a valid structural name starts A-Z
+                self._name_index[name] = node
             counts[parent] = counts.get(parent, 0) + 1
         return missing
 

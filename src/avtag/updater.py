@@ -7,6 +7,7 @@ pair the matrix does not cover is reported for manual review.
 '''
 
 import collections
+import itertools
 
 from .labeler import _STATS_COUNTS, STATS_HEADER
 from .ruleset import RuleError, _check_expansion_acyclic
@@ -94,15 +95,40 @@ UpdateResult = collections.namedtuple('UpdateResult', (
     ' consumed_topblock consumed_expansion'))
 
 
-def parse_stats(text):
-    '''Parses a stats TSV back into Relations.
+class _Items(dict):
+    '''Parsed endpoints by their text: a missing key is parsed, stored and returned.'''
+
+    __slots__ = ()
+
+    def __missing__(self, text):
+        item = self[text] = parse_item(text)
+        return item
+
+
+def parse_stats(lines, config=None):
+    '''Parses stats TSV lines back into Relations; returns (rows, relations).
+
+    `lines` is any iterable of text lines, such as an open file.  Each is split
+    again with str.splitlines, so error line numbers count lines as
+    text.splitlines() does.  Every row is checked, in file order, but with a
+    `config` only the strong relations are kept: memory grows with them and
+    with the distinct endpoints, each parsed once, not with the rows.  `rows`
+    counts every relation row, strong or not.
 
     The rel columns are recomputed from the integer counts so that threshold
     comparisons never depend on the 6-decimal formatting; rows violating
     count_i <= count_j are normalized by swapping endpoints.
     '''
+    if isinstance(lines, str):
+        raise TypeError('parse_stats takes an iterable of lines, not one str')
+    # every consistent row has count_i >= 1 and rel_ij > 0, so no config keeps all
+    n, T = (1, 0) if config is None else config
+    items = _Items()
     relations = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    rows = 0
+    # ''.splitlines() is empty, but '' is one blank line in a list like text.splitlines()
+    split = itertools.chain.from_iterable(line.splitlines() or (line,) for line in lines)
+    for lineno, raw in enumerate(split, 1):
         line = raw.strip()
         if not line or line.startswith('#'):
             continue
@@ -112,19 +138,22 @@ def parse_stats(text):
         if len(fields) != 7:
             raise ValueError('stats line %d: expected 7 tab-separated fields' % lineno)
         try:
-            t_i = parse_item(fields[0])
-            t_j = parse_item(fields[1])
-            count_i, count_j, count_ij = (int(fields[k]) for k in (2, 3, 4))
+            t_i = items[fields[0]]
+            t_j = items[fields[1]]
+            count_i, count_j, count_ij = int(fields[2]), int(fields[3]), int(fields[4])
         except (TaxonomyError, ValueError) as exc:
             raise ValueError('stats line %d: %s' % (lineno, exc)) from None
         if count_ij < 1 or count_ij > min(count_i, count_j):
             raise ValueError('stats line %d: inconsistent counts %d/%d/%d'
                              % (lineno, count_i, count_j, count_ij))
+        rows += 1
         if count_i > count_j:
             t_i, t_j, count_i, count_j = t_j, t_i, count_j, count_i
-        relations.append(Relation(t_i, t_j, count_i, count_j, count_ij,
-                                  count_ij / count_i, count_ij / count_j))
-    return relations
+        rel_ij = count_ij / count_i
+        if count_i >= n and rel_ij >= T:  # is_strong, before a Relation is built
+            relations.append(Relation(t_i, t_j, count_i, count_j, count_ij,
+                                      rel_ij, count_ij / count_j))
+    return rows, relations
 
 
 def is_strong(relation, config):
@@ -163,7 +192,7 @@ def resolve_item(item, taxonomy, rules):
     relations about it carry no news.
     '''
     name = item.name
-    if item in taxonomy or not is_taggable(name):
+    if item in taxonomy or name[:1].isupper():  # a valid structural name starts A-Z
         return item
     path = None
     seen = set()

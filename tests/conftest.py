@@ -193,7 +193,7 @@ def counted_relations(reports, rules, taxonomy):
     '''Labels the reports into a counter; returns the Relations of its stats file.'''
     counter = CooccurrenceCounter()
     label_reports(reports, CompiledKB(taxonomy, rules), counter=counter)
-    return parse_stats(stats_file(counter))
+    return parse_stats(stats_file(counter).splitlines())[1]
 
 
 # ---------------------------------------------------------------------------

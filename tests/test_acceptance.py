@@ -122,7 +122,7 @@ def test_criterion_4_update_rule_matrix():
     taxonomy = load_taxonomy(MATRIX_TAXONOMY)
     rules = load_rules('', '', taxonomy)
     config = UpdateConfig()
-    relations = parse_stats(stats_text(MATRIX_ROWS))
+    relations = parse_stats(stats_text(MATRIX_ROWS).splitlines())[1]
     strong = [r for r in relations if is_strong(r, config)]
     kept = [r for r in strong if not involves_os_tag(r)]
     assert len(relations) == len(strong) == 17

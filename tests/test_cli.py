@@ -520,6 +520,29 @@ class TestUpdateCommand:
         assert 'refusing to overwrite input file' in capsys.readouterr().err
         assert (data_dir / 'taxonomy').read_bytes() == before
 
+    def test_output_clash_refused_before_the_stats_file_is_read(self, data_dir, capsys):
+        stats = data_dir / 'stats'
+        stats.write_text('UNK:tok\tFAM:zbot\t5\t10\n')  # malformed: 4 fields
+        assert main(update_args(data_dir, stats, data_dir)) == 1
+        assert capsys.readouterr().err == (
+            'error: refusing to overwrite input file %s\n' % (data_dir / 'taxonomy'))
+
+    # 0 rows before the bad byte: decoding fails on the first read; 3,000 (about
+    # 100 KB): it fails after the parser has consumed many rows
+    @pytest.mark.parametrize('rows_before', [0, 3000])
+    def test_stats_with_invalid_utf8_fails_without_output(self, data_dir, capsys,
+                                                          rows_before):
+        stats = data_dir / 'stats'
+        rows = [('UNK:tok%d' % k, 'FAM:zbot', 30, 40, 30) for k in range(rows_before)]
+        stats.write_bytes(stats_text(rows).encode()
+                          + b'UNK:bad\xff\tFAM:zbot\t30\t40\t30\t1.000000\t0.750000\n')
+        outdir = data_dir / 'out'
+        assert main(update_args(data_dir, stats, outdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert err.count('\n') == 1
+        assert not outdir.exists()
+
     @pytest.mark.parametrize('broken', ['serializer', 'write'])
     def test_failed_run_keeps_previous_outputs(self, matrix_dir, monkeypatch, broken):
         outdir = matrix_dir / 'out'

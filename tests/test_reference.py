@@ -439,4 +439,5 @@ def test_stats_rows_match_naive_sort(parts):
         assert counter.write_stats(out) == len(want)
         assert out.getvalue() == ''.join(
             [STATS_HEADER + '\n'] + [_STATS_ROW % row + '\n' for row in want])
-        assert [tuple(relation) for relation in parse_stats(out.getvalue())] == want
+        assert [tuple(relation)
+                for relation in parse_stats(out.getvalue().splitlines())[1]] == want

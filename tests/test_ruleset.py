@@ -139,6 +139,28 @@ class TestExpansionParse:
         assert 'cycle' in str(err.value)
 
 
+@pytest.mark.parametrize('tagging, expansion, message', [
+    # a bare name is looked up among tag names, which no category root or
+    # structural component is
+    ('tok\tFAM\n', '', "tagging line 1: unknown destination tag name 'FAM'"),
+    ('tok\tOS\n', '', "tagging line 1: unknown destination tag name 'OS'"),
+    ('', 'FAM:zbot\tFAM\n', "expansion line 1: unknown target tag name 'FAM'"),
+    ('tok\tFILE:OS\n', '', 'tagging line 1: destination tag FILE:OS is structural, not a tag'),
+    ('', 'FILE:OS\tzbot\n', 'expansion line 1: source tag FILE:OS is structural, not a tag'),
+    ('', 'FAM:zbot\tFILE:OS\n',
+     'expansion line 1: target tag FILE:OS is structural, not a tag'),
+    ('tok\tFAM:nosuch\n', '', 'tagging line 1: unknown destination tag FAM:nosuch'),
+    ('', 'FAM:zbot\tFAM:nosuch\n', 'expansion line 1: unknown target tag FAM:nosuch'),
+    ('tok\tFAM:Bad-x\n', '',
+     "tagging line 1: bad destination tag 'FAM:Bad-x': bad path component 'Bad-x'"
+     ' (lowercase alphanumeric tag or UPPERCASE structural)'),
+])
+def test_destination_error_texts(taxonomy, tagging, expansion, message):
+    with pytest.raises(RuleError) as err:
+        load_rules(tagging, expansion, taxonomy)
+    assert str(err.value) == message
+
+
 class TestSerialize:
     def test_single_rule_golden(self, taxonomy):
         rules = load_rules('downldr\tdownloader\n', '', taxonomy)

@@ -94,6 +94,17 @@ class TestTagPath:
             assert_same(ancestor, want_ancestor)
 
 
+valid_components = st.from_regex(r'[a-z0-9]{1,3}|[A-Z][A-Z0-9]{0,2}', fullmatch=True)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(category=st.sampled_from(CATEGORIES), rest=st.lists(valid_components, max_size=3))
+def test_is_tag_is_whether_the_name_is_taggable(category, rest):
+    path = TagPath((category,) + tuple(rest))
+    assert path.is_tag == is_taggable(path.name)
+    assert TagPath.parse(path).is_tag == path.is_tag
+
+
 class TestItems:
     def test_render_and_parse_inverse(self):
         for text in ('FAM:bebeg', 'FILE:OS:windows', 'UNK:skodna'):
@@ -284,6 +295,11 @@ def scan_has_children(taxonomy, path):
                for node in taxonomy)
 
 
+def scan_resolve_name(taxonomy, name):
+    return next((node for node in taxonomy
+                 if node.components[-1] == name and is_taggable(name)), None)
+
+
 def internals(taxonomy):
     return (set(taxonomy._nodes), dict(taxonomy._name_index), dict(taxonomy._child_counts))
 
@@ -324,7 +340,7 @@ def reference_add(taxonomy, path):
     counts = taxonomy._child_counts
     for node in missing:
         taxonomy._nodes.add(node)
-        if node.is_tag:
+        if is_taggable(node.name):
             taxonomy._name_index[node.name] = node
         parent = node.rpartition(':')[0]
         counts[parent] = counts.get(parent, 0) + 1
@@ -344,6 +360,9 @@ class TestAddReference:
             else:
                 assert outcome(lambda: got.remove(path)) == outcome(lambda: want.remove(path))
             assert internals(got) == internals(want)
+            for node in list(want) + [path]:
+                assert got.resolve_name(node.name) == scan_resolve_name(want, node.name)
+                assert got.has_children(node) == scan_has_children(want, node)
 
     @pytest.mark.parametrize('text,error', [
         ('FAM:a:b\nFAM:a\n', None),  # a child listed before its parent

@@ -390,7 +390,8 @@ def test_duplicate_endpoints_match_reference():
     '''UNK->UNK with one token twice is known; adding one path twice adds it once.'''
     taxonomy, rules = make_kb('CLASS:virus\n')
     rows = [('UNK:twin', 'UNK:twin', 30, 60, 30), ('UNK:aaa', 'UNK:bbb', 30, 60, 30)]
-    want = assert_infer_matches_reference(parse_stats(stats_text(rows)), taxonomy, rules)
+    want = assert_infer_matches_reference(parse_stats(stats_text(rows).splitlines())[1],
+                                          taxonomy, rules)
     assert (len(want.consumed_known), len(want.consumed_topblock)) == (1, 1)
     assert run_actions(taxonomy, rules, [('add_nodes', P('FAM:twin'), P('FAM:twin'))]) == []
 
@@ -403,7 +404,8 @@ def test_structural_names_never_become_alias_tokens():
     assert reasons == ["alias token 'OS' is not a taggable name",
                        "alias token 'PACKER' is not a taggable name"]
     rows = [('BEH:OS', 'BEH:x2017', 20, 20, 20), ('FILE:PACKER', 'UNK:newpack', 30, 40, 30)]
-    want = assert_infer_matches_reference(parse_stats(stats_text(rows)), taxonomy, rules)
+    want = assert_infer_matches_reference(parse_stats(stats_text(rows).splitlines())[1],
+                                          taxonomy, rules)
     assert [entry.reason for entry in want.unhandled] == reasons
     assert resolve_item(P('BEH:OS'), taxonomy, rules) == P('BEH:OS')
 
@@ -439,7 +441,8 @@ def test_infer_failures_match_reference():
         ('FILE:bundle', 'CLASS:worm', 40, 80, 40),     # no matrix row
         ('FILE:exploit', 'UNK:exploitnew', 20, 21, 20),  # equivalence alias
     ]
-    want = assert_infer_matches_reference(parse_stats(stats_text(rows)), taxonomy, rules)
+    want = assert_infer_matches_reference(parse_stats(stats_text(rows).splitlines())[1],
+                                          taxonomy, rules)
     reasons = [entry.reason for entry in want.unhandled]
     assert any('cannot retire FAM:nested' in r for r in reasons)
     assert any('would create a cycle' in r for r in reasons)
@@ -454,7 +457,8 @@ def test_remap_cycle_and_self_alias_inside_infer():
                          'FAM:zeus\tvirus\nCLASS:virus\tzbot\n')
     rows = [('FAM:zeus', 'FAM:zbot', 30, 60, 30),      # retiring zeus closes a cycle
             ('FAM:virut', 'FAM:zbot', 30, 60, 30)]     # rule zbot -> virut -> zbot
-    want = assert_infer_matches_reference(parse_stats(stats_text(rows)), taxonomy, rules)
+    want = assert_infer_matches_reference(parse_stats(stats_text(rows).splitlines())[1],
+                                          taxonomy, rules)
     reasons = sorted(entry.reason for entry in want.unhandled)
     assert reasons == [
         'retiring FAM:zeus: expansion cycle: CLASS:virus -> FAM:zbot -> CLASS:virus',
@@ -466,7 +470,8 @@ def test_alias_destination_named_after_a_rule_refused():
     newtok -> FAM:zbot next to the rule zbot -> FAM:other would reload as FAM:other.'''
     taxonomy, rules = make_kb('FAM:zbot\nFAM:other\nCLASS:worm\n', 'zbot\tFAM:other\n')
     rows = [('UNK:newtok', 'FAM:zbot', 30, 60, 30)]
-    want = assert_infer_matches_reference(parse_stats(stats_text(rows)), taxonomy, rules)
+    want = assert_infer_matches_reference(parse_stats(stats_text(rows).splitlines())[1],
+                                          taxonomy, rules)
     assert [entry.reason for entry in want.unhandled] == [
         "alias destination FAM:zbot is named after tagging rule 'zbot'"]
     assert 'newtok' not in want.rules.tagging
@@ -502,13 +507,15 @@ def relation_rows(draw, taxonomy, rules):
 def test_infer_matches_reference(data, kb):
     taxonomy, rules = kb
     rows = data.draw(relation_rows(taxonomy, rules))
-    assert_infer_matches_reference(parse_stats(stats_text(rows)), taxonomy, rules)
+    assert_infer_matches_reference(parse_stats(stats_text(rows).splitlines())[1],
+                                          taxonomy, rules)
 
 
 def test_matrix_run_matches_reference():
     taxonomy = load_taxonomy(MATRIX_TAXONOMY)
     rules = load_rules('', 'FAM:virlock\tvirus\n', taxonomy)
-    assert_infer_matches_reference(parse_stats(stats_text(MATRIX_ROWS)), taxonomy, rules)
+    assert_infer_matches_reference(parse_stats(stats_text(MATRIX_ROWS).splitlines())[1],
+                                   taxonomy, rules)
 
 
 random_paths = st.builds(lambda category, rest: TagPath((category,) + tuple(rest)),

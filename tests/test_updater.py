@@ -1,13 +1,16 @@
 import copy
+import io
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avtag import updater
 from avtag.labeler import STATS_HEADER
 from avtag.ruleset import RuleSet, load_rules, serialize_rules
-from avtag.taxonomy import TagPath, UnknownToken, load_taxonomy, serialize_taxonomy
+from avtag.taxonomy import (TagPath, TaxonomyError, UnknownToken, load_taxonomy, parse_item,
+                            serialize_taxonomy)
 from avtag.updater import (
     DEFAULT_MIN_COUNT,
     DEFAULT_MIN_REL,
@@ -32,7 +35,7 @@ from conftest import (MATRIX_ROWS, MATRIX_ROWS_FIXPOINT, MATRIX_TAXONOMY,
 
 
 def relation(t_i, t_j, count_i, count_j, count_ij):
-    [rel] = parse_stats(stats_text([(t_i, t_j, count_i, count_j, count_ij)]))
+    [rel] = parse_stats(stats_text([(t_i, t_j, count_i, count_j, count_ij)]).splitlines())[1]
     return rel
 
 
@@ -47,7 +50,7 @@ def matrix_rules(matrix_taxonomy):
 
 
 def run_rows(rows, taxonomy, rules, config=None):
-    strong = filter_strong(parse_stats(stats_text(rows)), config or UpdateConfig())
+    strong = filter_strong(parse_stats(stats_text(rows).splitlines())[1], config or UpdateConfig())
     return infer(strong, taxonomy, rules, config)
 
 
@@ -112,15 +115,15 @@ class TestParseStats:
     def test_roundtrip_through_format(self):
         rows = [('UNK:fynloski', 'FAM:darkkomet', 50, 100, 50),
                 ('FAM:virut', 'CLASS:virus', 100, 700, 100)]
-        relations = parse_stats(stats_text(rows))
+        relations = parse_stats(stats_text(rows).splitlines())[1]
         ordered = sorted(relations, key=Relation.key)
         text = '\n'.join([STATS_HEADER] + [r.format_row() for r in ordered])
-        assert parse_stats(text) == ordered
+        assert parse_stats(text.splitlines())[1] == ordered
 
     def test_rels_recomputed_from_counts(self):
         text = ('t_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji\n'
                 'FAM:virut\tCLASS:virus\t3\t7\t1\t0.999999\t0.000001\n')
-        [rel] = parse_stats(text)
+        [rel] = parse_stats(text.splitlines())[1]
         assert rel.rel_ij == 1 / 3 and rel.rel_ji == 1 / 7
 
     def test_swapped_counts_normalized(self):
@@ -131,7 +134,7 @@ class TestParseStats:
     def test_header_comments_and_blanks_skipped(self):
         text = ('t_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji\n'
                 '# note\n\nUNK:sometok\tFAM:virut\t5\t10\t5\t1.000000\t0.500000\n')
-        assert len(parse_stats(text)) == 1
+        assert len(parse_stats(text.splitlines())[1]) == 1
 
     def test_malformed_rows_rejected(self):
         bad_rows = [
@@ -145,8 +148,138 @@ class TestParseStats:
         ]
         for row in bad_rows:
             with pytest.raises(ValueError) as err:
-                parse_stats(row)
+                parse_stats(row.splitlines())[1]
             assert 'line 1' in str(err.value)
+
+
+def reference_parse_stats(text):
+    '''parse_stats as it was before it streamed: every row of the whole text.'''
+    relations = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith('#'):
+            continue
+        fields = line.split('\t')
+        if fields[0] == 't_i':
+            continue
+        if len(fields) != 7:
+            raise ValueError('stats line %d: expected 7 tab-separated fields' % lineno)
+        try:
+            t_i = parse_item(fields[0])
+            t_j = parse_item(fields[1])
+            count_i, count_j, count_ij = (int(fields[k]) for k in (2, 3, 4))
+        except (TaxonomyError, ValueError) as exc:
+            raise ValueError('stats line %d: %s' % (lineno, exc)) from None
+        if count_ij < 1 or count_ij > min(count_i, count_j):
+            raise ValueError('stats line %d: inconsistent counts %d/%d/%d'
+                             % (lineno, count_i, count_j, count_ij))
+        if count_i > count_j:
+            t_i, t_j, count_i, count_j = t_j, t_i, count_j, count_i
+        relations.append(Relation(t_i, t_j, count_i, count_j, count_ij,
+                                  count_ij / count_i, count_ij / count_j))
+    return relations
+
+
+def stats_row(t_i, t_j, count_i, count_j, count_ij):
+    return '%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f' % (
+        t_i, t_j, count_i, count_j, count_ij, count_ij / count_i, count_ij / count_j)
+
+
+ENDPOINTS = ['UNK:aa', 'UNK:b2', 'FAM:zbot', 'CLASS:worm', 'FILE:OS:windows', 'BEH:OS']
+
+
+@st.composite
+def stats_rows(draw):
+    '''A valid row, strong or weak at the default thresholds, either endpoint first.'''
+    t_i, t_j = draw(st.lists(st.sampled_from(ENDPOINTS), min_size=2, max_size=2,
+                             unique=True))
+    count_i = draw(st.sampled_from([1, 19, 20, 21, 50]))
+    count_j = draw(st.sampled_from([count_i, count_i + 1, 60]))
+    count_ij = draw(st.integers(1, count_i) | st.just(count_i))
+    if draw(st.booleans()):  # the larger count first: the parser swaps the endpoints
+        t_i, t_j, count_i, count_j = t_j, t_i, count_j, count_i
+    return stats_row(t_i, t_j, count_i, count_j, count_ij)
+
+
+#: rows that fail, some with strong counts and some with weak ones
+MALFORMED_ROWS = [
+    'UNK:aa\tFAM:zbot\t30\t30\t30\t1.0',
+    'UNK:aa\tFAM:zbot\t30\t30\t30\t1.0\t1.0\tx',
+    'UNK:aa\tFAM:zbot\tthirty\t30\t30\t1.0\t1.0',
+    'UNK:aa\tFAM:zbot\t5\t10\t0\t0.0\t0.0',
+    'UNK:aa\tFAM:zbot\t30\t30\t31\t1.0\t1.0',
+    'WAT:aa\tFAM:zbot\t30\t30\t30\t1.0\t1.0',
+    'UNK:aa\tWAT:zbot\t5\t10\t1\t0.2\t0.1',
+    'UNK:A a\tFAM:zbot\t30\t30\t30\t1.0\t1.0',
+    'UNK:aa\x1cFAM:zbot\t30\t30\t30\t1.0\t1.0',  # a row broken by a line separator
+]
+
+#: what separates two lines: a line end, or a line boundary of str.splitlines
+SEPARATORS = ['\n', '\r\n', '\r', '\x0b', '\x0c', '\x1c', '\x1d', '\x1e', '\x85',
+              '\u2028', '\u2029']
+
+
+@st.composite
+def stats_files(draw):
+    '''The bytes of a stats file with a mix of rows, comments, blanks and line ends.'''
+    lines = draw(st.lists(stats_rows() | st.sampled_from(['# note', '', '  ', STATS_HEADER]),
+                          max_size=30))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED_ROWS)))
+    ends = draw(st.lists(st.sampled_from(SEPARATORS) | st.just('\n'),
+                         min_size=len(lines), max_size=len(lines)))
+    text = ''.join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no line end after the last line
+    bom = '\ufeff' if draw(st.booleans()) else ''
+    return (bom + text).encode()
+
+
+def open_stats(data):
+    '''The bytes read as an open stats file is read: BOM dropped, line ends translated.'''
+    return io.TextIOWrapper(io.BytesIO(data), encoding='utf-8-sig')
+
+
+def parsed(parse):
+    try:
+        return parse(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+class TestParseStatsStream:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(data=stats_files(), config=st.none() | st.sampled_from(
+        [UpdateConfig(), UpdateConfig(n=1, T=0.5), UpdateConfig(n=50, T=1)]))
+    def test_stream_matches_the_whole_text_reference(self, data, config):
+        got, error = parsed(lambda: parse_stats(open_stats(data), config))
+        want, want_error = parsed(lambda: reference_parse_stats(open_stats(data).read()))
+        assert error == want_error
+        if want is not None:
+            kept = want if config is None else [r for r in want if is_strong(r, config)]
+            assert got == (len(want), kept)
+
+    def test_lines_split_again_at_every_boundary(self):
+        # '' is one blank line, as in the list text.splitlines() gives
+        lines = ['# note\x0b\n', '', '\n', 'UNK:aa\tFAM:zbot\t5\t10\t0\t0.0\t0.0\n']
+        with pytest.raises(ValueError) as err:
+            parse_stats(lines)
+        assert str(err.value) == 'stats line 5: inconsistent counts 5/10/0'
+
+    def test_each_endpoint_text_parsed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(updater, 'parse_item', lambda text: calls.append(text) or
+                            parse_item(text))
+        rows = [('UNK:aa', 'FAM:zbot', 30, 40, 30), ('UNK:b2', 'FAM:zbot', 5, 40, 1),
+                ('FAM:zbot', 'UNK:aa', 40, 30, 30)]  # swapped into the first row's order
+        count, strong = parse_stats(stats_text(rows).splitlines(), UpdateConfig())
+        assert sorted(calls) == ['FAM:zbot', 'UNK:aa', 'UNK:b2']
+        assert count == 3 and [r.key() for r in strong] == [('UNK:aa', 'FAM:zbot')] * 2
+        assert strong[0].t_i is strong[1].t_i and strong[0].t_j is strong[1].t_j
+
+    def test_one_str_is_refused(self):
+        with pytest.raises(TypeError):
+            parse_stats(stats_text([]))
 
 
 class TestThresholds:
@@ -684,7 +817,7 @@ class TestReports:
                 ('CLASS:grayware:adware', 'CLASS:grayware', 200, 500, 200),
                 ('BEH:inject', 'CLASS:downloader', 50, 160, 50)]
         config = UpdateConfig()
-        relations = parse_stats(stats_text(rows))
+        relations = parse_stats(stats_text(rows).splitlines())[1]
         strong = filter_strong(relations, config)
         result = infer(strong, matrix_taxonomy, matrix_rules, config)
         text = format_changelog(result, len(relations), len(strong),
