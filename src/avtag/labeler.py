@@ -9,7 +9,9 @@ this over a stream of reports.  It ranks a sample only for a tags or compat
 sink, so a statistics-only run builds no ranking.  CooccurrenceCounter keeps
 one row of string-keyed pair counts per item; write_stats writes the stats
 file in sorted order, one group per less frequent endpoint t_i, formatting each
-distinct count triple once.  The stats file is the one bridge to the update
+distinct count triple once.  A pair whose t_i is the larger string waits for
+its group as one list slot, so writing needs little memory above the counter,
+and leaves the counter as it was.  The stats file is the one bridge to the update
 engine, which reads it back with updater.parse_stats.
 
 Expansion distributes over union, so each token's items are computed once per
@@ -304,30 +306,34 @@ class CooccurrenceCounter:
         The file is STATS_HEADER, then one row per counted pair, sorted by
         (t_i, t_j), t_i the less frequent endpoint (ties: the smaller string).
         Items are walked in sorted order and each one's rows go out as one
-        group, one string per row.  A row's pairs whose less frequent endpoint
-        is the larger string wait in `pending` until that endpoint's turn; no
-        other pair is copied.  The count columns are formatted once per
-        distinct (|t_i|, |t_j|, |(t_i,t_j)|).
+        group, one string per row.  A pair whose less frequent endpoint is the
+        larger string is reversed: it waits as that endpoint's key in
+        `pending`, and its count is read back from pair_counts at that
+        endpoint's turn, so no count is copied.  The count columns are
+        formatted once per distinct (|t_i|, |t_j|, |(t_i,t_j)|).  Writing
+        leaves the counter unchanged.
         '''
         item_counts = self.item_counts
         rows = self.pair_counts
-        pending = defaultdict(dict)  # t_i -> {t_j: |(t_i,t_j)|} for t_j < t_i, filled in order
+        pending = defaultdict(list)  # t_i -> the smaller endpoints t_j of its reversed pairs
         counts_row = _STATS_COUNTS + '\n'
         counts_text = {}  # (|t_i|, |t_j|, |(t_i,t_j)|) -> its formatted columns
         written = 0
         handle.write(STATS_HEADER + '\n')
         for t_i in sorted(item_counts):
             count_i = item_counts[t_i]
-            group = pending.pop(t_i, None) or {}
-            for t_j, count_ij in rows.get(t_i, {}).items():
+            row = rows.get(t_i, ())
+            larger = []
+            for t_j in row:
                 if count_i <= item_counts[t_j]:
-                    group[t_j] = count_ij
+                    larger.append(t_j)
                 else:
-                    pending[t_j][t_i] = count_ij
+                    pending[t_j].append(t_i)
             prefix = t_i + '\t'
             lines = []
-            for t_j in sorted(group):
-                counts = (count_i, item_counts[t_j], group[t_j])
+            # the smaller endpoints were pending in sorted order, before every larger one
+            for t_j in itertools.chain(pending.pop(t_i, ()), sorted(larger)):
+                counts = (count_i, item_counts[t_j], row[t_j] if t_j > t_i else rows[t_j][t_i])
                 text = counts_text.get(counts)
                 if text is None:
                     text = counts_text[counts] = counts_row % (

@@ -150,7 +150,7 @@ def parse_item(text):
         token = text[len(UNKNOWN_CATEGORY) + 1:]
         if not is_taggable(token):
             raise TaxonomyError('bad unknown token %r' % (token,))
-        return UnknownToken(token)
+        return str.__new__(UnknownToken, text)  # `text` is already the canonical string
     return TagPath.parse(text)
 
 

@@ -11,7 +11,8 @@ import itertools
 
 from .labeler import _STATS_COUNTS, STATS_HEADER
 from .ruleset import RuleError, _check_expansion_acyclic
-from .taxonomy import TagPath, TaxonomyError, UnknownToken, is_taggable, parse_item
+from .taxonomy import (UNKNOWN_CATEGORY, TagPath, TaxonomyError, UnknownToken, is_taggable,
+                       parse_item)
 
 DEFAULT_MIN_COUNT = 20
 DEFAULT_MIN_REL = 0.94
@@ -442,11 +443,14 @@ def infer(strong, taxonomy, rules, config=None):
     '''Runs the rule matrix over strong relations until nothing changes.
 
     Iterative phase: relations are visited in sorted canonical order against
-    the evolving artifacts; known relations are dropped, equivalences become
-    alias rules, matrix rows for unknown tokens are applied, anything else is
-    kept for the next round.  A round that consumes nothing is followed by
-    the terminal round, the last: remaining tag-to-tag relations with a
-    matrix row become expansion rules; the rest is reported unhandled.
+    the evolving artifacts; known relations are dropped, an equivalence
+    becomes an alias rule when t_i is an unknown token or both endpoints are
+    families, matrix rows for unknown tokens are applied, anything else is
+    kept for the next round.  Any other equivalence goes on as a one-way
+    relation, so that no class, behavior or file tag is retired into another
+    category.  A round that consumes nothing is followed by the terminal
+    round, the last: remaining tag-to-tag relations with a matrix row become
+    expansion rules; the rest is reported unhandled.
     '''
     if config is None:
         config = UpdateConfig()
@@ -492,7 +496,7 @@ def infer(strong, taxonomy, rules, config=None):
                 else:
                     unhandled.append(Unhandled(
                         relation, 'no update rule for category pair (%s, %s)' % pair))
-            elif equivalence:
+            elif equivalence and (a.category == UNKNOWN_CATEGORY or pair == ('FAM', 'FAM')):
                 dest = b if isinstance(b, TagPath) else TagPath(('FAM', b.name))
                 attempt(relation, consumed_equivalence, state.add_alias, a.name, dest)
             elif pair in _TOP_BLOCK:

@@ -55,6 +55,22 @@ def write_lines(path, lines):
     path.write_text(''.join(line + '\n' for line in lines))
 
 
+def write_planted_corpus(path):
+    '''240 samples: planted groups of tag names, rule tokens and unknown tokens, plus noise.'''
+    rng = random.Random(3)
+    groups = [('bebeg', 'skodna'), ('darkkomet', 'fynloski'), ('zeroaccess', 'gingerbreak'),
+              ('virut', 'worm'), ('ircbot', 'themida', 'win'), ('zbot', 'trojan', 'dloader')]
+    noise = [token for group in groups for token in group] + ['risktool', 'sality']
+    lines = []
+    for n in range(240):
+        planted = '.'.join(groups[n % len(groups)])
+        labels = {engine: planted for engine in 'ABC'}
+        labels['D'] = '.'.join(rng.sample(noise, 2))
+        labels['E'] = '.'.join(rng.sample(noise, 2))
+        lines.append(sample_line(sample_id(n), labels))
+    write_lines(path, lines)
+
+
 def read_counts(changelog_path):
     counts = {}
     for line in changelog_path.read_text().splitlines():
@@ -520,6 +536,23 @@ class TestUpdateCommand:
         assert 'refusing to overwrite input file' in capsys.readouterr().err
         assert (data_dir / 'taxonomy').read_bytes() == before
 
+    def test_cross_category_equivalences_keep_class_tags(self, data_dir):
+        '''In the planted corpus worm always comes with virut, and bot (from the rule
+        ircbot -> irc,bot) with irc: neither class is retired into an alias.'''
+        inp, stats, outdir = data_dir / 'samples.jsonl', data_dir / 'stats', data_dir / 'out'
+        write_planted_corpus(inp)
+        assert main(label_args(data_dir, '-i', str(inp), '--stats-out', str(stats))) == 0
+        assert main(update_args(data_dir, stats, outdir, '-n', '10', '-T', '0.8')) == 0
+        taxonomy = load_taxonomy((outdir / 'taxonomy').read_text())
+        assert 'CLASS:worm' in taxonomy and 'CLASS:bot' in taxonomy
+        changelog = (outdir / 'changelog.txt').read_text().splitlines()
+        assert 'expansion + CLASS:bot => FILE:irc' in changelog
+        assert not [line for line in changelog if line.startswith('taxonomy - CLASS:')]
+        rows = [line.split('\t') for line in
+                (outdir / 'unhandled.tsv').read_text().splitlines()[1:]]
+        assert [(row[0], row[1], row[-1]) for row in rows if row[0].startswith('CLASS:')] == [
+            ('CLASS:worm', 'FAM:virut', 'no update rule for category pair (CLASS, FAM)')]
+
     def test_output_clash_refused_before_the_stats_file_is_read(self, data_dir, capsys):
         stats = data_dir / 'stats'
         stats.write_text('UNK:tok\tFAM:zbot\t5\t10\n')  # malformed: 4 fields
@@ -581,13 +614,16 @@ class TestUpdateCommand:
         (tmp_path / 'expansion').write_text('')
         stats = tmp_path / 'stats'
         stats.write_text(stats_text([('BEH:OS', 'BEH:x2017', 20, 20, 20),
+                                     ('FAM:OS', 'FAM:zbot', 20, 20, 20),
                                      ('FILE:PACKER', 'UNK:newpack', 30, 40, 30)]))
         outdir = tmp_path / 'out'
         assert main(update_args(tmp_path, stats, outdir)) == 0
         rows = [line.split('\t') for line in
                 (outdir / 'unhandled.tsv').read_text().splitlines()[1:]]
+        # an equivalence of two BEH tags aliases nothing; one of two families does
         assert [(row[0], row[1], row[-1]) for row in rows] == [
-            ('BEH:OS', 'BEH:x2017', "alias token 'OS' is not a taggable name"),
+            ('BEH:OS', 'BEH:x2017', 'no update rule for category pair (BEH, BEH)'),
+            ('FAM:OS', 'FAM:zbot', "alias token 'OS' is not a taggable name"),
             ('FILE:PACKER', 'UNK:newpack', "alias token 'PACKER' is not a taggable name")]
         # the outputs load again, as inputs of the next round
         assert main(update_args(outdir, stats, tmp_path / 'again')) == 0
@@ -644,20 +680,8 @@ class TestModuleInvocation:
             for name, text in zip(('taxonomy', 'tagging', 'expansion'), texts):
                 (directory / name).write_text(text)
         (matrix / 'stats').write_text(stats_text(MATRIX_ROWS))
-        # planted pairs of tag names, rule tokens and unknown tokens, plus noise
-        rng = random.Random(3)
-        groups = [('bebeg', 'skodna'), ('darkkomet', 'fynloski'), ('zeroaccess', 'gingerbreak'),
-                  ('virut', 'worm'), ('ircbot', 'themida', 'win'), ('zbot', 'trojan', 'dloader')]
-        noise = [token for group in groups for token in group] + ['risktool', 'sality']
-        lines = []
-        for n in range(240):
-            planted = '.'.join(groups[n % len(groups)])
-            labels = {engine: planted for engine in 'ABC'}
-            labels['D'] = '.'.join(rng.sample(noise, 2))
-            labels['E'] = '.'.join(rng.sample(noise, 2))
-            lines.append(sample_line(sample_id(n), labels))
         inp = tmp_path / 'samples.jsonl'
-        write_lines(inp, lines)
+        write_planted_corpus(inp)
 
         outputs = {}
         for seed in ('0', '1'):

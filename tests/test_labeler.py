@@ -343,6 +343,56 @@ class TestWriteStats:
         assert len(parse_stats(out.getvalue().splitlines())[1]) == 3
 
 
+    @staticmethod
+    def reversed_heavy_counter():
+        '''1,000 samples of 24 common items and 2 rare ones.  Each rare item sorts after
+        the common ones and is less frequent, so its 24 pairs with them are reversed.'''
+        counter = CooccurrenceCounter()
+        common = ['CLASS:c%02d' % n for n in range(24)]
+        for n in range(1000):
+            counter.add_items(common + ['UNK:rare%05d' % (2 * n), 'UNK:rare%05d' % (2 * n + 1)])
+        return counter
+
+    def test_reversed_pairs_wait_as_keys_only(self):
+        '''Writing holds under 25 bytes per reversed pair above the counter.'''
+
+        class Discard:
+            def write(self, text):
+                pass
+
+            def writelines(self, lines):
+                pass
+
+        counter = self.reversed_heavy_counter()
+        item_counts = counter.item_counts
+        reversed_pairs = sum(item_counts[a] > item_counts[b]
+                             for a, row in counter.pair_counts.items() for b in row)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            counter.write_stats(Discard())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reversed_pairs == 48000 and len(item_counts) == 2024
+        assert (peak - before) / reversed_pairs < 25
+
+    def test_writing_leaves_the_counter_unchanged(self):
+        counter = self.reversed_heavy_counter()
+        counter.add_items(['FAM:zbot', 'UNK:rare00000'])
+        item_counts = dict(counter.item_counts)
+        pair_counts = {a: dict(row) for a, row in counter.pair_counts.items()}
+        first, second = io.StringIO(), io.StringIO()
+        rows = counter.write_stats(first)
+        assert counter.write_stats(second) == rows == sum(map(len, pair_counts.values()))
+        assert second.getvalue() == first.getvalue()
+        assert counter.item_counts == item_counts and counter.pair_counts == pair_counts
+        # a written counter still merges: twice itself counts every pair twice
+        counter.merge(CooccurrenceCounter().merge(counter))
+        assert counter.pair_counts == {a: {b: 2 * count for b, count in row.items()}
+                                       for a, row in pair_counts.items()}
+
+
 class TestLabelReports:
     @pytest.mark.parametrize('sinks, with_ranking', [
         (('tags_out',), True), (('compat_out',), True), (('counter',), False),

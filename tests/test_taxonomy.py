@@ -116,6 +116,13 @@ class TestItems:
         assert item.category == 'UNK'
         assert item.name == 'skodna'
 
+    def test_unknown_item_is_an_exact_unknown_token(self):
+        for text in ('UNK:skodna', UnknownToken('skodna')):
+            item = parse_item(text)
+            assert type(item) is UnknownToken
+            assert item == 'UNK:skodna' and str(item) == 'UNK:skodna'
+            assert item.name == 'skodna' and repr(item) == "UnknownToken('skodna')"
+
     def test_tag_item(self):
         item = parse_item('CLASS:miner')
         assert item.category == 'CLASS'
@@ -125,6 +132,9 @@ class TestItems:
         for text in ('UNK:Not-A-Token', 'UNK:abcd\n'):
             with pytest.raises(TaxonomyError):
                 parse_item(text)
+        with pytest.raises(TaxonomyError) as info:
+            parse_item('UNK:Not-A-Token')
+        assert str(info.value) == "bad unknown token 'Not-A-Token'"
 
     # explicit ids: an item is a str, which pytest would otherwise put into the id
     @pytest.mark.parametrize('item, category, name, text', [

@@ -13,8 +13,8 @@ reason.  The inputs must come out unchanged.
 from hypothesis import given, settings, strategies as st
 
 from avtag.ruleset import RuleError, _check_expansion_acyclic, load_rules, serialize_rules
-from avtag.taxonomy import (CATEGORIES, TagPath, TaxonomyError, is_taggable, load_taxonomy,
-                            serialize_taxonomy)
+from avtag.taxonomy import (CATEGORIES, TagPath, TaxonomyError, UnknownToken, is_taggable,
+                            load_taxonomy, serialize_taxonomy)
 from avtag.updater import (_BOTTOM_BLOCK, _TOP_BLOCK, ChangeLog, Relation, Unhandled,
                            UpdateConfig, UpdateResult, _ActionError, _known_resolved,
                            _WorkState, filter_strong, format_changelog, format_unhandled, infer,
@@ -190,7 +190,10 @@ def reference_infer(strong, taxonomy, rules, config):
                 known.append(relation)
                 progress = True
                 continue
-            if equivalence:
+            # an equivalence aliases only an unknown token or a family onto a family;
+            # any other goes on as a one-way relation, so no concept is retired
+            if equivalence and (isinstance(a, UnknownToken)
+                                or a.category == b.category == 'FAM'):
                 dest = b if isinstance(b, TagPath) else TagPath(('FAM', b.name))
                 try:
                     state.add_alias(a.name, dest)
@@ -403,10 +406,13 @@ def test_structural_names_never_become_alias_tokens():
                                             ('add_alias', 'PACKER', P('FILE:newpack'))])
     assert reasons == ["alias token 'OS' is not a taggable name",
                        "alias token 'PACKER' is not a taggable name"]
-    rows = [('BEH:OS', 'BEH:x2017', 20, 20, 20), ('FILE:PACKER', 'UNK:newpack', 30, 40, 30)]
+    # an equivalence of two BEH tags aliases nothing: it reaches the terminal round
+    rows = [('BEH:OS', 'BEH:x2017', 20, 20, 20), ('FAM:OS', 'FAM:zbot', 20, 20, 20),
+            ('FILE:PACKER', 'UNK:newpack', 30, 40, 30)]
     want = assert_infer_matches_reference(parse_stats(stats_text(rows).splitlines())[1],
                                           taxonomy, rules)
-    assert [entry.reason for entry in want.unhandled] == reasons
+    assert [entry.reason for entry in want.unhandled] == reasons + [
+        'no update rule for category pair (BEH, BEH)']
     assert resolve_item(P('BEH:OS'), taxonomy, rules) == P('BEH:OS')
 
 
@@ -439,16 +445,40 @@ def test_infer_failures_match_reference():
         ('CLASS:virus', 'FILE:packed', 40, 80, 40),    # expansion closes a cycle
         ('CLASS:X9', 'FILE:bundle', 40, 80, 40),       # structural expansion source
         ('FILE:bundle', 'CLASS:worm', 40, 80, 40),     # no matrix row
-        ('FILE:exploit', 'UNK:exploitnew', 20, 21, 20),  # equivalence alias
+        ('FILE:exploit', 'UNK:exploitnew', 20, 21, 20),  # equivalence: the matrix renames
+        ('UNK:zbotnew', 'FAM:zbot', 30, 31, 30),       # equivalence alias
     ]
     want = assert_infer_matches_reference(parse_stats(stats_text(rows).splitlines())[1],
                                           taxonomy, rules)
+    assert want.rules.tagging['exploit'] == {P('FILE:exploitnew')}
     reasons = [entry.reason for entry in want.unhandled]
     assert any('cannot retire FAM:nested' in r for r in reasons)
     assert any('would create a cycle' in r for r in reasons)
     assert any('source CLASS:X9 is not a tag' in r for r in reasons)
     assert any('no update rule' in r for r in reasons)
     assert len(want.consumed_equivalence) == 1
+
+
+def test_cross_category_equivalences_retire_no_tag():
+    '''Only an equivalence from an unknown token, or between two families, aliases.'''
+    taxonomy, rules = make_kb('CLASS:worm\nCLASS:bot\nFAM:virut\nFAM:zbot\nFAM:zeus\n'
+                              'FILE:irc\nBEH:spread\n')
+    rows = [
+        ('CLASS:worm', 'FAM:virut', 30, 30, 30),     # no matrix row: unhandled
+        ('CLASS:bot', 'FILE:irc', 40, 40, 40),       # expansion rule
+        ('BEH:spread', 'UNK:spreader', 60, 60, 60),  # no matrix row: unhandled
+        ('FAM:zeus', 'FAM:zbot', 50, 50, 50),        # alias
+        ('UNK:newworm', 'CLASS:worm', 25, 25, 25),   # alias
+    ]
+    want = assert_infer_matches_reference(parse_stats(stats_text(rows).splitlines())[1],
+                                          taxonomy, rules)
+    assert [str(path) for path in want.changes.taxonomy_removed] == ['FAM:zeus']
+    assert want.rules.expansion == {P('CLASS:bot'): {P('FILE:irc')}}
+    assert sorted(want.rules.tagging) == ['newworm', 'zeus']
+    assert sorted(entry.reason for entry in want.unhandled) == [
+        'no update rule for category pair (BEH, UNK)',
+        'no update rule for category pair (CLASS, FAM)']
+    assert len(want.consumed_equivalence) == 2
 
 
 def test_remap_cycle_and_self_alias_inside_infer():

@@ -524,13 +524,18 @@ class TestMatrixActions:
 
 class TestActionAborts:
     def test_equivalence_cannot_retire_tag_with_children(self):
-        taxonomy = load_taxonomy('CLASS:grayware\nCLASS:grayware:adware\nCLASS:miner\n')
+        taxonomy = load_taxonomy('FAM:gray\nFAM:gray:sub\nFAM:mine\n'
+                                 'CLASS:grayware\nCLASS:grayware:adware\nCLASS:miner\n')
         rules = load_rules('', '', taxonomy)
-        result = run_rows([('CLASS:grayware', 'CLASS:miner', 100, 105, 100)],
+        # two families alias, so the guard refuses; two classes never alias
+        result = run_rows([('FAM:gray', 'FAM:mine', 100, 105, 100),
+                           ('CLASS:grayware', 'CLASS:miner', 100, 105, 100)],
                           taxonomy, rules)
-        [entry] = result.unhandled
-        assert 'has children' in entry.reason
+        assert [entry.reason for entry in result.unhandled] == [
+            'cannot retire FAM:gray: node has children',
+            'no update rule for category pair (CLASS, CLASS)']
         assert result.changes.total() == 0
+        assert TagPath.parse('FAM:gray') in result.taxonomy
         assert TagPath.parse('CLASS:grayware') in result.taxonomy
 
     def test_alias_blocked_by_existing_rule(self):
