@@ -181,7 +181,10 @@ def run_update(args):
     if clash:
         return _fail('refusing to overwrite input file %s' % (clash,))
     try:
-        taxonomy, rules = _load_data_files(args.taxonomy, args.tagging, args.expansion)
+        # each file is read once; an unchanged artifact is copied from the bytes parsed
+        kb = [_read_bytes(path) for path in (args.taxonomy, args.tagging, args.expansion)]
+        taxonomy = load_taxonomy(kb[0].decode('utf-8-sig'))  # -sig: drops a leading BOM
+        rules = load_rules(kb[1].decode('utf-8-sig'), kb[2].decode('utf-8-sig'), taxonomy)
         with open(args.stats, encoding='utf-8-sig') as handle:  # -sig: drops a leading BOM
             relations_all, strong = updater.parse_stats(handle, config)
     except (OSError, ValueError) as exc:  # ValueError: also a file that is not UTF-8
@@ -196,14 +199,11 @@ def run_update(args):
         tagging_text, expansion_text = serialize_rules(result.rules)
     try:
         os.makedirs(args.outdir, exist_ok=True)
-        # an artifact the run did not change is copied byte for byte
         contents = {
             outputs['taxonomy']: (serialize_taxonomy(result.taxonomy) if changes.taxonomy_dirty
-                                  else _read_bytes(args.taxonomy)),
-            outputs['tagging']: (tagging_text if changes.tagging_dirty
-                                 else _read_bytes(args.tagging)),
-            outputs['expansion']: (expansion_text if changes.expansion_dirty
-                                   else _read_bytes(args.expansion)),
+                                  else kb[0]),
+            outputs['tagging']: tagging_text if changes.tagging_dirty else kb[1],
+            outputs['expansion']: expansion_text if changes.expansion_dirty else kb[2],
             outputs['unhandled.tsv']: updater.format_unhandled(result.unhandled),
             outputs['changelog.txt']: updater.format_changelog(
                 result, relations_all, len(strong), os_removed),

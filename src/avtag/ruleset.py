@@ -105,6 +105,8 @@ def _collapse_aliases(raw_rules, line_of):
             resolve(token)
     except RecursionError:  # the chain from `token` is deeper than the stack allows
         raise RuleError('tagging line %d: alias chain too deep' % line_of[token]) from None
+    finally:
+        del resolve  # it refers to itself: break the cycle that holds every map here
     return resolved
 
 
@@ -131,6 +133,8 @@ def _check_expansion_acyclic(expansion):
                 visit(source, [])
     except RecursionError:  # the chain from `source` is deeper than the stack allows
         raise RuleError('expansion chain from %s too deep' % (source,)) from None
+    finally:
+        del visit  # it refers to itself: break the cycle that holds `color`
 
 
 def load_rules(tagging_text, expansion_text, taxonomy):

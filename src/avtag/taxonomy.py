@@ -155,20 +155,19 @@ def parse_item(text):
 
 
 class Taxonomy:
-    '''Set of TagPath nodes forming a tree rooted at the category roots.
+    '''Tree of TagPath nodes rooted at the category roots.
 
-    Maintains a name index mapping every taggable node's final component to its
-    full path; that name is globally unique across the taxonomy, which is what
-    makes implicit tagging (token == tag name) unambiguous.  It also counts
-    each node's direct children, keyed by the node's canonical string, so
-    that has_children is one lookup.
+    One dict maps every node, roots included, to its number of direct
+    children, so membership and has_children are one lookup each.  Next to
+    it, a name index maps every taggable node's final component to its full
+    path; that name is globally unique across the taxonomy, which is what
+    makes implicit tagging (token == tag name) unambiguous.
     '''
 
     def __init__(self):
-        self._nodes = {TagPath((c,)) for c in CATEGORIES}
+        #: every node -> number of its direct children
+        self._nodes = dict.fromkeys((TagPath((c,)) for c in CATEGORIES), 0)
         self._name_index = {}
-        #: a node's string -> number of its direct children (only nodes that have some)
-        self._child_counts = {}
 
     def __contains__(self, path):
         return path in self._nodes
@@ -184,9 +183,8 @@ class Taxonomy:
 
     def copy(self):
         dup = Taxonomy.__new__(Taxonomy)
-        dup._nodes = set(self._nodes)
+        dup._nodes = dict(self._nodes)
         dup._name_index = dict(self._name_index)
-        dup._child_counts = dict(self._child_counts)
         return dup
 
     def _missing(self, path, removed=None, pending=()):
@@ -236,21 +234,19 @@ class Taxonomy:
         Validates name uniqueness for every node it would create before
         mutating anything, so a failed add leaves the taxonomy untouched.
         '''
-        counts = self._child_counts
+        nodes = self._nodes
         parent, _, name = path.rpartition(':')
-        # common case: a new node with a free name under a present parent (a
-        # category root or a node with children) creates only itself
-        if ((parent in CATEGORIES or parent in counts)
-                and path not in self._nodes and name not in self._name_index):
+        # common case: a new node with a free name under a present parent creates only itself
+        if parent in nodes and path not in nodes and name not in self._name_index:
             missing = [path]
         else:
             missing = self._missing(path)
-        for node in missing:
+        for node in missing:  # root first, so each node's parent is present
             parent, _, name = node.rpartition(':')
-            self._nodes.add(node)
+            nodes[node] = 0
             if not name[:1].isupper():  # a valid structural name starts A-Z
                 self._name_index[name] = node
-            counts[parent] = counts.get(parent, 0) + 1
+            nodes[parent] += 1
         return missing
 
     def remove(self, path):
@@ -261,17 +257,13 @@ class Taxonomy:
             raise TaxonomyError('cannot remove category root %s' % (path,))
         if self.has_children(path):
             raise TaxonomyError('cannot remove %s: node has children' % (path,))
-        self._nodes.discard(path)
+        del self._nodes[path]
         if path.is_tag and self._name_index.get(path.name) == path:
             del self._name_index[path.name]
-        parent = path.rpartition(':')[0]
-        if self._child_counts[parent] == 1:
-            del self._child_counts[parent]
-        else:
-            self._child_counts[parent] -= 1
+        self._nodes[path.rpartition(':')[0]] -= 1
 
     def has_children(self, path):
-        return path in self._child_counts
+        return self._nodes.get(path, 0) > 0
 
     def is_ancestor(self, a, b):
         '''True iff a is a proper ancestor of b (proper prefix of b's path).'''

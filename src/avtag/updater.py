@@ -455,12 +455,11 @@ def infer(strong, taxonomy, rules, config=None):
     if config is None:
         config = UpdateConfig()
     state = _WorkState(taxonomy, rules)
-    remaining = sorted(strong, key=Relation.key)
-    # the resolved (t_i, t_j) of each remaining relation.  Endpoints are resolved
+    # each remaining relation with its resolved (t_i, t_j).  Endpoints are resolved
     # again each round; the terminal round reuses the previous round's, since that
     # round changed nothing and the expansion edges the terminal round adds do not
     # affect resolution (they can make a later relation known, so that is checked)
-    ends = None
+    remaining = [(relation, None, None) for relation in sorted(strong, key=Relation.key)]
     unhandled = []
     consumed_known = []
     consumed_equivalence = []
@@ -478,11 +477,8 @@ def infer(strong, taxonomy, rules, config=None):
     terminal = False
     while remaining:
         kept = []
-        kept_ends = []
-        for k, relation in enumerate(remaining):
-            if terminal:
-                a, b = ends[k]
-            else:
+        for relation, a, b in remaining:
+            if not terminal:
                 a = resolve_item(relation.t_i, state.taxonomy, state.rules)
                 b = resolve_item(relation.t_j, state.taxonomy, state.rules)
             equivalence = is_equivalent(relation, config)
@@ -502,13 +498,12 @@ def infer(strong, taxonomy, rules, config=None):
             elif pair in _TOP_BLOCK:
                 attempt(relation, consumed_topblock, _TOP_BLOCK[pair], state, a, b)
             else:
-                kept.append(relation)
-                kept_ends.append((a, b))
+                kept.append((relation, a, b))
         if terminal:
             break
         # a round that consumed nothing changed nothing: the terminal round follows
         terminal = len(kept) == len(remaining)
-        remaining, ends = kept, kept_ends
+        remaining = kept
 
     return UpdateResult(
         taxonomy=state.taxonomy,

@@ -493,6 +493,24 @@ class TestUpdateCommand:
         counts = read_counts(outdir / 'changelog.txt')
         assert counts['relations all'] == 1 and counts['relations strong'] == 0
 
+    def test_unchanged_artifact_is_the_version_parsed(self, data_dir, monkeypatch):
+        # the expansion file is replaced while infer runs: the copy is still the
+        # bytes the run read and parsed, not the new file
+        expansion = data_dir / 'expansion'
+        original = expansion.read_bytes()
+        infer = updater.infer
+
+        def replacing_infer(*args):
+            expansion.write_text('FAM:bitcoinminer\tworm\n')
+            return infer(*args)
+        monkeypatch.setattr(updater, 'infer', replacing_infer)
+        stats = data_dir / 'stats'
+        stats.write_text(stats_text([('UNK:fynloski', 'FAM:darkkomet', 30, 30, 30)]))
+        outdir = data_dir / 'out'
+        assert main(update_args(data_dir, stats, outdir)) == 0
+        assert 'fynloski\tFAM:darkkomet' in (outdir / 'tagging').read_text()
+        assert (outdir / 'expansion').read_bytes() == original
+
     def test_rules_not_serialized_when_unchanged(self, data_dir, monkeypatch):
         def serialize_rules(rules):
             raise AssertionError('rules serialized though no rule changed')

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from avtag.ruleset import RuleError, RuleSet, load_rules, serialize_rules
 from avtag.taxonomy import TagPath, load_taxonomy
 
-from conftest import deep_chain_texts, random_taxonomy
+from conftest import BASE_EXPANSION, BASE_TAGGING, deep_chain_texts, random_taxonomy
 
 
 @pytest.fixture
@@ -106,6 +107,20 @@ def test_chain_deeper_than_recursion_limit_rejected(chain, message):
     with pytest.raises(RuleError) as err:
         load_rules(*texts, load_taxonomy(taxonomy_text))
     assert str(err.value) == message
+
+
+def test_load_leaves_no_cyclic_garbage(base_taxonomy):
+    '''The recursive alias and cycle checks refer to themselves; a load must not leave
+    that cycle, and the maps it holds, for the cyclic collector.'''
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        load_rules(BASE_TAGGING, BASE_EXPANSION, base_taxonomy)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestExpansionParse:

@@ -311,7 +311,8 @@ def scan_resolve_name(taxonomy, name):
 
 
 def internals(taxonomy):
-    return (set(taxonomy._nodes), dict(taxonomy._name_index), dict(taxonomy._child_counts))
+    # every node with its child count, and the name index
+    return dict(taxonomy._nodes), dict(taxonomy._name_index)
 
 
 def grown(steps):
@@ -347,13 +348,12 @@ class TestChildCounts:
 def reference_add(taxonomy, path):
     '''Taxonomy.add without its early exit: every node it creates comes from _missing.'''
     missing = taxonomy._missing(path)
-    counts = taxonomy._child_counts
+    nodes = taxonomy._nodes
     for node in missing:
-        taxonomy._nodes.add(node)
+        nodes[node] = 0
         if is_taggable(node.name):
             taxonomy._name_index[node.name] = node
-        parent = node.rpartition(':')[0]
-        counts[parent] = counts.get(parent, 0) + 1
+        nodes[node.rpartition(':')[0]] += 1
     return missing
 
 
@@ -394,7 +394,8 @@ class TestAddReference:
         def walk(*args):
             raise AssertionError('_missing called')
         monkeypatch.setattr(Taxonomy, '_missing', walk)
-        for text in ('FAM:c', 'FAM:a:d', 'FILE:OS'):  # under a root, or a node with children
+        # under a root, a node with children, or a childless leaf
+        for text in ('FAM:c', 'FAM:a:d', 'FILE:OS', 'FAM:a:b:x'):
             path = TagPath.parse(text)
             assert taxonomy.add(path) == [path]
 
@@ -458,8 +459,8 @@ class TestRoundTrip:
         taxonomy = random_taxonomy(random.Random(7), size=500)
         copy = pickle.loads(pickle.dumps(taxonomy))
         assert copy == taxonomy
+        assert copy._nodes == taxonomy._nodes  # child counts included
         assert copy._name_index == taxonomy._name_index
-        assert copy._child_counts == taxonomy._child_counts
 
 
 class TestOrderProperties:
