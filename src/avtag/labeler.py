@@ -20,8 +20,9 @@ of a taxonomy and rule set, plus a token index keyed by every token that hits
 a tagging rule or a tag name.  On a token's first sighting its value is filled
 with its (pre-expansion items, expanded items), computed by tag_tokens and
 expand and stored as frozensets of canonical item strings (``FAM:zbot``,
-``CLASS:worm``).  Other tokens are never stored, since they are unbounded; a
-kept unknown token becomes ``UNK:<token>``.
+``CLASS:worm``); when expansion adds nothing, both are one frozenset.  Other
+tokens are never stored, since they are unbounded; a kept unknown token
+becomes ``UNK:<token>``.
 Labeling a label is then tokenize, index lookup and set union.  Ranking items
 and counted items are therefore plain canonical strings.  A TagPath or
 UnknownToken equals its canonical string, but the index stores exact str
@@ -164,7 +165,9 @@ class CompiledKB:
     '''A knowledge base compiled for labeling: copies of a taxonomy and rule set.
 
     `index` maps every tagging-rule token and tag name to its entry, None
-    until the token is first seen.  The copies make the object a snapshot:
+    until the token is first seen: then the token's (pre-expansion items,
+    expanded items), frozensets of canonical item strings that are one object
+    when expansion adds nothing.  The copies make the object a snapshot:
     editing the taxonomy or rules it was compiled from leaves it as it was,
     so compile again to label with the edited knowledge base.  One compiled
     object can be shared by threads and corpus partitions.
@@ -182,8 +185,9 @@ class CompiledKB:
 def _index_token(kb, token):
     '''Stores and returns the index entry of a token that hits a rule or a tag name.'''
     tags, _ = tag_tokens((token,), kb.rules, kb.taxonomy)
-    entry = (frozenset(map(str, tags)),
-             frozenset(map(str, expand(tags, kb.rules, kb.taxonomy))))
+    raw = frozenset(map(str, tags))
+    expanded = frozenset(map(str, expand(tags, kb.rules, kb.taxonomy)))
+    entry = (raw, raw if expanded == raw else expanded)
     kb.index[token] = entry
     return entry
 

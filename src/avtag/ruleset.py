@@ -9,6 +9,9 @@ whose single destination is the literal ``GEN`` marks the token as generic
 Loaded, the rules are two plain maps: ``tagging`` from a token to the
 frozenset of TagPaths it maps to (empty for a generic token), and
 ``expansion`` from a source TagPath to the frozenset of TagPaths it implies.
+Every tag they hold is the taxonomy's own node object, whichever way the file
+spells it, and sources with equal target sets share one frozenset, so a
+loaded rule set holds no second copy of a tag or of a target set.
 '''
 
 from .taxonomy import TagPath, TaxonomyError, is_taggable
@@ -61,9 +64,10 @@ def _resolve_destination(text, taxonomy, what):
             raise RuleError('bad %s %r: %s' % (what, text, exc)) from None
         raise RuleError('unknown %s %s' % (what, path))
     # a taxonomy node is a valid path, whose structural name starts A-Z
-    if text.rpartition(':')[2][:1].isupper():
+    name = text.rpartition(':')[2]
+    if name[:1].isupper():
         raise RuleError('%s %s is structural, not a tag' % (what, text))
-    return str.__new__(TagPath, text)
+    return taxonomy.resolve_name(name)  # tag names are unique: this is the node itself
 
 
 def _split_line(line):
@@ -181,6 +185,7 @@ def load_rules(tagging_text, expansion_text, taxonomy):
                     % (line_of[token], token))
 
     expansion = {}
+    target_sets = {}  # each distinct target set -> the one frozenset the sources share
     for lineno, raw in enumerate(expansion_text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith('#'):
@@ -206,7 +211,8 @@ def load_rules(tagging_text, expansion_text, taxonomy):
                 targets.add(target)
         except RuleError as exc:
             raise RuleError('expansion line %d: %s' % (lineno, exc)) from None
-        expansion[source] = frozenset(targets)
+        targets = frozenset(targets)
+        expansion[source] = target_sets.setdefault(targets, targets)
 
     _check_expansion_acyclic(expansion)
     return RuleSet(tagging, expansion)

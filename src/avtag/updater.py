@@ -188,9 +188,9 @@ def resolve_item(item, taxonomy, rules):
     whose name is structural, which no rule or tag can be named after.
     Otherwise the item's name is chased through single-destination tagging
     rules, then looked up in the taxonomy's name index; a name with no home is
-    an unknown token.  Returns None when the name hits a generic or
-    multi-destination rule: such a token is already fully covered, so
-    relations about it carry no news.
+    an unknown token, the item itself when it is one.  Returns None when the
+    name hits a generic or multi-destination rule: such a token is already
+    fully covered, so relations about it carry no news.
     '''
     name = item.name
     if item in taxonomy or name[:1].isupper():  # a valid structural name starts A-Z
@@ -211,7 +211,9 @@ def resolve_item(item, taxonomy, rules):
     if path is not None:
         return path
     found = taxonomy.resolve_name(name)
-    return found if found is not None else UnknownToken(name)
+    if found is not None:
+        return found
+    return item if isinstance(item, UnknownToken) else UnknownToken(name)
 
 
 def _known_resolved(a, b, taxonomy, rules, equivalence):

@@ -168,6 +168,18 @@ class TestLabelSample:
         ranking = analyze_sample(report(labels), CompiledKB(base_taxonomy, base_rules))[0]
         assert [str(a.item) for a in ranking] == ['FAM:virut', 'FAM:zbot']
 
+    def test_index_entry_is_one_set_when_expansion_adds_nothing(self, base_rules,
+                                                                base_taxonomy):
+        kb = CompiledKB(base_taxonomy, base_rules)
+        analyze_sample(report({'A': 'zbot.bitcoinminer'}), kb)
+        zbot, miner = kb.index['zbot'], kb.index['bitcoinminer']
+        assert zbot == (frozenset({'FAM:zbot'}),) * 2
+        assert zbot[0] is zbot[1]
+        # FAM:bitcoinminer has an expansion rule
+        assert miner == (frozenset({'FAM:bitcoinminer'}),
+                         frozenset({'FAM:bitcoinminer', 'CLASS:miner'}))
+        assert miner[0] is not miner[1]
+
 
 class TestCompatFamily:
     def test_family_tag_wins(self, base_rules, base_taxonomy):

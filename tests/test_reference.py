@@ -314,10 +314,13 @@ def test_unknown_tokens_add_no_index_keys():
 
 def test_rule_set_and_compiled_kb_survive_pickle():
     '''A pickled RuleSet and a pickled, partly filled CompiledKB label as the originals.'''
-    taxonomy, rules = base_kb()
-    rules.expansion[TagPath.parse('FAM:zbot')] = frozenset({TagPath.parse('BEH:infosteal')})
+    taxonomy = load_taxonomy(BASE_TAXONOMY)
+    # two sources with one target set, which the loaded rules hold as one frozenset
+    expansion = BASE_EXPANSION + 'FAM:zbot\tinfosteal\nFAM:darkkomet\tinfosteal\n'
+    rules = load_rules(BASE_TAGGING, expansion, taxonomy)
     reports = [two_engine_report(label, n) for n, label in
-               enumerate(['zbot.dloader', 'trojan.ircbot.skodna', 'bitcoinminer.win'])]
+               enumerate(['zbot.dloader', 'trojan.ircbot.skodna', 'bitcoinminer.win',
+                          'darkkomet.zbot'])]
     kb = CompiledKB(taxonomy, rules)
     indexed_analyze(reports[0], kb)
     rules_copy = pickle.loads(pickle.dumps(rules))

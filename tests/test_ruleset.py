@@ -153,6 +153,28 @@ class TestExpansionParse:
             load_rules('', 'FAM:zeus\tbot\nCLASS:bot\tzeus\n', taxonomy)
         assert 'cycle' in str(err.value)
 
+    def test_equal_target_sets_are_one_frozenset(self, taxonomy):
+        rules = load_rules('', 'CLASS:worm\tFAM:zbot,selfpropagate\n'
+                               'FAM:zeus\tselfpropagate,zbot\n'
+                               'CLASS:bot\tBEH:selfpropagate\n', taxonomy)
+        worm, zeus, bot = (rules.expansion[TagPath.parse(source)]
+                           for source in ('CLASS:worm', 'FAM:zeus', 'CLASS:bot'))
+        assert worm == zeus == paths('FAM:zbot', 'BEH:selfpropagate')
+        assert worm is zeus
+        assert bot == paths('BEH:selfpropagate') and bot is not worm
+
+
+def test_rule_tags_are_the_taxonomy_nodes(taxonomy):
+    '''Destinations, by name or by full path, and sources are the taxonomy's own node
+    objects, so a loaded rule set holds no second copy of a tag.'''
+    rules = load_rules('hidden\tCLASS:grayware:adware\nircbot\tirc,CLASS:bot\n',
+                       'FAM:zeus\tFAM:zbot,selfpropagate\n', taxonomy)
+    tags = [tag for value in rules.tagging.values() for tag in value]
+    tags += [tag for source, targets in rules.expansion.items() for tag in (source, *targets)]
+    assert len(tags) == 6
+    for tag in tags:
+        assert taxonomy.resolve_name(tag.name) is tag
+
 
 @pytest.mark.parametrize('tagging, expansion, message', [
     # a bare name is looked up among tag names, which no category root or
