@@ -186,38 +186,42 @@ def run_update(args):
         taxonomy = load_taxonomy(kb[0].decode('utf-8-sig'))  # -sig: drops a leading BOM
         rules = load_rules(kb[1].decode('utf-8-sig'), kb[2].decode('utf-8-sig'), taxonomy)
         with open(args.stats, encoding='utf-8-sig') as handle:  # -sig: drops a leading BOM
-            relations_all, strong = updater.parse_stats(handle, config)
+            relations_all, strong = updater.parse_stats(handle, config, taxonomy)
     except (OSError, ValueError) as exc:  # ValueError: also a file that is not UTF-8
         return _fail(exc)
 
+    relations_strong = len(strong)
     kept = [r for r in strong if not updater.involves_os_tag(r)]
-    os_removed = len(strong) - len(kept)
+    del strong
+    os_removed = relations_strong - len(kept)
     result = updater.infer(kept, taxonomy, rules, config)
+    # infer worked on copies: free the inputs before the outputs are built
+    del kept, taxonomy, rules
 
     changes = result.changes
-    if changes.tagging_dirty or changes.expansion_dirty:  # else both files are copied
-        tagging_text, expansion_text = serialize_rules(result.rules)
     try:
         os.makedirs(args.outdir, exist_ok=True)
-        contents = {
-            outputs['taxonomy']: (serialize_taxonomy(result.taxonomy) if changes.taxonomy_dirty
-                                  else kb[0]),
-            outputs['tagging']: tagging_text if changes.tagging_dirty else kb[1],
-            outputs['expansion']: expansion_text if changes.expansion_dirty else kb[2],
-            outputs['unhandled.tsv']: updater.format_unhandled(result.unhandled),
-            outputs['changelog.txt']: updater.format_changelog(
-                result, relations_all, len(strong), os_removed),
-        }
+        # each output is built just before it is written
         with _Staging() as staging:
-            for path, content in contents.items():
-                staging.open(path, binary=isinstance(content, bytes)).write(content)
+            def write(name, content):
+                staging.open(outputs[name], binary=isinstance(content, bytes)).write(content)
+
+            write('taxonomy', serialize_taxonomy(result.taxonomy) if changes.taxonomy_dirty
+                  else kb[0])
+            if changes.tagging_dirty or changes.expansion_dirty:  # else both are copied
+                tagging_text, expansion_text = serialize_rules(result.rules)
+            write('tagging', tagging_text if changes.tagging_dirty else kb[1])
+            write('expansion', expansion_text if changes.expansion_dirty else kb[2])
+            write('unhandled.tsv', updater.format_unhandled(result.unhandled))
+            write('changelog.txt', updater.format_changelog(
+                result, relations_all, relations_strong, os_removed))
             staging.commit()
     except OSError as exc:
         return _fail(exc)
 
     sys.stderr.write(
         'relations: all %d, strong %d, os_removed %d, known %d, out %d\n'
-        % (relations_all, len(strong), os_removed,
+        % (relations_all, relations_strong, os_removed,
            len(result.consumed_known), len(result.unhandled)))
     sys.stderr.write(
         'taxonomy +%d -%d, tagging +%d -%d, expansion +%d -%d\n'

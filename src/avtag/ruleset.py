@@ -10,8 +10,9 @@ Loaded, the rules are two plain maps: ``tagging`` from a token to the
 frozenset of TagPaths it maps to (empty for a generic token), and
 ``expansion`` from a source TagPath to the frozenset of TagPaths it implies.
 Every tag they hold is the taxonomy's own node object, whichever way the file
-spells it, and sources with equal target sets share one frozenset, so a
-loaded rule set holds no second copy of a tag or of a target set.
+spells it, and tokens with equal destination sets, like sources with equal
+target sets, share one frozenset, so a loaded rule set holds no second copy
+of a tag or of a set.
 '''
 
 from .taxonomy import TagPath, TaxonomyError, is_taggable
@@ -83,8 +84,10 @@ def _collapse_aliases(raw_rules, line_of):
     After collapse no destination's name appears as another rule's token, so
     tagging is a single map lookup and downstream consumers only ever see
     canonical tags.  Chains through a generic token contribute nothing.
+    Tokens with equal destination sets share one frozenset.
     '''
     resolved = {}
+    shared = {}  # each distinct destination set -> the one frozenset the tokens share
     visiting = []
 
     def resolve(token):
@@ -101,7 +104,8 @@ def _collapse_aliases(raw_rules, line_of):
             else:
                 flat.add(dest)
         visiting.pop()
-        resolved[token] = frozenset(flat)
+        flat = frozenset(flat)
+        resolved[token] = shared.setdefault(flat, flat)
         return resolved[token]
 
     try:

@@ -97,16 +97,25 @@ UpdateResult = collections.namedtuple('UpdateResult', (
 
 
 class _Items(dict):
-    '''Parsed endpoints by their text: a missing key is parsed, stored and returned.'''
+    '''Parsed endpoints by their text: a missing key is parsed, stored and returned.
 
-    __slots__ = ()
+    With a taxonomy, a text that is one of its tags is stored as that node
+    object, so the relations hold no second copy of it.
+    '''
+
+    __slots__ = ('_resolve_name',)
+
+    def __init__(self, taxonomy=None):
+        super().__init__()
+        self._resolve_name = {}.get if taxonomy is None else taxonomy.resolve_name
 
     def __missing__(self, text):
-        item = self[text] = parse_item(text)
+        node = self._resolve_name(text.rpartition(':')[2])  # the name index holds tags only
+        item = self[text] = node if node == text else parse_item(text)
         return item
 
 
-def parse_stats(lines, config=None):
+def parse_stats(lines, config=None, taxonomy=None):
     '''Parses stats TSV lines back into Relations; returns (rows, relations).
 
     `lines` is any iterable of text lines, such as an open file.  Each is split
@@ -114,7 +123,9 @@ def parse_stats(lines, config=None):
     text.splitlines() does.  Every row is checked, in file order, but with a
     `config` only the strong relations are kept: memory grows with them and
     with the distinct endpoints, each parsed once, not with the rows.  `rows`
-    counts every relation row, strong or not.
+    counts every relation row, strong or not.  Equal counts of the strong
+    relations are one int object.  With a `taxonomy`, an endpoint that is one
+    of its tags is the taxonomy's own node; the relations are equal either way.
 
     The rel columns are recomputed from the integer counts so that threshold
     comparisons never depend on the 6-decimal formatting; rows violating
@@ -124,7 +135,8 @@ def parse_stats(lines, config=None):
         raise TypeError('parse_stats takes an iterable of lines, not one str')
     # every consistent row has count_i >= 1 and rel_ij > 0, so no config keeps all
     n, T = (1, 0) if config is None else config
-    items = _Items()
+    items = _Items(taxonomy)
+    share = {}.setdefault  # each count of a strong row -> the one int the relations share
     relations = []
     rows = 0
     # ''.splitlines() is empty, but '' is one blank line in a list like text.splitlines()
@@ -152,8 +164,8 @@ def parse_stats(lines, config=None):
             t_i, t_j, count_i, count_j = t_j, t_i, count_j, count_i
         rel_ij = count_ij / count_i
         if count_i >= n and rel_ij >= T:  # is_strong, before a Relation is built
-            relations.append(Relation(t_i, t_j, count_i, count_j, count_ij,
-                                      rel_ij, count_ij / count_j))
+            relations.append(Relation(t_i, t_j, share(count_i, count_i), share(count_j, count_j),
+                                      share(count_ij, count_ij), rel_ij, count_ij / count_j))
     return rows, relations
 
 
@@ -245,13 +257,15 @@ class _WorkState:
 
     Each action validates everything it would change before it changes
     anything, without copying the artifacts, so a failed action leaves them
-    as they were.
+    as they were.  Every one-tag tagging value an action writes for a tag is
+    one shared frozenset.
     '''
 
     def __init__(self, taxonomy, rules):
         self.taxonomy = taxonomy.copy()
         self.rules = rules.copy()
         self.changes = ChangeLog()
+        self._one_tag = {}  # tag -> the frozenset({tag}) the rules written to it share
 
     def add_nodes(self, *paths):
         '''Adds taxonomy nodes; validates every path before touching anything.'''
@@ -310,10 +324,12 @@ class _WorkState:
             self.changes.taxonomy_removed.append(old)
         if dest not in self.taxonomy:
             self.changes.taxonomy_added.extend(self.taxonomy.add(dest))
-        self.rules.tagging[token] = frozenset({dest})
+        tagging = self.rules.tagging
+        one_tag = tagging[token] = self._one_tag.setdefault(dest, frozenset((dest,)))
         self.changes.tagging_added.append(token)
         for other in referring:
-            self.rules.tagging[other] = self.rules.tagging[other] - {old} | {dest}
+            dests = tagging[other] - {old} | {dest}
+            tagging[other] = one_tag if len(dests) == 1 else dests
         for source, targets in remapped.items():
             if targets is None:
                 del self.rules.expansion[source]
@@ -460,8 +476,11 @@ def infer(strong, taxonomy, rules, config=None):
     # each remaining relation with its resolved (t_i, t_j).  Endpoints are resolved
     # again each round; the terminal round reuses the previous round's, since that
     # round changed nothing and the expansion edges the terminal round adds do not
-    # affect resolution (they can make a later relation known, so that is checked)
-    remaining = [(relation, None, None) for relation in sorted(strong, key=Relation.key)]
+    # affect resolution (they can make a later relation known, so that is checked).
+    # The first round resolves every relation, so it starts from no pairs
+    ordered = sorted(strong, key=Relation.key)
+    size = len(ordered)
+    remaining = zip(ordered, itertools.repeat(None), itertools.repeat(None))
     unhandled = []
     consumed_known = []
     consumed_equivalence = []
@@ -477,7 +496,7 @@ def infer(strong, taxonomy, rules, config=None):
             consumed.append(relation)
 
     terminal = False
-    while remaining:
+    while size:
         kept = []
         for relation, a, b in remaining:
             if not terminal:
@@ -504,8 +523,8 @@ def infer(strong, taxonomy, rules, config=None):
         if terminal:
             break
         # a round that consumed nothing changed nothing: the terminal round follows
-        terminal = len(kept) == len(remaining)
-        remaining = kept
+        terminal = len(kept) == size
+        remaining, size = kept, len(kept)
 
     return UpdateResult(
         taxonomy=state.taxonomy,

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -510,6 +511,26 @@ class TestUpdateCommand:
         assert main(update_args(data_dir, stats, outdir)) == 0
         assert 'fynloski\tFAM:darkkomet' in (outdir / 'tagging').read_text()
         assert (outdir / 'expansion').read_bytes() == original
+
+    def test_inputs_freed_before_the_outputs_are_built(self, data_dir, monkeypatch):
+        # once infer has returned its copies, the loaded taxonomy is no longer held
+        infer, serialize_taxonomy = updater.infer, cli.serialize_taxonomy
+        loaded, alive = [], []
+
+        def recording_infer(strong, taxonomy, *args):
+            loaded.append(weakref.ref(taxonomy))
+            return infer(strong, taxonomy, *args)
+
+        def checking_serialize_taxonomy(taxonomy):
+            alive.append(loaded[0]() is not None)
+            return serialize_taxonomy(taxonomy)
+        monkeypatch.setattr(updater, 'infer', recording_infer)
+        monkeypatch.setattr(cli, 'serialize_taxonomy', checking_serialize_taxonomy)
+        stats = data_dir / 'stats'
+        stats.write_text(stats_text([('UNK:aaanewfam', 'CLASS:worm', 30, 40, 30)]))
+        assert main(update_args(data_dir, stats, data_dir / 'out')) == 0
+        assert alive == [False]
+        assert 'FAM:aaanewfam' in (data_dir / 'out' / 'taxonomy').read_text()
 
     def test_rules_not_serialized_when_unchanged(self, data_dir, monkeypatch):
         def serialize_rules(rules):

@@ -92,6 +92,15 @@ class TestAliasCollapse:
         rules = load_rules('foo\tGEN\noldfoo\tfoo\n', '', taxonomy)
         assert rules.tagging['oldfoo'] == frozenset()
 
+    def test_equal_destination_sets_are_one_frozenset(self, taxonomy):
+        # by name, by full path, in another order and through a chain
+        rules = load_rules('zeus\tzbot\nzbotgen\tFAM:zbot\nzeusgen\tzeus\n'
+                           'ircbot\tirc,bot\nbotirc\tCLASS:bot,FILE:irc\n', '', taxonomy)
+        zeus, zbotgen, zeusgen, ircbot, botirc = (
+            rules.tagging[token] for token in ('zeus', 'zbotgen', 'zeusgen', 'ircbot', 'botirc'))
+        assert zeus == paths('FAM:zbot') and zeus is zbotgen and zeus is zeusgen
+        assert ircbot == paths('CLASS:bot', 'FILE:irc') and ircbot is botirc
+
     def test_alias_cycle_rejected(self, taxonomy):
         with pytest.raises(RuleError) as err:
             load_rules('zeus\tzbot\nzbot\tzeus\n', '', taxonomy)

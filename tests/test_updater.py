@@ -247,12 +247,17 @@ def parsed(parse):
         return None, str(exc)
 
 
+#: holds some of ENDPOINTS' tags (zbot and windows), not the others, and a tag named aa
+STREAM_TAXONOMY = load_taxonomy('FAM:zbot\nFILE:OS:windows\nCLASS:aa\n')
+
+
 class TestParseStatsStream:
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(data=stats_files(), config=st.none() | st.sampled_from(
-        [UpdateConfig(), UpdateConfig(n=1, T=0.5), UpdateConfig(n=50, T=1)]))
-    def test_stream_matches_the_whole_text_reference(self, data, config):
-        got, error = parsed(lambda: parse_stats(open_stats(data), config))
+        [UpdateConfig(), UpdateConfig(n=1, T=0.5), UpdateConfig(n=50, T=1)]),
+        taxonomy=st.sampled_from([None, STREAM_TAXONOMY]))
+    def test_stream_matches_the_whole_text_reference(self, data, config, taxonomy):
+        got, error = parsed(lambda: parse_stats(open_stats(data), config, taxonomy))
         want, want_error = parsed(lambda: reference_parse_stats(open_stats(data).read()))
         assert error == want_error
         if want is not None:
@@ -280,6 +285,50 @@ class TestParseStatsStream:
     def test_one_str_is_refused(self):
         with pytest.raises(TypeError):
             parse_stats(stats_text([]))
+
+
+class TestParseStatsSharing:
+    ROWS = [('UNK:aa', 'FAM:zbot', 300, 400, 300), ('UNK:b2', 'FAM:zbot', 300, 400, 300),
+            ('FAM:zbot', 'CLASS:worm', 400, 500, 400), ('FAM:nosuch', 'FILE:OS', 30, 40, 30),
+            ('UNK:zbot', 'FILE:OS:windows', 300, 900, 299)]
+
+    def test_tag_endpoints_are_the_taxonomy_nodes(self):
+        taxonomy = load_taxonomy('CLASS:worm\nFAM:zbot\nFILE:OS:windows\n')
+        rows, strong = parse_stats(stats_text(self.ROWS).splitlines(), UpdateConfig(),
+                                   taxonomy)
+        assert rows == 5 and len(strong) == 5
+        for tag in ('FAM:zbot', 'CLASS:worm', 'FILE:OS:windows'):
+            found = [item for rel in strong for item in rel.key() if item == tag]
+            assert found and all(item is taxonomy.resolve_name(tag.rpartition(':')[2])
+                                 for item in found), tag
+
+    def test_items_outside_the_taxonomy_parse_as_without_it(self):
+        # a missing family, a structural path, a root and an unknown token named
+        # after a tag keep the types and values they parse to without a taxonomy
+        taxonomy = load_taxonomy('CLASS:worm\nFAM:zbot\nFILE:OS:windows\n')
+        text = stats_text(self.ROWS + [('FAM', 'UNK:aa', 30, 30, 30)])
+        with_taxonomy = parse_stats(text.splitlines(), None, taxonomy)
+        without = parse_stats(text.splitlines())
+        assert with_taxonomy == without
+        for got, want in zip(with_taxonomy[1], without[1]):
+            assert [type(item) for item in got.key()] == [type(item) for item in want.key()]
+        unknown = next(rel.t_i for rel in with_taxonomy[1] if rel.t_i == 'UNK:zbot')
+        assert isinstance(unknown, UnknownToken)
+
+    def test_equal_counts_of_strong_rows_are_one_int(self):
+        strong = parse_stats(stats_text(self.ROWS).splitlines(), UpdateConfig())[1]
+        # each text was read by its own int() call
+        assert strong[0].count_i is strong[0].count_ij is strong[1].count_i
+        assert strong[0].count_j is strong[1].count_j is strong[2].count_i
+        assert strong[4].count_i is strong[0].count_i
+
+    def test_bad_count_in_a_weak_row_still_names_its_line(self):
+        text = (stats_text([('UNK:b2', 'FAM:zbot', 5, 10, 1)])
+                + 'UNK:aa\tFAM:zbot\t5\tten\t1\t0.2\t0.1\n')
+        with pytest.raises(ValueError) as err:
+            parse_stats(text.splitlines(), UpdateConfig(), STREAM_TAXONOMY)
+        assert str(err.value) == (
+            "stats line 3: invalid literal for int() with base 10: 'ten'")
 
 
 class TestThresholds:
@@ -635,6 +684,24 @@ class TestAliasRewrites:
         taxonomy_text = serialize_taxonomy(result.taxonomy)
         tagging_text, expansion_text = serialize_rules(result.rules)
         load_rules(tagging_text, expansion_text, load_taxonomy(taxonomy_text))
+
+    def test_aliases_to_one_tag_share_one_frozenset(self):
+        # an added alias (matrix row or equivalence, or a retired family) and a
+        # rule rewritten onto the alias destination all hold {FAM:zbot}
+        taxonomy = load_taxonomy('FAM:virut\nFAM:zbot\nFAM:zeus\n')
+        rules = load_rules('zeusgen\tzeus\n', '', taxonomy)
+        before = rules.copy()
+        result = run_rows([('FAM:zeus', 'FAM:zbot', 70, 140, 70),
+                           ('UNK:aaalias', 'FAM:zbot', 50, 100, 50),
+                           ('UNK:bbalias', 'FAM:zbot', 95, 100, 95),
+                           ('UNK:ccalias', 'FAM:virut', 50, 100, 50)], taxonomy, rules)
+        tagging = result.rules.tagging
+        assert sorted(tagging) == ['aaalias', 'bbalias', 'ccalias', 'zeus', 'zeusgen']
+        zbot = tagging['zeus']
+        assert zbot == frozenset({TagPath.parse('FAM:zbot')})
+        assert all(tagging[token] is zbot for token in ('zeusgen', 'aaalias', 'bbalias'))
+        assert tagging['ccalias'] == frozenset({TagPath.parse('FAM:virut')})
+        assert rules == before
 
     def test_expansion_source_follows_retired_tag(self):
         taxonomy = load_taxonomy('BEH:infosteal\nFAM:zbot\nFAM:zeus\n')
