@@ -14,19 +14,21 @@ import sys
 
 from . import labeler, updater
 from .ruleset import load_rules, serialize_rules
-from .taxonomy import load_taxonomy, serialize_taxonomy
+from .taxonomy import TaxonomyError, load_taxonomy, serialize_taxonomy
 
 UPDATE_OUTPUT_NAMES = ('taxonomy', 'tagging', 'expansion', 'unhandled.tsv', 'changelog.txt')
-
-
-def _read_text(path):
-    with open(path, encoding='utf-8-sig') as handle:  # -sig: drops a leading BOM
-        return handle.read()
 
 
 def _read_bytes(path):
     with open(path, 'rb') as handle:
         return handle.read()
+
+
+def _decode(data, path):
+    try:
+        return data.decode('utf-8-sig')  # -sig: drops a leading BOM
+    except UnicodeDecodeError as exc:
+        raise ValueError('%s: %s' % (path, exc)) from None
 
 
 class _Staging:
@@ -74,15 +76,21 @@ class _Staging:
                 pass
 
 
-def _load_data_files(taxonomy_path, tagging_path, expansion_path):
-    taxonomy = load_taxonomy(_read_text(taxonomy_path))
-    rules = load_rules(_read_text(tagging_path), _read_text(expansion_path), taxonomy)
-    return taxonomy, rules
+def _load_kb(taxonomy_path, tagging_path, expansion_path):
+    '''Reads each knowledge-base file once: (taxonomy, rules, the three files' bytes).'''
+    paths = (taxonomy_path, tagging_path, expansion_path)
+    data = [_read_bytes(path) for path in paths]
+    texts = [_decode(raw, path) for raw, path in zip(data, paths)]
+    try:
+        taxonomy = load_taxonomy(texts[0])
+    except TaxonomyError as exc:  # a rule error names its file and line itself
+        raise TaxonomyError('%s: %s' % (taxonomy_path, exc)) from None
+    return taxonomy, load_rules(texts[1], texts[2], taxonomy), data
 
 
 def _load_allowlist(path):
     names = set()
-    for line in _read_text(path).splitlines():
+    for line in _decode(_read_bytes(path), path).splitlines():
         line = line.strip()
         if line and not line.startswith('#'):
             names.add(line.lower())
@@ -136,7 +144,8 @@ def run_label(args):
         if not os.path.isfile(path):
             return _fail('input file not found: %s' % (path,))
     try:
-        kb = labeler.CompiledKB(*_load_data_files(args.taxonomy, args.tagging, args.expansion))
+        # the compiled copy alone stays alive: the loaded files and maps are freed here
+        kb = labeler.CompiledKB(*_load_kb(args.taxonomy, args.tagging, args.expansion)[:2])
         allowlist = _load_allowlist(args.engines) if args.engines else None
     except (OSError, ValueError) as exc:  # ValueError: also a file that is not UTF-8
         return _fail(exc)
@@ -181,10 +190,8 @@ def run_update(args):
     if clash:
         return _fail('refusing to overwrite input file %s' % (clash,))
     try:
-        # each file is read once; an unchanged artifact is copied from the bytes parsed
-        kb = [_read_bytes(path) for path in (args.taxonomy, args.tagging, args.expansion)]
-        taxonomy = load_taxonomy(kb[0].decode('utf-8-sig'))  # -sig: drops a leading BOM
-        rules = load_rules(kb[1].decode('utf-8-sig'), kb[2].decode('utf-8-sig'), taxonomy)
+        # an unchanged artifact is copied from the bytes parsed
+        taxonomy, rules, kb = _load_kb(args.taxonomy, args.tagging, args.expansion)
         with open(args.stats, encoding='utf-8-sig') as handle:  # -sig: drops a leading BOM
             relations_all, strong = updater.parse_stats(handle, config, taxonomy)
     except (OSError, ValueError) as exc:  # ValueError: also a file that is not UTF-8

@@ -99,27 +99,6 @@ class SampleReport(namedtuple('SampleReport', 'sample_id av_labels')):
 TagAssignment = namedtuple('TagAssignment', 'item count')
 
 
-class TagRanking:
-    '''Pruned (item, count) assignments of one sample, by descending count, then item.'''
-
-    __slots__ = ('sample_id', 'assignments')
-
-    def __init__(self, sample_id, assignments):
-        self.sample_id = sample_id
-        self.assignments = assignments
-
-    def __iter__(self):
-        return iter(self.assignments)
-
-    def __len__(self):
-        return len(self.assignments)
-
-    def format_line(self):
-        '''`<sample_id>\\t<item>|<count>,...`; bare sample_id when empty.'''
-        items = ','.join('%s|%d' % entry for entry in self.assignments)
-        return '%s\t%s' % (self.sample_id, items) if items else self.sample_id
-
-
 def tag_tokens(tokens, rules, taxonomy):
     '''Maps tokens to (tags, unknown tokens).
 
@@ -193,9 +172,10 @@ def _index_token(kb, token):
 
 
 def analyze_sample(report, kb, allowlist=None, with_stats=False, with_ranking=True):
-    '''One pass over a sample's labels: (TagRanking, pre-expansion stat items).
+    '''One pass over a sample's labels: (ranking, pre-expansion stat items).
 
-    The ranking uses post-expansion items; the statistics item set uses the
+    The ranking is a list of TagAssignment(item, count), by descending count,
+    then item; it uses post-expansion items.  The statistics item set uses the
     pre-expansion union, both under the same >= MIN_ENGINES presence filter.
     The first element is None unless with_ranking is set (the default), the
     second None unless with_stats is set.  Items are canonical strings.
@@ -231,7 +211,7 @@ def analyze_sample(report, kb, allowlist=None, with_stats=False, with_ranking=Tr
     if with_ranking:
         ranked = sorted((-count, item) for item, count in Counter(expanded_items).items()
                         if count >= MIN_ENGINES)
-        ranking = TagRanking(report.sample_id, [TagAssignment(item, -key) for key, item in ranked])
+        ranking = [TagAssignment(item, -key) for key, item in ranked]
     if with_stats:
         stat_items = {item for item, count in Counter(raw_items).items()
                       if count >= MIN_ENGINES}
@@ -257,6 +237,12 @@ def compat_family(ranking):
         if best_key is None or candidate < best_key:
             best_key = candidate
     return None if best_key is None else best_key[2]
+
+
+def format_tags_line(sample_id, ranking):
+    '''`<sample_id>\\t<item>|<count>,...`; bare sample_id when the ranking is empty.'''
+    items = ','.join('%s|%d' % entry for entry in ranking)
+    return '%s\t%s' % (sample_id, items) if items else sample_id
 
 
 def format_compat_line(sample_id, family):
@@ -364,7 +350,7 @@ def label_reports(reports, kb, allowlist=None, tags_out=None, compat_out=None, c
         ranking, stat_items = analyze_sample(report, kb, allowlist, with_stats, with_ranking)
         labeled += 1
         if tags_out is not None:
-            tags_out.write(ranking.format_line() + '\n')
+            tags_out.write(format_tags_line(report.sample_id, ranking) + '\n')
         if compat_out is not None:
             family = compat_family(ranking)
             compat_out.write(format_compat_line(report.sample_id, family) + '\n')

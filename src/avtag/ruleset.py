@@ -15,6 +15,8 @@ target sets, share one frozenset, so a loaded rule set holds no second copy
 of a tag or of a set.
 '''
 
+from collections import namedtuple
+
 from .taxonomy import TagPath, TaxonomyError, is_taggable
 
 GENERIC_MARKER = 'GEN'
@@ -24,28 +26,17 @@ class RuleError(ValueError):
     '''Raised for malformed or inconsistent rule files.'''
 
 
-class RuleSet:
+class RuleSet(namedtuple('RuleSet', 'tagging expansion')):
     '''Validated rules: `tagging` maps a token to its frozenset of tags (empty
     when generic); `expansion` maps a source tag to its frozenset of target tags.
-    Two rule sets are equal when both maps are.
+    Each map left out starts as a new empty dict.
     '''
 
-    __slots__ = ('tagging', 'expansion')
+    __slots__ = ()
 
-    def __init__(self, tagging=None, expansion=None):
-        self.tagging = {} if tagging is None else tagging
-        self.expansion = {} if expansion is None else expansion
-
-    def __eq__(self, other):
-        if not isinstance(other, RuleSet):
-            return NotImplemented
-        return self.tagging == other.tagging and self.expansion == other.expansion
-
-    def __reduce__(self):  # pickles at every protocol, which __slots__ alone does not
-        return RuleSet, (self.tagging, self.expansion)
-
-    def __repr__(self):
-        return 'RuleSet(tagging=%r, expansion=%r)' % (self.tagging, self.expansion)
+    def __new__(cls, tagging=None, expansion=None):
+        return super().__new__(cls, {} if tagging is None else tagging,
+                               {} if expansion is None else expansion)
 
     def copy(self):
         return RuleSet(dict(self.tagging), dict(self.expansion))

@@ -11,7 +11,8 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 from avtag.cli import main
-from avtag.labeler import CompiledKB, CooccurrenceCounter, SampleReport, analyze_sample
+from avtag.labeler import (CompiledKB, CooccurrenceCounter, SampleReport, analyze_sample,
+                           format_tags_line)
 from avtag.ruleset import RuleSet, load_rules
 from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, load_taxonomy
 from avtag.updater import (Relation, UpdateConfig, infer, is_equivalent, is_strong,
@@ -228,11 +229,12 @@ def test_criterion_7_expansion_engine_count(base_taxonomy, base_rules):
     '''expansion-implied tags accumulate engine counts from direct and implied hits'''
     labels = {'A': 'Worm', 'B': 'worm!x', 'C': 'SelfPropagate',
               'D': 'selfpropagate', 'E': 'SELFPROPAGATE'}
-    ranking = analyze_sample(SampleReport(sample_id(7), labels),
-                             CompiledKB(base_taxonomy, base_rules))[0]
+    report = SampleReport(sample_id(7), labels)
+    ranking = analyze_sample(report, CompiledKB(base_taxonomy, base_rules))[0]
     by_item = {str(a.item): a.count for a in ranking}
     assert by_item == {'BEH:selfpropagate': 5, 'CLASS:worm': 2}
-    assert ranking.format_line().split('\t')[1] == 'BEH:selfpropagate|5,CLASS:worm|2'
+    assert (format_tags_line(report.sample_id, ranking).split('\t')[1]
+            == 'BEH:selfpropagate|5,CLASS:worm|2')
 
 
 SCALE_FAMILIES = ['Bebeg', 'BitCoinMiner', 'DarkKomet', 'Virut', 'Zbot']
@@ -301,7 +303,7 @@ def test_criterion_8_scale_determinism(data_dir, request):
         lines = []
         for report in chunk:
             ranking, items = analyze_sample(report, kb, with_stats=True)
-            lines.append(ranking.format_line())
+            lines.append(format_tags_line(report.sample_id, ranking))
             counter.add_items(items)
         return lines, counter
 

@@ -318,7 +318,7 @@ class TestLabelCommand:
         def read_input(*args):
             raise AssertionError('input read')
         monkeypatch.setattr(cli, '_read_reports', read_input)
-        monkeypatch.setattr(cli, '_read_text', read_input)
+        monkeypatch.setattr(cli, '_read_bytes', read_input)
         before = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
         # the output's spelling differs from the input's, the real path is the same
         assert main(label_args(data_dir, '-i', str(inp), '--engines', str(data_dir / 'engines'),
@@ -338,7 +338,20 @@ class TestLabelCommand:
         assert main(label_args(data_dir, '-i', str(inp), '--engines', str(data_dir / 'engines'),
                                '--tags-out', str(tags))) == 1
         err = capsys.readouterr().err
-        assert err.startswith('error: ') and "can't decode byte 0xff" in err
+        assert err.startswith('error: %s: ' % (data_dir / source,))
+        assert "can't decode byte 0xff" in err and err.count('\n') == 1
+        assert not tags.exists()
+
+    def test_taxonomy_that_does_not_parse_names_its_file(self, data_dir, capsys):
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        with open(data_dir / 'taxonomy', 'a') as handle:
+            handle.write('FAM:Bad-x\n')
+        tags = data_dir / 'tags.out'
+        assert main(label_args(data_dir, '-i', str(inp), '--tags-out', str(tags))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: %s: line ' % (data_dir / 'taxonomy',))
+        assert "'Bad-x'" in err and err.count('\n') == 1
         assert not tags.exists()
 
     def test_input_with_utf8_bom_read_from_its_first_line(self, data_dir, capsys):
@@ -598,6 +611,31 @@ class TestUpdateCommand:
         assert main(update_args(data_dir, stats, data_dir)) == 1
         assert capsys.readouterr().err == (
             'error: refusing to overwrite input file %s\n' % (data_dir / 'taxonomy'))
+
+    @pytest.mark.parametrize('source', ['taxonomy', 'tagging', 'expansion'])
+    def test_undecodable_data_file_is_an_error(self, data_dir, capsys, source):
+        stats = data_dir / 'stats'
+        stats.write_text(stats_text([('UNK:fynloski', 'FAM:darkkomet', 30, 30, 30)]))
+        with open(data_dir / source, 'ab') as handle:
+            handle.write(b'FAM:\xff\n')
+        outdir = data_dir / 'out'
+        assert main(update_args(data_dir, stats, outdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: %s: ' % (data_dir / source,))
+        assert "can't decode byte 0xff" in err and err.count('\n') == 1
+        assert not outdir.exists()
+
+    def test_taxonomy_that_does_not_parse_names_its_file(self, data_dir, capsys):
+        stats = data_dir / 'stats'
+        stats.write_text(stats_text([('UNK:fynloski', 'FAM:darkkomet', 30, 30, 30)]))
+        with open(data_dir / 'taxonomy', 'a') as handle:
+            handle.write('FAM:Bad-x\n')
+        outdir = data_dir / 'out'
+        assert main(update_args(data_dir, stats, outdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: %s: line ' % (data_dir / 'taxonomy',))
+        assert "'Bad-x'" in err and err.count('\n') == 1
+        assert not outdir.exists()
 
     # 0 rows before the bad byte: decoding fails on the first read; 3,000 (about
     # 100 KB): it fails after the parser has consumed many rows

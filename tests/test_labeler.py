@@ -15,6 +15,7 @@ from avtag.labeler import (
     compat_family,
     expand,
     format_compat_line,
+    format_tags_line,
     label_reports,
     tag_tokens,
 )
@@ -138,19 +139,23 @@ class TestLabelSample:
     def test_five_engine_expansion_counts(self, base_rules, base_taxonomy):
         labels = {'A': 'Worm.gen', 'B': 'WORM', 'C': 'SelfPropagate',
                   'D': 'selfpropagate!x', 'E': 'malicious.SELFPROPAGATE'}
-        ranking = analyze_sample(report(labels), CompiledKB(base_taxonomy, base_rules))[0]
-        assert ranking.format_line().split('\t')[1] == (
+        sample = report(labels)
+        ranking = analyze_sample(sample, CompiledKB(base_taxonomy, base_rules))[0]
+        assert type(ranking) is list
+        assert {type(entry) for entry in ranking} == {labeler.TagAssignment}
+        assert format_tags_line(sample.sample_id, ranking).split('\t')[1] == (
             'BEH:selfpropagate|5,CLASS:worm|2')
 
     def test_single_engine_items_pruned(self, base_rules, base_taxonomy):
-        ranking = analyze_sample(report({'A': 'Zbot'}), CompiledKB(base_taxonomy, base_rules))[0]
+        sample = report({'A': 'Zbot'})
+        ranking = analyze_sample(sample, CompiledKB(base_taxonomy, base_rules))[0]
         assert len(ranking) == 0
-        assert ranking.format_line() == ranking.sample_id
+        assert format_tags_line(sample.sample_id, ranking) == sample.sample_id
 
     def test_within_engine_duplicates_count_once(self, base_rules, base_taxonomy):
-        labels = {'A': 'Zbot.zbot.zbot', 'B': 'zbot'}
-        ranking = analyze_sample(report(labels), CompiledKB(base_taxonomy, base_rules))[0]
-        assert ranking.format_line().split('\t')[1] == 'FAM:zbot|2'
+        sample = report({'A': 'Zbot.zbot.zbot', 'B': 'zbot'})
+        ranking = analyze_sample(sample, CompiledKB(base_taxonomy, base_rules))[0]
+        assert format_tags_line(sample.sample_id, ranking).split('\t')[1] == 'FAM:zbot|2'
 
     def test_engine_allowlist_case_insensitive(self, base_rules, base_taxonomy):
         labels = {'GoodAV': 'Zbot', 'FineAV': 'zbot', 'BadAV': 'zbot'}
@@ -159,9 +164,10 @@ class TestLabelSample:
         assert list(ranking) == [('FAM:zbot', 2)]
 
     def test_ranking_ties_put_tags_before_unknowns(self, base_rules, base_taxonomy):
-        labels = {'A': 'zzztok.bebeg', 'B': 'zzztok/Bebeg'}
-        ranking = analyze_sample(report(labels), CompiledKB(base_taxonomy, base_rules))[0]
-        assert ranking.format_line().split('\t')[1] == 'FAM:bebeg|2,UNK:zzztok|2'
+        sample = report({'A': 'zzztok.bebeg', 'B': 'zzztok/Bebeg'})
+        ranking = analyze_sample(sample, CompiledKB(base_taxonomy, base_rules))[0]
+        assert format_tags_line(sample.sample_id, ranking).split('\t')[1] == (
+            'FAM:bebeg|2,UNK:zzztok|2')
 
     def test_count_descending_then_canonical(self, base_rules, base_taxonomy):
         labels = {'A': 'virut.zbot', 'B': 'virut.zbot', 'C': 'virut'}

@@ -21,8 +21,8 @@ PUBLIC = ['CompiledKB', 'RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'U
 
 #: names once exported by the package, each importable from its submodule
 SUBMODULE_NAMES = {
-    'labeler': ['CooccurrenceCounter', 'TagAssignment', 'TagRanking', 'compat_family',
-                'expand', 'label_reports', 'tag_tokens'],
+    'labeler': ['CooccurrenceCounter', 'TagAssignment', 'compat_family', 'expand',
+                'format_tags_line', 'label_reports', 'tag_tokens'],
     'ruleset': ['RuleError', 'serialize_rules'],
     'taxonomy': ['CATEGORIES', 'Taxonomy', 'TaxonomyError', 'serialize_taxonomy'],
     'tokenizer': ['tokenize'],

@@ -20,8 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from hypothesis import given, settings, strategies as st
 
 from avtag.labeler import (MIN_ENGINES, STATS_HEADER, CompiledKB, CooccurrenceCounter,
-                           SampleReport, analyze_sample, compat_family, expand, label_reports,
-                           tag_tokens)
+                           SampleReport, analyze_sample, compat_family, expand,
+                           format_tags_line, label_reports, tag_tokens)
 from avtag.ruleset import RuleError, load_rules
 from avtag.taxonomy import (CATEGORIES, TagPath, UnknownToken, is_taggable, load_taxonomy,
                             parse_item)
@@ -65,7 +65,7 @@ def reference_analyze(report, rules, taxonomy, allowlist=None):
 
 def indexed_analyze(report, kb, allowlist=None):
     ranking, stat_items = analyze_sample(report, kb, allowlist, with_stats=True)
-    return (ranking.format_line(), compat_family(ranking),
+    return (format_tags_line(report.sample_id, ranking), compat_family(ranking),
             sorted(str(item) for item in stat_items))
 
 
@@ -290,8 +290,8 @@ def test_same_size_replacements_are_seen():
     taxonomy, rules = base_kb()
     report = two_engine_report('zbot.dloader')
     before, want_before = compiled_and_labeled(report, rules, taxonomy)
-    rules.tagging = dict(rules.tagging,
-                         dloader=frozenset({TagPath.parse('CLASS:bot')}))
+    rules = rules._replace(tagging=dict(rules.tagging,
+                                        dloader=frozenset({TagPath.parse('CLASS:bot')})))
     replaced, want_replaced = compiled_and_labeled(report, rules, taxonomy)
     assert indexed_analyze(report, before) == want_before != want_replaced
     other = load_taxonomy(BASE_TAXONOMY.replace('FAM:zbot', 'FAM:zbotx'))

@@ -150,7 +150,7 @@ class ReferenceState:
                 if other != token and old in dests:
                     self.rules.tagging[other] = (dests - {old}) | {dest}
             if edges_removed or edges_added:
-                self.rules.expansion = new_expansion
+                self.rules = self.rules._replace(expansion=new_expansion)
                 self.changes.expansion_removed.extend(edges_removed)
                 self.changes.expansion_added.extend(edges_added)
                 self.expansion_dirty = True

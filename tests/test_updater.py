@@ -103,6 +103,14 @@ class TestRecords:
         assert rules == rules.copy() and rules != RuleSet()
         assert rules != RuleSet(rules.tagging) and rules != RuleSet(expansion=rules.expansion)
 
+    def test_rule_sets_share_no_map_and_equal_their_tuple(self):
+        first, second = RuleSet(), RuleSet()
+        assert len({id(rule_map) for rule_map in first + second}) == 2 * len(RuleSet._fields)
+        first.tagging['zeus'] = frozenset()
+        assert second == RuleSet() and second.tagging == {}
+        rules = RECORDS['RuleSet']()
+        assert rules == (rules.tagging, rules.expansion) and tuple(rules) == rules
+
     def test_change_logs_share_no_list(self):
         first, second = ChangeLog(), ChangeLog()
         assert len({id(entries) for entries in first + second}) == 2 * len(ChangeLog._fields)
