@@ -9,7 +9,7 @@ entries, alias tagging rules, and expansion rules.
 from .labeler import CompiledKB, SampleReport, analyze_sample
 from .ruleset import RuleSet, load_rules
 from .taxonomy import TagPath, UnknownToken, load_taxonomy, parse_item
-from .updater import UpdateConfig, filter_strong, infer
+from .updater import UpdateConfig, infer
 
 __version__ = '0.1.0'
 
@@ -17,5 +17,5 @@ __version__ = '0.1.0'
 #: from its submodule
 __all__ = [
     'CompiledKB', 'RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'UpdateConfig',
-    'analyze_sample', 'filter_strong', 'infer', 'load_rules', 'load_taxonomy', 'parse_item',
+    'analyze_sample', 'infer', 'load_rules', 'load_taxonomy', 'parse_item',
 ]

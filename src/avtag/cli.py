@@ -193,17 +193,18 @@ def run_update(args):
         # an unchanged artifact is copied from the bytes parsed
         taxonomy, rules, kb = _load_kb(args.taxonomy, args.tagging, args.expansion)
         with open(args.stats, encoding='utf-8-sig') as handle:  # -sig: drops a leading BOM
-            relations_all, strong = updater.parse_stats(handle, config, taxonomy)
+            try:
+                relations_all, relations, relations_strong = updater.parse_stats(
+                    handle, config, taxonomy)
+            except ValueError as exc:  # also a stats file that is not UTF-8
+                raise ValueError('%s: %s' % (args.stats, exc)) from None
     except (OSError, ValueError) as exc:  # ValueError: also a file that is not UTF-8
         return _fail(exc)
 
-    relations_strong = len(strong)
-    kept = [r for r in strong if not updater.involves_os_tag(r)]
-    del strong
-    os_removed = relations_strong - len(kept)
-    result = updater.infer(kept, taxonomy, rules, config)
+    os_removed = relations_strong - len(relations)
+    result = updater.infer(relations, taxonomy, rules, config)
     # infer worked on copies: free the inputs before the outputs are built
-    del kept, taxonomy, rules
+    del relations, taxonomy, rules
 
     changes = result.changes
     try:

@@ -199,7 +199,7 @@ def load_rules(tagging_text, expansion_text, taxonomy):
                 target = _resolve_destination(text, taxonomy, 'target tag')
                 if target == source:
                     raise RuleError('target %s equals its source' % (target,))
-                if taxonomy.is_ancestor(target, source):
+                if target.is_ancestor_of(source):
                     raise RuleError(
                         'target %s is an ancestor of source %s (already implicit)'
                         % (target, source))

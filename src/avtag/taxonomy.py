@@ -265,14 +265,6 @@ class Taxonomy:
     def has_children(self, path):
         return self._nodes.get(path, 0) > 0
 
-    def is_ancestor(self, a, b):
-        '''True iff a is a proper ancestor of b (proper prefix of b's path).'''
-        if a not in self._nodes:
-            raise TaxonomyError('unknown path %s' % (a,))
-        if b not in self._nodes:
-            raise TaxonomyError('unknown path %s' % (b,))
-        return a.is_ancestor_of(b)
-
     def resolve_name(self, name):
         '''Full path of the unique taggable node named `name`, or None.'''
         return self._name_index.get(name)

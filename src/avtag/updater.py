@@ -116,16 +116,19 @@ class _Items(dict):
 
 
 def parse_stats(lines, config=None, taxonomy=None):
-    '''Parses stats TSV lines back into Relations; returns (rows, relations).
+    '''Parses stats TSV lines back into Relations; returns (rows, relations, strong).
 
     `lines` is any iterable of text lines, such as an open file.  Each is split
     again with str.splitlines, so error line numbers count lines as
-    text.splitlines() does.  Every row is checked, in file order, but with a
-    `config` only the strong relations are kept: memory grows with them and
-    with the distinct endpoints, each parsed once, not with the rows.  `rows`
-    counts every relation row, strong or not.  Equal counts of the strong
-    relations are one int object.  With a `taxonomy`, an endpoint that is one
-    of its tags is the taxonomy's own node; the relations are equal either way.
+    text.splitlines() does.  Every row is checked, in file order.  `rows`
+    counts the relation rows and `strong` those that pass the `config`'s
+    thresholds.  With a `config`, `relations` keeps the strong ones that have no
+    endpoint under FILE:OS, the relations `update` mines, so memory grows with
+    them and with the distinct endpoints, each parsed once, not with the rows.
+    Without one it keeps every row, and `strong == rows`.  Equal counts of the
+    kept relations are one int object.  With a `taxonomy`, an endpoint that is
+    one of its tags is the taxonomy's own node; the relations are equal either
+    way.
 
     The rel columns are recomputed from the integer counts so that threshold
     comparisons never depend on the 6-decimal formatting; rows violating
@@ -136,9 +139,9 @@ def parse_stats(lines, config=None, taxonomy=None):
     # every consistent row has count_i >= 1 and rel_ij > 0, so no config keeps all
     n, T = (1, 0) if config is None else config
     items = _Items(taxonomy)
-    share = {}.setdefault  # each count of a strong row -> the one int the relations share
+    share = {}.setdefault  # each count of a kept row -> the one int the relations share
     relations = []
-    rows = 0
+    rows = strong = 0
     # ''.splitlines() is empty, but '' is one blank line in a list like text.splitlines()
     split = itertools.chain.from_iterable(line.splitlines() or (line,) for line in lines)
     for lineno, raw in enumerate(split, 1):
@@ -163,29 +166,18 @@ def parse_stats(lines, config=None, taxonomy=None):
         if count_i > count_j:
             t_i, t_j, count_i, count_j = t_j, t_i, count_j, count_i
         rel_ij = count_ij / count_i
-        if count_i >= n and rel_ij >= T:  # is_strong, before a Relation is built
+        if count_i < n or rel_ij < T:
+            continue
+        strong += 1
+        if config is None or not (_under_os(t_i) or _under_os(t_j)):
             relations.append(Relation(t_i, t_j, share(count_i, count_i), share(count_j, count_j),
                                       share(count_ij, count_ij), rel_ij, count_ij / count_j))
-    return rows, relations
-
-
-def is_strong(relation, config):
-    '''Support and joint-frequency thresholds (both inclusive).'''
-    return relation.count_i >= config.n and relation.rel_ij >= config.T
+    return rows, relations, strong
 
 
 def _under_os(item):
+    '''True for FILE:OS and every item below it: operating-system tags co-occur with all.'''
     return (item + ':').startswith('FILE:OS:')
-
-
-def involves_os_tag(relation):
-    '''True when either endpoint lies in the FILE:OS subtree.'''
-    return _under_os(relation.t_i) or _under_os(relation.t_j)
-
-
-def filter_strong(relations, config):
-    '''Strong relations minus those touching operating-system tags.'''
-    return [r for r in relations if is_strong(r, config) and not involves_os_tag(r)]
 
 
 def is_equivalent(relation, config):
@@ -241,9 +233,9 @@ def _known_resolved(a, b, taxonomy, rules, equivalence):
         return True
     if (isinstance(a, TagPath) and isinstance(b, TagPath)
             and a in taxonomy and b in taxonomy):
-        if taxonomy.is_ancestor(b, a):
+        if b.is_ancestor_of(a):
             return True
-        if equivalence and taxonomy.is_ancestor(a, b):
+        if equivalence and a.is_ancestor_of(b):
             return True
     return isinstance(a, TagPath) and b in rules.expansion.get(a, ())
 

@@ -14,9 +14,8 @@ from avtag.cli import main
 from avtag.labeler import (CompiledKB, CooccurrenceCounter, SampleReport, analyze_sample,
                            format_tags_line)
 from avtag.ruleset import RuleSet, load_rules
-from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, load_taxonomy
-from avtag.updater import (Relation, UpdateConfig, infer, is_equivalent, is_strong,
-                           involves_os_tag, parse_stats)
+from avtag.taxonomy import TagPath, Taxonomy, load_taxonomy
+from avtag.updater import UpdateConfig, infer, is_equivalent, parse_stats
 
 from conftest import (GOLDEN_FAMILY, GOLDEN_LABELS, GOLDEN_SAMPLE_ID,
                       GOLDEN_TAG_LINE, MATRIX_ROWS, MATRIX_ROWS_FIXPOINT,
@@ -99,11 +98,14 @@ def test_criterion_2_cooccurrence_oracle():
 def test_criterion_3_threshold_boundaries(base_taxonomy, base_rules):
     '''strength thresholds are inclusive boundaries and rels come out exact'''
     config = UpdateConfig(n=20, T=0.94)
-    a, b = UnknownToken('aaatok'), UnknownToken('bbbtok')
-    assert not is_strong(Relation(a, b, 19, 1000, 19, 1.0, 0.019), config)
-    assert not is_strong(Relation(a, b, 20, 1000, 19, 0.9399, 0.019), config)
-    assert is_strong(Relation(a, b, 20, 1000, 19, 0.94, 0.019), config)
-    assert is_strong(Relation(a, b, 20, 1000, 20, 1.0, 0.020), config)
+    # support 19 against n=20, then rel_ij 9399/10000 and 47/50 (0.94 exactly as a
+    # float) against T=0.94, read as stats rows
+    a, b = 'UNK:aaatok', 'UNK:bbbtok'
+    rows = [(a, b, 19, 1000, 19), (a, b, 10000, 20000, 9399), (a, b, 50, 1000, 47),
+            (a, b, 20, 1000, 20)]
+    for row, want in zip(rows, (0, 0, 1, 1)):
+        _, relations, strong = parse_stats(stats_text([row]).splitlines(), config)
+        assert len(relations) == strong == want, row
 
     reports = []
     for n in range(100):
@@ -115,7 +117,8 @@ def test_criterion_3_threshold_boundaries(base_taxonomy, base_rules):
     assert tuple(rel)[:5] == ('FAM:virut', 'CLASS:virus', 100, 700, 100)
     assert abs(rel.rel_ij - 1.0) < 1e-9
     assert abs(rel.rel_ji - 1 / 7) < 1e-9
-    assert is_strong(rel, config) and not is_equivalent(rel, config)
+    assert parse_stats([rel.format_row()], config)[1] == [rel]
+    assert not is_equivalent(rel, config)
 
 
 def test_criterion_4_update_rule_matrix():
@@ -123,13 +126,11 @@ def test_criterion_4_update_rule_matrix():
     taxonomy = load_taxonomy(MATRIX_TAXONOMY)
     rules = load_rules('', '', taxonomy)
     config = UpdateConfig()
-    relations = parse_stats(stats_text(MATRIX_ROWS).splitlines())[1]
-    strong = [r for r in relations if is_strong(r, config)]
-    kept = [r for r in strong if not involves_os_tag(r)]
-    assert len(relations) == len(strong) == 17
-    assert len(strong) - len(kept) == 1        # one OS relation pre-filtered
+    rows, relations, strong = parse_stats(stats_text(MATRIX_ROWS).splitlines(), config)
+    assert rows == strong == 17
+    assert strong - len(relations) == 1        # one OS relation pre-filtered
 
-    result = infer(kept, taxonomy, rules, config)
+    result = infer(relations, taxonomy, rules, config)
     assert len(result.consumed_topblock) == 8
     assert len(result.consumed_expansion) == 5
     assert len(result.consumed_equivalence) == 1

@@ -649,7 +649,7 @@ class TestUpdateCommand:
         outdir = data_dir / 'out'
         assert main(update_args(data_dir, stats, outdir)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert err.startswith("error: %s: 'utf-8' codec can't decode byte 0xff" % (stats,))
         assert err.count('\n') == 1
         assert not outdir.exists()
 
@@ -708,9 +708,13 @@ class TestUpdateCommand:
 
     def test_malformed_stats_fail(self, data_dir, capsys):
         stats = data_dir / 'stats'
-        stats.write_text('UNK:tok\tFAM:zbot\t5\t10\n')
-        assert main(update_args(data_dir, stats, data_dir / 'out')) == 1
-        assert 'stats line 1' in capsys.readouterr().err
+        stats.write_text(stats_text([('UNK:fynloski', 'FAM:darkkomet', 30, 30, 30)])
+                         + 'UNK:tok\tFAM:zbot\t5\t10\n')
+        outdir = data_dir / 'out'
+        assert main(update_args(data_dir, stats, outdir)) == 1
+        assert capsys.readouterr().err == (
+            'error: %s: stats line 3: expected 7 tab-separated fields\n' % (stats,))
+        assert not outdir.exists()
 
     def test_expansion_chain_deeper_than_recursion_limit_fails(self, tmp_path, capsys):
         write_deep_chain(tmp_path, 'expansion')

@@ -13,11 +13,10 @@ import types
 
 import avtag
 
-#: the eight names README's library example imports from the package, plus the
+#: the seven names README's library example imports from the package, plus the
 #: four its prose names
 PUBLIC = ['CompiledKB', 'RuleSet', 'SampleReport', 'TagPath', 'UnknownToken', 'UpdateConfig',
-          'analyze_sample', 'filter_strong', 'infer', 'load_rules', 'load_taxonomy',
-          'parse_item']
+          'analyze_sample', 'infer', 'load_rules', 'load_taxonomy', 'parse_item']
 
 #: names once exported by the package, each importable from its submodule
 SUBMODULE_NAMES = {
@@ -26,8 +25,7 @@ SUBMODULE_NAMES = {
     'ruleset': ['RuleError', 'serialize_rules'],
     'taxonomy': ['CATEGORIES', 'Taxonomy', 'TaxonomyError', 'serialize_taxonomy'],
     'tokenizer': ['tokenize'],
-    'updater': ['Relation', 'UpdateResult', 'is_equivalent', 'is_strong',
-                'parse_stats'],
+    'updater': ['Relation', 'UpdateResult', 'is_equivalent', 'parse_stats'],
 }
 
 

@@ -26,7 +26,7 @@ from avtag.ruleset import RuleError, load_rules
 from avtag.taxonomy import (CATEGORIES, TagPath, UnknownToken, is_taggable, load_taxonomy,
                             parse_item)
 from avtag.tokenizer import tokenize
-from avtag.updater import _STATS_ROW, UpdateConfig, filter_strong, infer, parse_stats
+from avtag.updater import _STATS_ROW, UpdateConfig, infer, parse_stats
 
 from conftest import (BASE_EXPANSION, BASE_TAGGING, BASE_TAXONOMY, MATRIX_TAXONOMY,
                       counted_relations, sample_id, stats_file)
@@ -372,7 +372,8 @@ def test_update_then_relabel_matches_reference():
 
     config = UpdateConfig()
     relations = counted_relations(reports, rules, taxonomy)
-    result = infer(filter_strong(relations, config), taxonomy, rules, config)
+    strong = parse_stats([relation.format_row() for relation in relations], config)[1]
+    result = infer(strong, taxonomy, rules, config)
 
     new_kb = CompiledKB(result.taxonomy, result.rules)
     assert_matches_reference(reports, result.rules, result.taxonomy, kb=new_kb)

@@ -17,7 +17,7 @@ from avtag.taxonomy import (CATEGORIES, TagPath, TaxonomyError, UnknownToken, is
                             load_taxonomy, serialize_taxonomy)
 from avtag.updater import (_BOTTOM_BLOCK, _TOP_BLOCK, ChangeLog, Relation, Unhandled,
                            UpdateConfig, UpdateResult, _ActionError, _known_resolved,
-                           _WorkState, filter_strong, format_changelog, format_unhandled, infer,
+                           _WorkState, format_changelog, format_unhandled, infer,
                            is_equivalent, parse_stats, resolve_item)
 
 from conftest import MATRIX_ROWS, MATRIX_TAXONOMY, stats_text
@@ -261,9 +261,8 @@ def assert_child_counts_exact(taxonomy):
 
 
 def assert_infer_matches_reference(relations, taxonomy, rules, config=UpdateConfig()):
-    '''Runs both updaters on the strong relations; returns the reference result.'''
-    strong = [r for r in relations if r.count_i >= config.n and r.rel_ij >= config.T]
-    kept = filter_strong(relations, config)
+    '''Runs both updaters on the relations update selects; returns the reference result.'''
+    rows, kept, strong = parse_stats([r.format_row() for r in relations], config)
     before = snapshot(taxonomy, rules)
     got = infer(kept, taxonomy, rules, config)
     assert snapshot(taxonomy, rules) == before
@@ -276,7 +275,7 @@ def assert_infer_matches_reference(relations, taxonomy, rules, config=UpdateConf
     assert reloaded == got.taxonomy
     assert load_rules(*serialize_rules(got.rules), reloaded) == got.rules
     assert format_unhandled(got.unhandled) == format_unhandled(want.unhandled)
-    counts = (len(relations), len(strong), len(strong) - len(kept))
+    counts = (rows, strong, strong - len(kept))
     assert format_changelog(got, *counts) == format_changelog(want, *counts)
     assert got.changes == want.changes
     for name in ('consumed_known', 'consumed_equivalence', 'consumed_topblock',

@@ -19,13 +19,10 @@ from avtag.updater import (
     UpdateConfig,
     _ActionError,
     _WorkState,
-    filter_strong,
     format_changelog,
     format_unhandled,
     infer,
-    involves_os_tag,
     is_equivalent,
-    is_strong,
     parse_stats,
     resolve_item,
 )
@@ -49,8 +46,13 @@ def matrix_rules(matrix_taxonomy):
     return load_rules('', '', matrix_taxonomy)
 
 
+def selected(relations, config):
+    '''The relations parse_stats keeps, with `config`, from their stats rows.'''
+    return parse_stats([relation.format_row() for relation in relations], config)[1]
+
+
 def run_rows(rows, taxonomy, rules, config=None):
-    strong = filter_strong(parse_stats(stats_text(rows).splitlines())[1], config or UpdateConfig())
+    strong = parse_stats(stats_text(rows).splitlines(), config or UpdateConfig())[1]
     return infer(strong, taxonomy, rules, config)
 
 
@@ -158,6 +160,16 @@ class TestParseStats:
             with pytest.raises(ValueError) as err:
                 parse_stats(row.splitlines())[1]
             assert 'line 1' in str(err.value)
+
+
+def is_strong(relation, config):
+    '''Support and joint-frequency thresholds (both inclusive).'''
+    return relation.count_i >= config.n and relation.rel_ij >= config.T
+
+
+def involves_os_tag(relation):
+    '''True when either endpoint lies in the FILE:OS subtree.'''
+    return any(item == 'FILE:OS' or item.startswith('FILE:OS:') for item in relation.key())
 
 
 def reference_parse_stats(text):
@@ -269,8 +281,9 @@ class TestParseStatsStream:
         want, want_error = parsed(lambda: reference_parse_stats(open_stats(data).read()))
         assert error == want_error
         if want is not None:
-            kept = want if config is None else [r for r in want if is_strong(r, config)]
-            assert got == (len(want), kept)
+            strong = want if config is None else [r for r in want if is_strong(r, config)]
+            kept = strong if config is None else [r for r in strong if not involves_os_tag(r)]
+            assert got == (len(want), kept, len(strong))
 
     def test_lines_split_again_at_every_boundary(self):
         # '' is one blank line, as in the list text.splitlines() gives
@@ -285,7 +298,7 @@ class TestParseStatsStream:
                             parse_item(text))
         rows = [('UNK:aa', 'FAM:zbot', 30, 40, 30), ('UNK:b2', 'FAM:zbot', 5, 40, 1),
                 ('FAM:zbot', 'UNK:aa', 40, 30, 30)]  # swapped into the first row's order
-        count, strong = parse_stats(stats_text(rows).splitlines(), UpdateConfig())
+        count, strong, _ = parse_stats(stats_text(rows).splitlines(), UpdateConfig())
         assert sorted(calls) == ['FAM:zbot', 'UNK:aa', 'UNK:b2']
         assert count == 3 and [r.key() for r in strong] == [('UNK:aa', 'FAM:zbot')] * 2
         assert strong[0].t_i is strong[1].t_i and strong[0].t_j is strong[1].t_j
@@ -302,11 +315,11 @@ class TestParseStatsSharing:
 
     def test_tag_endpoints_are_the_taxonomy_nodes(self):
         taxonomy = load_taxonomy('CLASS:worm\nFAM:zbot\nFILE:OS:windows\n')
-        rows, strong = parse_stats(stats_text(self.ROWS).splitlines(), UpdateConfig(),
-                                   taxonomy)
-        assert rows == 5 and len(strong) == 5
+        rows, relations, strong = parse_stats(stats_text(self.ROWS).splitlines(), None,
+                                              taxonomy)
+        assert rows == strong == len(relations) == 5
         for tag in ('FAM:zbot', 'CLASS:worm', 'FILE:OS:windows'):
-            found = [item for rel in strong for item in rel.key() if item == tag]
+            found = [item for rel in relations for item in rel.key() if item == tag]
             assert found and all(item is taxonomy.resolve_name(tag.rpartition(':')[2])
                                  for item in found), tag
 
@@ -324,7 +337,7 @@ class TestParseStatsSharing:
         assert isinstance(unknown, UnknownToken)
 
     def test_equal_counts_of_strong_rows_are_one_int(self):
-        strong = parse_stats(stats_text(self.ROWS).splitlines(), UpdateConfig())[1]
+        strong = parse_stats(stats_text(self.ROWS).splitlines())[1]
         # each text was read by its own int() call
         assert strong[0].count_i is strong[0].count_ij is strong[1].count_i
         assert strong[0].count_j is strong[1].count_j is strong[2].count_i
@@ -339,14 +352,26 @@ class TestParseStatsSharing:
             "stats line 3: invalid literal for int() with base 10: 'ten'")
 
 
+#: no taxonomy, and one that holds every tag the OS tests read
+OS_TAXONOMIES = [None, load_taxonomy(
+    'FAM:virut\nCLASS:virus\nFILE:OS:windows\nFILE:OSX:macho\nFILE:oss\n')]
+
+
+def select_rows(rows, config, taxonomy=None):
+    '''The keys of the relations parse_stats keeps from `rows`, and its strong count.'''
+    _, relations, strong = parse_stats(stats_text(rows).splitlines(), config, taxonomy)
+    return [r.key() for r in relations], strong
+
+
 class TestThresholds:
     def test_strength_boundaries(self):
         config = UpdateConfig(n=20, T=0.94)
-        assert not is_strong(relation('UNK:aaatok', 'UNK:bbbtok', 19, 100, 19), config)
-        assert not is_strong(relation('UNK:aaatok', 'UNK:bbbtok', 10000, 20000,
-                                      9399), config)
-        assert is_strong(relation('UNK:aaatok', 'UNK:bbbtok', 20, 100, 19), config)
-        assert is_strong(relation('UNK:aaatok', 'UNK:bbbtok', 20, 100, 20), config)
+        for rows in ([('UNK:aaatok', 'UNK:bbbtok', 19, 100, 19)],
+                     [('UNK:aaatok', 'UNK:bbbtok', 10000, 20000, 9399)]):
+            assert select_rows(rows, config) == ([], 0)
+        for rows in ([('UNK:aaatok', 'UNK:bbbtok', 20, 100, 19)],
+                     [('UNK:aaatok', 'UNK:bbbtok', 20, 100, 20)]):
+            assert select_rows(rows, config) == ([('UNK:aaatok', 'UNK:bbbtok')], 1)
 
     def test_equivalence_boundary(self):
         config = UpdateConfig(n=20, T=0.94)
@@ -356,30 +381,27 @@ class TestThresholds:
 
     def test_os_subtree_filtered(self):
         config = UpdateConfig()
-        os_rel = relation('FAM:virut', 'FILE:OS:windows', 100, 1000, 100)
-        plain = relation('FAM:virut', 'CLASS:virus', 100, 700, 100)
-        assert involves_os_tag(os_rel) and not involves_os_tag(plain)
-        assert filter_strong([os_rel, plain], config) == [plain]
+        rows = [('FAM:virut', 'FILE:OS:windows', 100, 1000, 100),
+                ('FAM:virut', 'CLASS:virus', 100, 700, 100)]
+        weak = [('FAM:virut', 'FILE:OS:windows', 19, 1000, 19)]
+        for taxonomy in OS_TAXONOMIES:
+            assert select_rows(rows, config, taxonomy) == ([('FAM:virut', 'CLASS:virus')], 2)
+            # a weak OS row counts neither as strong nor as removed
+            assert select_rows(weak, config, taxonomy) == ([], 0)
 
     def test_os_subtree_filtered_in_every_endpoint_form(self):
         config = UpdateConfig()
-        partners = ('FAM:virut', TagPath.parse('FAM:virut'), UnknownToken('winpe'))
-        for os_text in ('FILE:OS', 'FILE:OS:windows'):
-            for os_item in (os_text, TagPath.parse(os_text)):
-                for partner in partners:
-                    for t_i, t_j in ((partner, os_item), (os_item, partner)):
-                        rel = Relation(t_i, t_j, 100, 1000, 100, 1.0, 0.1)
-                        assert involves_os_tag(rel), rel
-                        assert filter_strong([rel], config) == []
-        # a sibling of FILE:OS whose name merely starts with OS is kept
-        for other in ('FILE:OSX:macho', TagPath.parse('FILE:OSX:macho'), 'FILE:oss'):
-            rel = Relation(UnknownToken('winpe'), other, 100, 1000, 100, 1.0, 0.1)
-            assert filter_strong([rel], config) == [rel]
-
-    def test_filter_strong_drops_weak(self):
-        config = UpdateConfig()
-        weak = relation('UNK:aaatok', 'UNK:bbbtok', 19, 100, 19)
-        assert filter_strong([weak], config) == []
+        for taxonomy in OS_TAXONOMIES:
+            for os_text in ('FILE:OS', 'FILE:OS:windows'):
+                for partner in ('FAM:virut', 'UNK:winpe'):
+                    # the OS endpoint ends up t_i, then t_j, and is written first or second
+                    for counts in ((100, 1000, 100), (1000, 100, 100)):
+                        for row in ((partner, os_text) + counts, (os_text, partner) + counts):
+                            assert select_rows([row], config, taxonomy) == ([], 1), row
+            # a sibling of FILE:OS whose name merely starts with OS is kept
+            for other in ('FILE:OSX:macho', 'FILE:oss'):
+                row = ('UNK:winpe', other, 100, 1000, 100)
+                assert select_rows([row], config, taxonomy) == ([('UNK:winpe', other)], 1)
 
 
 class TestResolveItem:
@@ -837,7 +859,7 @@ class TestInferProperties:
         for _ in range(15):
             taxonomy = random_taxonomy(rng, size=rng.randint(3, 20))
             rules = RuleSet()
-            strong = filter_strong(random_relations(rng, taxonomy), config)
+            strong = selected(random_relations(rng, taxonomy), config)
             result = infer(strong, taxonomy, rules, config)
             buckets = (len(result.consumed_known) + len(result.consumed_equivalence)
                        + len(result.consumed_topblock) + len(result.consumed_expansion)
@@ -850,7 +872,7 @@ class TestInferProperties:
         for _ in range(15):
             taxonomy = random_taxonomy(rng, size=rng.randint(3, 20))
             rules = RuleSet()
-            strong = filter_strong(random_relations(rng, taxonomy), config)
+            strong = selected(random_relations(rng, taxonomy), config)
             result = infer(strong, taxonomy, rules, config)
             taxonomy_text = serialize_taxonomy(result.taxonomy)
             tagging_text, expansion_text = serialize_rules(result.rules)
@@ -866,7 +888,7 @@ class TestInferProperties:
         config = UpdateConfig(n=5, T=0.7)
         for _ in range(10):
             taxonomy = random_taxonomy(rng, size=rng.randint(3, 20))
-            strong = filter_strong(random_relations(rng, taxonomy), config)
+            strong = selected(random_relations(rng, taxonomy), config)
             shuffled = strong[:]
             rng.shuffle(shuffled)
             first = infer(strong, taxonomy, RuleSet(), config)
@@ -897,13 +919,11 @@ class TestReports:
                 ('CLASS:grayware:adware', 'CLASS:grayware', 200, 500, 200),
                 ('BEH:inject', 'CLASS:downloader', 50, 160, 50)]
         config = UpdateConfig()
-        relations = parse_stats(stats_text(rows).splitlines())[1]
-        strong = filter_strong(relations, config)
-        result = infer(strong, matrix_taxonomy, matrix_rules, config)
-        text = format_changelog(result, len(relations), len(strong),
-                                len(relations) - len(strong))
+        count, relations, strong = parse_stats(stats_text(rows).splitlines(), config)
+        result = infer(relations, matrix_taxonomy, matrix_rules, config)
+        text = format_changelog(result, count, strong, strong - len(relations))
         assert text == ('relations all 4\n'
-                        'relations strong 3\n'
+                        'relations strong 4\n'
                         'relations os_removed 1\n'
                         'relations known 1\n'
                         'relations out 1\n'
