@@ -76,6 +76,22 @@ class _Staging:
                 pass
 
 
+def _first_bad_byte(path, error):
+    '''`<path>: stats line N: <error>` for the first byte of a stats file not in UTF-8.
+
+    N counts lines as parse_stats does; the position counts from the file's
+    first byte, a BOM included.  Falls back to the reader's `error`.
+    '''
+    data = _read_bytes(path)
+    try:
+        data.decode('utf-8')
+    except UnicodeDecodeError as exc:
+        # a character after the decodable text puts it on the bad byte's line
+        lineno = len((data[:exc.start].decode('utf-8-sig') + '.').splitlines())
+        return '%s: stats line %d: %s' % (path, lineno, exc)
+    return '%s: %s' % (path, error)
+
+
 def _load_kb(taxonomy_path, tagging_path, expansion_path):
     '''Reads each knowledge-base file once: (taxonomy, rules, the three files' bytes).'''
     paths = (taxonomy_path, tagging_path, expansion_path)
@@ -196,17 +212,21 @@ def run_update(args):
             try:
                 relations_all, relations, relations_strong = updater.parse_stats(
                     handle, config, taxonomy)
-            except ValueError as exc:  # also a stats file that is not UTF-8
+            except UnicodeDecodeError as exc:  # its position counts from the reader's chunk
+                raise ValueError(_first_bad_byte(args.stats, exc)) from None
+            except ValueError as exc:
                 raise ValueError('%s: %s' % (args.stats, exc)) from None
     except (OSError, ValueError) as exc:  # ValueError: also a file that is not UTF-8
         return _fail(exc)
 
     os_removed = relations_strong - len(relations)
     result = updater.infer(relations, taxonomy, rules, config)
-    # infer worked on copies: free the inputs before the outputs are built
-    del relations, taxonomy, rules
+    # infer worked on copies, and its consumed relations are only counted: free them
+    # and the inputs, whose names the updated artifacts take, before the write
+    known = len(result.consumed_known)
+    taxonomy, rules, changes, unhandled = result[:4]
+    del relations, result
 
-    changes = result.changes
     try:
         os.makedirs(args.outdir, exist_ok=True)
         # each output is built just before it is written
@@ -214,23 +234,22 @@ def run_update(args):
             def write(name, content):
                 staging.open(outputs[name], binary=isinstance(content, bytes)).write(content)
 
-            write('taxonomy', serialize_taxonomy(result.taxonomy) if changes.taxonomy_dirty
+            write('taxonomy', serialize_taxonomy(taxonomy) if changes.taxonomy_dirty
                   else kb[0])
             if changes.tagging_dirty or changes.expansion_dirty:  # else both are copied
-                tagging_text, expansion_text = serialize_rules(result.rules)
+                tagging_text, expansion_text = serialize_rules(rules)
             write('tagging', tagging_text if changes.tagging_dirty else kb[1])
             write('expansion', expansion_text if changes.expansion_dirty else kb[2])
-            write('unhandled.tsv', updater.format_unhandled(result.unhandled))
+            write('unhandled.tsv', updater.format_unhandled(unhandled))
             write('changelog.txt', updater.format_changelog(
-                result, relations_all, relations_strong, os_removed))
+                changes, relations_all, relations_strong, os_removed, known, len(unhandled)))
             staging.commit()
     except OSError as exc:
         return _fail(exc)
 
     sys.stderr.write(
         'relations: all %d, strong %d, os_removed %d, known %d, out %d\n'
-        % (relations_all, relations_strong, os_removed,
-           len(result.consumed_known), len(result.unhandled)))
+        % (relations_all, relations_strong, os_removed, known, len(unhandled)))
     sys.stderr.write(
         'taxonomy +%d -%d, tagging +%d -%d, expansion +%d -%d\n'
         % (len(changes.taxonomy_added), len(changes.taxonomy_removed),

@@ -144,12 +144,14 @@ class UnknownToken(str):
         return 'UnknownToken(%r)' % (self.name,)
 
 
+_UNKNOWN_PREFIX = UNKNOWN_CATEGORY + ':'
+
+
 def parse_item(text):
     '''The TagPath or UnknownToken whose canonical string is `text`.'''
-    if text.startswith(UNKNOWN_CATEGORY + ':'):
-        token = text[len(UNKNOWN_CATEGORY) + 1:]
-        if not is_taggable(token):
-            raise TaxonomyError('bad unknown token %r' % (token,))
+    if text.startswith(_UNKNOWN_PREFIX):
+        if not _TAGGABLE_RE.fullmatch(text, len(_UNKNOWN_PREFIX)):
+            raise TaxonomyError('bad unknown token %r' % (text[len(_UNKNOWN_PREFIX):],))
         return str.__new__(UnknownToken, text)  # `text` is already the canonical string
     return TagPath.parse(text)
 

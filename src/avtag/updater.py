@@ -170,8 +170,10 @@ def parse_stats(lines, config=None, taxonomy=None):
             continue
         strong += 1
         if config is None or not (_under_os(t_i) or _under_os(t_j)):
-            relations.append(Relation(t_i, t_j, share(count_i, count_i), share(count_j, count_j),
-                                      share(count_ij, count_ij), rel_ij, count_ij / count_j))
+            # tuple.__new__ skips the named tuple's Python-level __new__
+            relations.append(tuple.__new__(Relation, (
+                t_i, t_j, share(count_i, count_i), share(count_j, count_j),
+                share(count_ij, count_ij), rel_ij, count_ij / count_j)))
     return rows, relations, strong
 
 
@@ -199,25 +201,22 @@ def resolve_item(item, taxonomy, rules):
     name = item.name
     if item in taxonomy or name[:1].isupper():  # a valid structural name starts A-Z
         return item
-    path = None
-    seen = set()
-    while name not in seen:
-        seen.add(name)
-        dests = rules.tagging.get(name)
-        if dests is None:
-            break
-        if len(dests) != 1:
-            return None
+    dests = rules.tagging.get(name)
+    if dests is None:  # most endpoints: no rule names them
+        found = taxonomy.resolve_name(name)
+        if found is not None:
+            return found
+        return item if isinstance(item, UnknownToken) else UnknownToken(name)
+    seen = {name}
+    while len(dests) == 1:
         (path,) = dests
-        name = path.name
-    else:
-        return None
-    if path is not None:
-        return path
-    found = taxonomy.resolve_name(name)
-    if found is not None:
-        return found
-    return item if isinstance(item, UnknownToken) else UnknownToken(name)
+        if path.name in seen:
+            return None
+        seen.add(path.name)
+        dests = rules.tagging.get(path.name)
+        if dests is None:
+            return path
+    return None
 
 
 def _known_resolved(a, b, taxonomy, rules, equivalence):
@@ -250,7 +249,11 @@ class _WorkState:
     Each action validates everything it would change before it changes
     anything, without copying the artifacts, so a failed action leaves them
     as they were.  Every one-tag tagging value an action writes for a tag is
-    one shared frozenset.
+    one shared frozenset.  `sources`, built at the first retirement, is the
+    expansion map's reverse index: each target -> the list of sources whose
+    rule holds it (lists, a sixth of the memory of sets on the benchmark's
+    knowledge base), kept in step with every edge added or removed since, so
+    retiring a tag finds the rules that target it without scanning them all.
     '''
 
     def __init__(self, taxonomy, rules):
@@ -258,15 +261,36 @@ class _WorkState:
         self.rules = rules.copy()
         self.changes = ChangeLog()
         self._one_tag = {}  # tag -> the frozenset({tag}) the rules written to it share
+        self.sources = None
+
+    def _sources_of(self, target):
+        if self.sources is None:
+            self.sources = {}
+            self._index_edges((), ((source, t) for source, targets in self.rules.expansion.items()
+                                   for t in targets))
+        return self.sources.get(target, ())
+
+    def _index_edges(self, removed, added):
+        sources = self.sources
+        if sources is None:  # the build, when it comes, reads the map as it is then
+            return
+        for source, target in removed:
+            referrers = sources[target]
+            referrers.remove(source)
+            if not referrers:
+                del sources[target]
+        for source, target in added:
+            sources.setdefault(target, []).append(source)
 
     def add_nodes(self, *paths):
         '''Adds taxonomy nodes; validates every path before touching anything.'''
         try:
-            self.taxonomy.check_add(paths)
+            if len(paths) > 1:  # add() checks one path itself before it changes anything
+                self.taxonomy.check_add(paths)
+            for path in paths:
+                self.changes.taxonomy_added.extend(self.taxonomy.add(path))
         except TaxonomyError as exc:
             raise _ActionError(str(exc)) from None
-        for path in paths:
-            self.changes.taxonomy_added.extend(self.taxonomy.add(path))
 
     def add_alias(self, token, dest):
         '''Adds tagging rule token -> dest; retires any tag named `token`.
@@ -303,7 +327,7 @@ class _WorkState:
         edges_removed = edges_added = ()
         if old is not None:
             remapped, edges_removed, edges_added = _remap_expansion(
-                self.rules.expansion, old, dest)
+                self.rules.expansion, old, dest, self._sources_of(old))
         # load_rules collapses a destination named after a rule token, so such
         # an alias would reload as a different rule
         if dest.name in self.rules.tagging:
@@ -327,6 +351,7 @@ class _WorkState:
                 del self.rules.expansion[source]
             else:
                 self.rules.expansion[source] = targets
+        self._index_edges(edges_removed, edges_added)
         self.changes.expansion_removed.extend(edges_removed)
         self.changes.expansion_added.extend(edges_added)
 
@@ -348,6 +373,7 @@ class _WorkState:
             raise _ActionError('expansion %s => %s would create a cycle'
                                % (source, target))
         self.rules.expansion[source] = targets | {target}
+        self._index_edges((), [(source, target)])
         self.changes.expansion_added.append((source, target))
 
 
@@ -365,18 +391,19 @@ def _expansion_reaches(expansion, start, goal):
     return False
 
 
-def _remap_expansion(expansion, old, new):
+def _remap_expansion(expansion, old, new, referrers):
     '''Rewrites the expansion rules that refer to a retired tag; validates the result.
 
-    Returns (rules to replace, removed edges, added edges); the first maps a
-    source to its new target set, or to None when the rule goes away.
-    Only the retired tag's own rule, the rules that target it and the rule
-    of `new` change.  Targets that would become the rule's own source (or an
-    ancestor of it) are dropped; a rule remapped onto an existing source
-    merges target sets.  Raises _ActionError when the rewrite would create a
-    cycle.
+    `referrers` are the sources whose rules target `old`.  Returns (rules to
+    replace, removed edges, added edges); the first maps a source to its new
+    target set, or to None when the rule goes away, and the edges are the
+    whole difference the rewrite makes.  Only the retired tag's own rule, the
+    rules that target it and the rule of `new` change.  Targets that would
+    become the rule's own source (or an ancestor of it) are dropped; a rule
+    remapped onto an existing source merges target sets.  Raises _ActionError
+    when the rewrite would create a cycle.
     '''
-    touched = [source for source, targets in expansion.items() if old in targets]
+    touched = list(referrers)
     if old in expansion:
         touched.append(old)
     if not touched:
@@ -538,15 +565,15 @@ def format_unhandled(unhandled):
     return '\n'.join(lines) + '\n'
 
 
-def format_changelog(result, relations_all, relations_strong, relations_os_removed):
-    '''Counts block plus one line per added (+) or removed (-) entry.'''
-    changes = result.changes
+def format_changelog(changes, relations_all, relations_strong, relations_os_removed,
+                     relations_known, relations_out):
+    '''Counts block plus one line per added (+) or removed (-) entry of a ChangeLog.'''
     lines = [
         'relations all %d' % relations_all,
         'relations strong %d' % relations_strong,
         'relations os_removed %d' % relations_os_removed,
-        'relations known %d' % len(result.consumed_known),
-        'relations out %d' % len(result.unhandled),
+        'relations known %d' % relations_known,
+        'relations out %d' % relations_out,
         'taxonomy added %d' % len(changes.taxonomy_added),
         'taxonomy removed %d' % len(changes.taxonomy_removed),
         'tagging added %d' % len(changes.tagging_added),

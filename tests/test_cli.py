@@ -644,13 +644,26 @@ class TestUpdateCommand:
                                                           rows_before):
         stats = data_dir / 'stats'
         rows = [('UNK:tok%d' % k, 'FAM:zbot', 30, 40, 30) for k in range(rows_before)]
-        stats.write_bytes(stats_text(rows).encode()
-                          + b'UNK:bad\xff\tFAM:zbot\t30\t40\t30\t1.000000\t0.750000\n')
+        head = stats_text(rows).encode() + b'UNK:bad'
+        stats.write_bytes(head + b'\xff\tFAM:zbot\t30\t40\t30\t1.000000\t0.750000\n')
         outdir = data_dir / 'out'
         assert main(update_args(data_dir, stats, outdir)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: %s: 'utf-8' codec can't decode byte 0xff" % (stats,))
-        assert err.count('\n') == 1
+        # the header and the rows come before the bad line; the position is in the file
+        assert capsys.readouterr().err == (
+            "error: %s: stats line %d: 'utf-8' codec can't decode byte 0xff in position %d:"
+            ' invalid start byte\n' % (stats, rows_before + 2, len(head)))
+        assert not outdir.exists()
+
+    def test_stats_invalid_utf8_position_counts_the_bom(self, data_dir, capsys):
+        stats = data_dir / 'stats'
+        rows = [('UNK:tok%d' % k, 'FAM:zbot', 30, 40, 30) for k in range(2)]
+        head = codecs.BOM_UTF8 + stats_text(rows).replace('\n', '\r\n').encode() + b'UNK:bad'
+        stats.write_bytes(head + b'\xff\tFAM:zbot\t30\t40\t30\t1.000000\t0.750000\r\n')
+        outdir = data_dir / 'out'
+        assert main(update_args(data_dir, stats, outdir)) == 1
+        assert capsys.readouterr().err == (
+            "error: %s: stats line 4: 'utf-8' codec can't decode byte 0xff in position %d:"
+            ' invalid start byte\n' % (stats, len(head)))
         assert not outdir.exists()
 
     @pytest.mark.parametrize('broken', ['serializer', 'write'])

@@ -10,6 +10,7 @@ equal the reference's, and every failed action must fail with the same
 reason.  The inputs must come out unchanged.
 '''
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from avtag.ruleset import RuleError, _check_expansion_acyclic, load_rules, serialize_rules
@@ -276,7 +277,9 @@ def assert_infer_matches_reference(relations, taxonomy, rules, config=UpdateConf
     assert load_rules(*serialize_rules(got.rules), reloaded) == got.rules
     assert format_unhandled(got.unhandled) == format_unhandled(want.unhandled)
     counts = (rows, strong, strong - len(kept))
-    assert format_changelog(got, *counts) == format_changelog(want, *counts)
+    assert (format_changelog(got.changes, *counts, len(got.consumed_known), len(got.unhandled))
+            == format_changelog(want.changes, *counts, len(want.consumed_known),
+                                len(want.unhandled)))
     assert got.changes == want.changes
     for name in ('consumed_known', 'consumed_equivalence', 'consumed_topblock',
                  'consumed_expansion'):
@@ -288,8 +291,21 @@ def assert_infer_matches_reference(relations, taxonomy, rules, config=UpdateConf
     return want
 
 
+def reverse_index(expansion):
+    '''Each expansion target -> the sorted sources whose rule holds it.'''
+    index = {}
+    for source, targets in sorted(expansion.items()):
+        for target in targets:
+            index.setdefault(target, []).append(source)
+    return index
+
+
 def run_actions(taxonomy, rules, actions):
-    '''Applies each action to both work states; returns the reasons of the failed ones.'''
+    '''Applies each action to both work states; returns the reasons of the failed ones.
+
+    Once built, the work state's reverse index of the expansion map must
+    equal one built anew from the map after every action.
+    '''
     states = _WorkState(taxonomy, rules), ReferenceState(taxonomy, rules)
     reasons = []
     for name, *args in actions:
@@ -304,6 +320,10 @@ def run_actions(taxonomy, rules, actions):
             assert_child_counts_exact(state.taxonomy)
         assert outcomes[0] == outcomes[1], (name, args)
         assert state_view(states[0]) == state_view(states[1]), (name, args)
+        index = states[0].sources
+        if index is not None:  # built at the first retirement
+            assert ({target: sorted(sources) for target, sources in index.items()}
+                    == reverse_index(states[0].rules.expansion)), (name, args)
         if outcomes[0] is not None:
             reasons.append(outcomes[0])
     return reasons
@@ -379,6 +399,25 @@ def test_every_action_error_matches_reference():
     for (taxonomy, rules), actions, reason in ACTION_ERRORS:
         reasons = run_actions(taxonomy, rules, actions)
         assert reasons and reason in reasons[-1], (reasons, reason)
+
+
+def test_failed_single_path_add_nodes_changes_nothing():
+    '''One path is checked by Taxonomy.add alone, with check_add's error text.'''
+    taxonomy, rules = make_kb('FILE:OS:windows\nFAM:zbot\n', 'zeus\tFAM:zbot\n',
+                              'FAM:zbot\twindows\n')
+    path = P('FAM:windows:sub')  # FAM:windows comes first, and its name is taken
+    with pytest.raises(TaxonomyError) as checked:
+        taxonomy.check_add([path])
+    assert str(checked.value) == (
+        "name 'windows' already used by FILE:OS:windows (adding FAM:windows)")
+    state = _WorkState(taxonomy, rules)
+    before = snapshot(state.taxonomy, state.rules)
+    with pytest.raises(_ActionError) as failed:
+        state.add_nodes(path)
+    assert str(failed.value) == str(checked.value)
+    assert snapshot(state.taxonomy, state.rules) == before
+    assert state.changes == ChangeLog()
+    assert run_actions(taxonomy, rules, [('add_nodes', path)]) == [str(checked.value)]
 
 
 def test_retired_tag_frees_its_name_and_path():

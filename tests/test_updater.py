@@ -896,8 +896,8 @@ class TestInferProperties:
             assert serialize_taxonomy(first.taxonomy) == serialize_taxonomy(second.taxonomy)
             assert serialize_rules(first.rules) == serialize_rules(second.rules)
             assert format_unhandled(first.unhandled) == format_unhandled(second.unhandled)
-            assert (format_changelog(first, 0, 0, 0)
-                    == format_changelog(second, 0, 0, 0))
+            assert (format_changelog(first.changes, 0, 0, 0, 0, 0)
+                    == format_changelog(second.changes, 0, 0, 0, 0, 0))
 
 
 class TestReports:
@@ -921,7 +921,8 @@ class TestReports:
         config = UpdateConfig()
         count, relations, strong = parse_stats(stats_text(rows).splitlines(), config)
         result = infer(relations, matrix_taxonomy, matrix_rules, config)
-        text = format_changelog(result, count, strong, strong - len(relations))
+        text = format_changelog(result.changes, count, strong, strong - len(relations),
+                                len(result.consumed_known), len(result.unhandled))
         assert text == ('relations all 4\n'
                         'relations strong 4\n'
                         'relations os_removed 1\n'
@@ -939,5 +940,6 @@ class TestReports:
     def test_format_changelog_no_entries(self, matrix_taxonomy, matrix_rules):
         result = run_rows([('CLASS:grayware:adware', 'CLASS:grayware', 200, 500, 200)],
                           matrix_taxonomy, matrix_rules)
-        text = format_changelog(result, 1, 1, 0)
+        text = format_changelog(result.changes, 1, 1, 0, len(result.consumed_known),
+                                len(result.unhandled))
         assert text.endswith('expansion removed 0\n')
