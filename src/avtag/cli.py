@@ -8,6 +8,7 @@ directory, never over its inputs.
 '''
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -35,16 +36,19 @@ class _Staging:
     '''New contents for output paths, each written to a temporary file next to its path.
 
     open() starts a path's temporary file and returns a handle on it (text,
-    written as UTF-8, or binary).  commit() renames every temporary file over
-    its path, and only once all of them are written.  Leaving the with-block
-    without commit(), or a failure, removes the temporary files not renamed,
-    so each path holds either its whole old or its whole new content.
+    written as UTF-8, or binary); it refuses a path that is a directory,
+    which no file can be renamed over.  commit() renames every temporary file
+    over its path, and only once all of them are written.  Leaving the
+    with-block without commit(), or a failure, removes the temporary files not
+    renamed, so each path holds either its whole old or its whole new content.
     '''
 
     def __init__(self):
         self._staged = []  # (handle on a temporary file, path it replaces)
 
     def open(self, path, binary=False):
+        if os.path.isdir(path):  # else commit() would fail there, after renaming others
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         # a random name, so that no file left by an earlier run can block this one;
         # not from secrets, which loads OpenSSL (3.7 MiB more peak RSS), nor from
         # tempfile.mkstemp, which creates the file readable by its owner only

@@ -8,11 +8,11 @@ counters used by the update engine.  label_reports is the one loop that runs
 this over a stream of reports.  It ranks a sample only for a tags or compat
 sink, so a statistics-only run builds no ranking.  CooccurrenceCounter keeps
 one row of string-keyed pair counts per item; write_stats writes the stats
-file in sorted order, one group per less frequent endpoint t_i, formatting each
-distinct count triple once.  A pair whose t_i is the larger string waits for
-its group as one list slot, so writing needs little memory above the counter,
-and leaves the counter as it was.  The stats file is the one bridge to the update
-engine, which reads it back with updater.parse_stats.
+file in sorted order, one write per less frequent endpoint t_i, formatting
+each distinct count triple once.  A pair whose t_i is the larger string waits
+for its group as one list slot, so writing needs little memory above the
+counter, and leaves the counter as it was.  The stats file is the one bridge
+to the update engine, which reads it back with updater.parse_stats.
 
 Expansion distributes over union, so each token's items are computed once per
 knowledge base and then looked up.  Labeling runs on a CompiledKB: a snapshot
@@ -21,8 +21,9 @@ a tagging rule or a tag name.  On a token's first sighting its value is filled
 with its (pre-expansion items, expanded items), computed by tag_tokens and
 expand and stored as frozensets of canonical item strings (``FAM:zbot``,
 ``CLASS:worm``); when expansion adds nothing, both are one frozenset.  Other
-tokens are never stored, since they are unbounded; a kept unknown token
-becomes ``UNK:<token>``.
+tokens are never stored, since they are unbounded; a kept unknown token is
+collected bare and becomes ``UNK:<token>`` only if it survives the engine
+count filter.
 Labeling a label is then tokenize, index lookup and set union.  Ranking items
 and counted items are therefore plain canonical strings.  A TagPath or
 UnknownToken equals its canonical string, but the index stores exact str
@@ -146,10 +147,12 @@ class CompiledKB:
     `index` maps every tagging-rule token and tag name to its entry, None
     until the token is first seen: then the token's (pre-expansion items,
     expanded items), frozensets of canonical item strings that are one object
-    when expansion adds nothing.  The copies make the object a snapshot:
-    editing the taxonomy or rules it was compiled from leaves it as it was,
-    so compile again to label with the edited knowledge base.  One compiled
-    object can be shared by threads and corpus partitions.
+    when expansion adds nothing.  A token that is no key is unknown, and
+    analyze_sample prefixes ``UNK:`` only to the ones that survive.  The
+    copies make the object a snapshot: editing the taxonomy or rules it was
+    compiled from leaves it as it was, so compile again to label with the
+    edited knowledge base.  One compiled object can be shared by threads and
+    corpus partitions.
     '''
 
     __slots__ = ('taxonomy', 'rules', 'index')
@@ -180,41 +183,47 @@ def analyze_sample(report, kb, allowlist=None, with_stats=False, with_ranking=Tr
     The first element is None unless with_ranking is set (the default), the
     second None unless with_stats is set.  Items are canonical strings.
 
+    Each label builds one set, its pre-expansion items; the items expansion
+    adds are unioned in only for the ranking.  A kept unknown token enters
+    bare (a token holds no ':', an item string does), and only a survivor
+    gets its ``UNK:`` prefix, before the sort: ``7zipper`` ranks as
+    ``UNK:7zipper``, after every tag of its count.
+
     `kb` is a CompiledKB; labeling fills its token index and reads the
     knowledge base as it was when `kb` was compiled.
     '''
     index = kb.index
     expanded_items = []
     raw_items = []
-    for engine, label in report.av_labels.items():
-        if allowlist is not None and engine.lower() not in allowlist:
-            continue
-        raw = set()
-        expanded = set()
+    labels = (report.av_labels.values() if allowlist is None else
+              [label for engine, label in report.av_labels.items() if engine.lower() in allowlist])
+    for label in labels:
+        raw = set()  # the label's pre-expansion items, a kept unknown token bare
+        added = None  # the union of the expanded entries that add items
         for token in tokenize(label):
             entry = index.get(token, _NOT_KNOWN)
             if entry is _NOT_KNOWN:
                 if len(token) >= MIN_UNKNOWN_LEN:
-                    unknown = _UNKNOWN_PREFIX + token
-                    raw.add(unknown)
-                    expanded.add(unknown)
+                    raw.add(token)
                 continue
             if entry is None:
                 entry = _index_token(kb, token)
             raw |= entry[0]
-            expanded |= entry[1]
+            if entry[1] is not entry[0]:
+                added = entry[1] if added is None else added | entry[1]
         if with_ranking:
-            expanded_items.extend(expanded)
+            expanded_items.extend(raw if added is None else raw | added)
         if with_stats:
             raw_items.extend(raw)
     ranking = stat_items = None
     if with_ranking:
-        ranked = sorted((-count, item) for item, count in Counter(expanded_items).items()
+        ranked = sorted((-count, item if ':' in item else _UNKNOWN_PREFIX + item)
+                        for item, count in Counter(expanded_items).items()
                         if count >= MIN_ENGINES)
         ranking = [TagAssignment(item, -key) for key, item in ranked]
     if with_stats:
-        stat_items = {item for item, count in Counter(raw_items).items()
-                      if count >= MIN_ENGINES}
+        stat_items = {item if ':' in item else _UNKNOWN_PREFIX + item
+                      for item, count in Counter(raw_items).items() if count >= MIN_ENGINES}
     return ranking, stat_items
 
 
@@ -296,18 +305,17 @@ class CooccurrenceCounter:
         The file is STATS_HEADER, then one row per counted pair, sorted by
         (t_i, t_j), t_i the less frequent endpoint (ties: the smaller string).
         Items are walked in sorted order and each one's rows go out as one
-        group, one string per row.  A pair whose less frequent endpoint is the
+        group, in one write.  A pair whose less frequent endpoint is the
         larger string is reversed: it waits as that endpoint's key in
         `pending`, and its count is read back from pair_counts at that
         endpoint's turn, so no count is copied.  The count columns are
-        formatted once per distinct (|t_i|, |t_j|, |(t_i,t_j)|).  Writing
-        leaves the counter unchanged.
+        formatted once per distinct (|t_i|, |t_j|, |(t_i,t_j)|), cached per
+        |t_i| by (|t_j|, |(t_i,t_j)|).  Writing leaves the counter unchanged.
         '''
         item_counts = self.item_counts
         rows = self.pair_counts
         pending = defaultdict(list)  # t_i -> the smaller endpoints t_j of its reversed pairs
-        counts_row = _STATS_COUNTS + '\n'
-        counts_text = {}  # (|t_i|, |t_j|, |(t_i,t_j)|) -> its formatted columns
+        counts_text = {}  # |t_i| -> {(|t_j|, |(t_i,t_j)|): its formatted columns}
         written = 0
         handle.write(STATS_HEADER + '\n')
         for t_i in sorted(item_counts):
@@ -319,19 +327,30 @@ class CooccurrenceCounter:
                     larger.append(t_j)
                 else:
                     pending[t_j].append(t_i)
-            prefix = t_i + '\t'
-            lines = []
+            texts = counts_text.get(count_i)
+            if texts is None:
+                texts = counts_text[count_i] = {}
+            parts = []
             # the smaller endpoints were pending in sorted order, before every larger one
-            for t_j in itertools.chain(pending.pop(t_i, ()), sorted(larger)):
-                counts = (count_i, item_counts[t_j], row[t_j] if t_j > t_i else rows[t_j][t_i])
-                text = counts_text.get(counts)
-                if text is None:
-                    text = counts_text[counts] = counts_row % (
-                        counts + (counts[2] / counts[0], counts[2] / counts[1]))
-                lines.append(prefix + t_j + text)
-            handle.writelines(lines)
-            written += len(lines)
+            for t_j in pending.pop(t_i, ()):
+                counts = (item_counts[t_j], rows[t_j][t_i])
+                parts.append(t_j + (texts.get(counts) or _counts_text(texts, count_i, counts)))
+            for t_j in sorted(larger):
+                counts = (item_counts[t_j], row[t_j])
+                parts.append(t_j + (texts.get(counts) or _counts_text(texts, count_i, counts)))
+            if parts:
+                prefix = t_i + '\t'
+                handle.write(prefix + prefix.join(parts))
+                written += len(parts)
         return written
+
+
+def _counts_text(texts, count_i, counts):
+    '''Formats a row's count columns and line end into `texts`; counts = (|t_j|, |(t_i,t_j)|).'''
+    count_j, joint = counts
+    text = texts[counts] = _STATS_COUNTS % (count_i, count_j, joint,
+                                            joint / count_i, joint / count_j) + '\n'
+    return text
 
 
 def label_reports(reports, kb, allowlist=None, tags_out=None, compat_out=None, counter=None):

@@ -1,4 +1,5 @@
 import codecs
+import errno
 import os
 import random
 import subprocess
@@ -191,8 +192,8 @@ class TestLabelCommand:
                                '--tags-out', str(tags))) == 1
         assert 'no samples parsed' in capsys.readouterr().err
 
-    @pytest.mark.parametrize('broken', ['no_samples', 'stats_open', 'stats_format'])
-    def test_failed_run_keeps_previous_outputs(self, data_dir, monkeypatch, broken):
+    @pytest.mark.parametrize('broken', ['no_samples', 'stats_open', 'stats_dir', 'stats_format'])
+    def test_failed_run_keeps_previous_outputs(self, data_dir, monkeypatch, capsys, broken):
         inp = data_dir / 'samples.jsonl'
         write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
         stats = data_dir / 'stats.out'
@@ -209,25 +210,37 @@ class TestLabelCommand:
             # the stats output cannot be created: its directory does not exist
             stats = data_dir / 'gone' / 'stats.out'
             args[args.index('--stats-out') + 1] = str(stats)
+        elif broken == 'stats_dir':
+            # the stats output is a directory, which no file can be renamed over
+            stats = data_dir / 'stats.dir'
+            stats.mkdir()
+            args[args.index('--stats-out') + 1] = str(stats)
         elif broken == 'stats_format':
-            # the disk fills up while the stats rows stream out: the header and
-            # two rows reach the temporary file, then the next write fails
-            lines = []
+            # the stats file a good run writes on this corpus
+            good = data_dir / 'good' / 'stats.tsv'
+            good.parent.mkdir()
+            assert main(label_args(data_dir, '-i', str(inp), '--stats-out', str(good))) == 0
+            good_text = good.read_text()
+            first_i = good_text.splitlines()[1].split('\t')[0]
+            first_group = ''.join(line for line in good_text.splitlines(keepends=True)[1:]
+                                  if line.split('\t')[0] == first_i)
+            # the disk fills up while the stats rows stream out: the header and the
+            # first t_i group reach the temporary file, then the next write fails
+            received = []
 
             class FullDisk:
                 def __init__(self, handle):
                     self.handle = handle
+                    self.writes = 0
 
                 def write(self, text):
-                    if len(lines) >= 3:
+                    if self.writes == 2:
                         self.handle.flush()
+                        with open(self.handle.name, encoding='utf-8') as staged:
+                            received.append(staged.read())
                         raise OSError(28, 'No space left on device')
-                    lines.extend(text.splitlines())
+                    self.writes += 1
                     return self.handle.write(text)
-
-                def writelines(self, texts):
-                    for text in texts:
-                        self.write(text)
 
             staged_open = cli._Staging.open
 
@@ -236,12 +249,20 @@ class TestLabelCommand:
                 return FullDisk(handle) if path == str(stats) else handle
             monkeypatch.setattr(cli._Staging, 'open', open_staged)
         before = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
+        capsys.readouterr()
         assert main(args) == 1
         after = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
         assert after == before
         assert not (data_dir / 'gone').exists()
+        if broken == 'stats_dir':
+            err = capsys.readouterr().err
+            assert err == "error: [Errno %d] %s: '%s'\n" % (
+                errno.EISDIR, os.strerror(errno.EISDIR), stats)
+            assert list(stats.iterdir()) == []
         if broken == 'stats_format':
-            assert len(lines) == 3 and lines[0] == labeler.STATS_HEADER
+            expected = labeler.STATS_HEADER + '\n' + first_group
+            assert received == [expected]
+            assert len(expected) < len(good_text)
 
     def test_output_that_cannot_be_created_is_named_as_given(self, data_dir, capsys):
         inp = data_dir / 'samples.jsonl'
@@ -666,26 +687,39 @@ class TestUpdateCommand:
             ' invalid start byte\n' % (stats, len(head)))
         assert not outdir.exists()
 
-    @pytest.mark.parametrize('broken', ['serializer', 'write'])
-    def test_failed_run_keeps_previous_outputs(self, matrix_dir, monkeypatch, broken):
+    @pytest.mark.parametrize('broken', ['serializer', 'write', 'changelog_dir'])
+    def test_failed_run_keeps_previous_outputs(self, matrix_dir, monkeypatch, capsys, broken):
         outdir = matrix_dir / 'out'
         first = matrix_dir / 'first'
         first.write_text(stats_text(MATRIX_ROWS[:1]))
         assert main(update_args(matrix_dir, first, outdir)) == 0
-        before = {path.name: path.read_bytes() for path in outdir.iterdir()}
-        if broken == 'serializer':
-            def format_changelog(*args):
-                raise RuntimeError('serializer failed')
-            expected = RuntimeError
+        if broken == 'changelog_dir':
+            # the last output is a directory, which no file can be renamed over
+            changelog = outdir / 'changelog.txt'
+            changelog.unlink()
+            changelog.mkdir()
+        before = {path.name: path.read_bytes() for path in outdir.iterdir() if path.is_file()}
+        if broken == 'changelog_dir':
+            capsys.readouterr()
+            assert main(update_args(matrix_dir, matrix_dir / 'stats', outdir)) == 1
+            assert capsys.readouterr().err == "error: [Errno %d] %s: '%s'\n" % (
+                errno.EISDIR, os.strerror(errno.EISDIR), changelog)
+            assert list(changelog.iterdir()) == []
         else:
-            # the last output cannot be encoded: four temporary files exist by then
-            def format_changelog(*args):
-                return 'relations all 17\n\udcff\n'
-            expected = UnicodeEncodeError
-        monkeypatch.setattr(updater, 'format_changelog', format_changelog)
-        with pytest.raises(expected):
-            main(update_args(matrix_dir, matrix_dir / 'stats', outdir))
-        assert {path.name: path.read_bytes() for path in outdir.iterdir()} == before
+            if broken == 'serializer':
+                def format_changelog(*args):
+                    raise RuntimeError('serializer failed')
+                expected = RuntimeError
+            else:
+                # the last output cannot be encoded: four temporary files exist by then
+                def format_changelog(*args):
+                    return 'relations all 17\n\udcff\n'
+                expected = UnicodeEncodeError
+            monkeypatch.setattr(updater, 'format_changelog', format_changelog)
+            with pytest.raises(expected):
+                main(update_args(matrix_dir, matrix_dir / 'stats', outdir))
+        assert {path.name: path.read_bytes() for path in outdir.iterdir()
+                if path.is_file()} == before
 
     def test_files_left_by_an_earlier_run_do_not_block_the_outputs(self, matrix_dir):
         outdir = matrix_dir / 'out'

@@ -20,7 +20,7 @@ from avtag.labeler import (
     tag_tokens,
 )
 from avtag.ruleset import RuleSet, load_rules
-from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, parse_item
+from avtag.taxonomy import TagPath, Taxonomy, UnknownToken, load_taxonomy, parse_item
 from avtag.tokenizer import tokenize
 from avtag.updater import Relation, parse_stats
 
@@ -168,6 +168,18 @@ class TestLabelSample:
         ranking = analyze_sample(sample, CompiledKB(base_taxonomy, base_rules))[0]
         assert format_tags_line(sample.sample_id, ranking).split('\t')[1] == (
             'FAM:bebeg|2,UNK:zzztok|2')
+
+    def test_digit_led_unknown_sorts_as_prefixed_item(self):
+        # the knowledge base of CI's installed-script step
+        taxonomy = load_taxonomy('FAM:zbot\nCLASS:worm\n')
+        kb = CompiledKB(taxonomy, load_rules('zeus\tFAM:zbot\n', '', taxonomy))
+        sample = SampleReport('dd', {'A': 'Worm.7zipper', 'B': '7ZIPPER/Worm', 'C': 'Zbot.7zip'})
+        tags_out, compat_out, counter = io.StringIO(), io.StringIO(), CooccurrenceCounter()
+        assert label_reports([sample], kb, None, tags_out, compat_out, counter) == 1
+        # '7zipper' sorts before 'CLASS:worm', 'UNK:7zipper' after it
+        assert tags_out.getvalue() == 'dd\tCLASS:worm|2,UNK:7zipper|2\n'
+        assert compat_out.getvalue() == 'dd\t7zipper\n'
+        assert dict(counter.item_counts) == {'CLASS:worm': 1, 'UNK:7zipper': 1}
 
     def test_count_descending_then_canonical(self, base_rules, base_taxonomy):
         labels = {'A': 'virut.zbot', 'B': 'virut.zbot', 'C': 'virut'}
