@@ -83,16 +83,27 @@ class _Staging:
 def _first_bad_byte(path, error):
     '''`<path>: stats line N: <error>` for the first byte of a stats file not in UTF-8.
 
-    N counts lines as parse_stats does; the position counts from the file's
-    first byte, a BOM included.  Falls back to the reader's `error`.
+    Reads the file line by line.  N counts lines as parse_stats does; the
+    position counts from the file's first byte, a BOM included.  Falls back to
+    the reader's `error`.
     '''
-    data = _read_bytes(path)
-    try:
-        data.decode('utf-8')
-    except UnicodeDecodeError as exc:
-        # a character after the decodable text puts it on the bad byte's line
-        lineno = len((data[:exc.start].decode('utf-8-sig') + '.').splitlines())
-        return '%s: stats line %d: %s' % (path, lineno, exc)
+    lineno = offset = 0
+    with open(path, 'rb') as handle:
+        # a binary line ends at LF, which is never inside a UTF-8 sequence, so each
+        # decodes alone, and str.splitlines counts its lines as it would the file's
+        for raw in handle:
+            try:
+                lineno += len(raw.decode('utf-8').splitlines())
+            except UnicodeDecodeError as exc:
+                # a character after the decodable text puts it on the bad byte's line
+                lineno += len((raw[:exc.start].decode('utf-8') + '.').splitlines())
+                # worded as str(exc) words it, with positions counted from the file's start
+                start, end = offset + exc.start, offset + exc.end
+                where = ('byte 0x%02x in position %d' % (raw[exc.start], start)
+                         if end == start + 1 else 'bytes in position %d-%d' % (start, end - 1))
+                return "%s: stats line %d: 'utf-8' codec can't decode %s: %s" % (
+                    path, lineno, where, exc.reason)
+            offset += len(raw)
     return '%s: %s' % (path, error)
 
 
@@ -296,9 +307,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == 'label':
-        return run_label(args)
-    return run_update(args)
+    try:
+        if args.command == 'label':
+            return run_label(args)
+        return run_update(args)
+    except KeyboardInterrupt:  # Ctrl-C: staging has removed its temporary files
+        _fail('interrupted')
+        return 130
 
 
 if __name__ == '__main__':

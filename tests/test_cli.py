@@ -1,9 +1,11 @@
 import codecs
 import errno
+import itertools
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -28,6 +30,9 @@ CLASS:tool\tFAM:bitcoinminer\t1\t1\t1\t1.000000\t1.000000
 FAM:bebeg\tFAM:bitcoinminer\t1\t1\t1\t1.000000\t1.000000
 '''
 
+# a two-tag knowledge base, as bytes: taxonomy, tagging (zeus aliases FAM:zbot), expansion
+SMALL_KB = (b'FAM:zbot\nCLASS:worm\n', b'zeus\tFAM:zbot\n', b'')
+
 
 def label_args(data_dir, *extra):
     return ['label',
@@ -43,6 +48,27 @@ def update_args(data_dir, stats_path, outdir, *extra):
             '--tagging', str(data_dir / 'tagging'),
             '--expansion', str(data_dir / 'expansion'),
             '-o', str(outdir), *extra]
+
+
+def write_kb(data_dir, kb):
+    '''Writes the taxonomy, tagging and expansion bytes given, if any, into data_dir.'''
+    for name, data in zip(('taxonomy', 'tagging', 'expansion'), kb):
+        (data_dir / name).write_bytes(data)
+
+
+def files(directory):
+    '''Name -> bytes of every file in `directory`, hidden temporary files included.'''
+    return {path.name: path.read_bytes() for path in directory.iterdir() if path.is_file()}
+
+
+def interrupted_run(args, capsys):
+    '''(exit code, stderr) of a run that a patched function interrupts with Ctrl-C.'''
+    capsys.readouterr()
+    try:
+        code = main(args)
+    except KeyboardInterrupt:
+        pytest.fail('KeyboardInterrupt escaped main')
+    return code, capsys.readouterr().err
 
 
 def write_deep_chain(data_dir, chain):
@@ -84,20 +110,29 @@ def read_counts(changelog_path):
 
 
 class TestLabelCommand:
-    def test_golden_sample_all_outputs(self, data_dir, capsys):
+    # knowledge base (empty: the base one), corpus, tags, compat and stats files, summary
+    @pytest.mark.parametrize('kb,lines,outputs,summary', [
+        ((), [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)],
+         (GOLDEN_TAG_LINE + '\n', '%s\t%s\n' % (GOLDEN_SAMPLE_ID, GOLDEN_FAMILY), GOLDEN_STATS),
+         'samples read 1, labeled 1, skipped 0, relations 6'),
+        # the rarer endpoint of two pairs, FAM:zbot and UNK:newfam, is the larger string
+        (SMALL_KB, [sample_line('bb', {'A': 'Worm.Zeus.Newfam', 'B': 'Worm.Zbot.Newfam'}),
+                    sample_line('cc', {'A': 'Worm.Win32', 'B': 'Worm'})],
+         ('bb\tCLASS:worm|2,FAM:zbot|2,UNK:newfam|2\ncc\tCLASS:worm|2\n',
+          'bb\tzbot\ncc\tSINGLETON:cc\n',
+          stats_text([('FAM:zbot', 'CLASS:worm', 1, 2, 1), ('FAM:zbot', 'UNK:newfam', 1, 1, 1),
+                      ('UNK:newfam', 'CLASS:worm', 1, 2, 1)])),
+         'samples read 2, labeled 2, skipped 0, relations 3'),
+    ], ids=['golden', 'reversed_pairs'])
+    def test_golden_sample_all_outputs(self, data_dir, capsys, kb, lines, outputs, summary):
+        write_kb(data_dir, kb)
         inp = data_dir / 'samples.jsonl'
-        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
-        tags = data_dir / 'tags.out'
-        compat = data_dir / 'compat.out'
-        stats = data_dir / 'stats.out'
-        code = main(label_args(data_dir, '-i', str(inp), '--tags-out', str(tags),
-                               '--compat-out', str(compat), '--stats-out', str(stats)))
-        assert code == 0
-        assert tags.read_text() == GOLDEN_TAG_LINE + '\n'
-        assert compat.read_text() == '%s\t%s\n' % (GOLDEN_SAMPLE_ID, GOLDEN_FAMILY)
-        assert stats.read_text() == GOLDEN_STATS
-        captured = capsys.readouterr()
-        assert 'samples read 1, labeled 1, skipped 0, relations 6' in captured.err
+        write_lines(inp, lines)
+        tags, compat, stats = (data_dir / name for name in ('tags.out', 'compat.out', 'stats.out'))
+        assert main(label_args(data_dir, '-i', str(inp), '--tags-out', str(tags),
+                               '--compat-out', str(compat), '--stats-out', str(stats))) == 0
+        assert (tags.read_text(), compat.read_text(), stats.read_text()) == outputs
+        assert summary in capsys.readouterr().err
 
     def test_sample_without_items_still_listed(self, data_dir):
         inp = data_dir / 'samples.jsonl'
@@ -248,10 +283,10 @@ class TestLabelCommand:
                 handle = staged_open(staging, path, binary)
                 return FullDisk(handle) if path == str(stats) else handle
             monkeypatch.setattr(cli._Staging, 'open', open_staged)
-        before = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
+        before = files(data_dir)
         capsys.readouterr()
         assert main(args) == 1
-        after = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
+        after = files(data_dir)
         assert after == before
         assert not (data_dir / 'gone').exists()
         if broken == 'stats_dir':
@@ -263,6 +298,21 @@ class TestLabelCommand:
             expected = labeler.STATS_HEADER + '\n' + first_group
             assert received == [expected]
             assert len(expected) < len(good_text)
+
+    def test_interrupt_keeps_previous_outputs(self, data_dir, monkeypatch, capsys):
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        args = label_args(data_dir, '-i', str(inp), '--tags-out', str(data_dir / 'tags.out'),
+                          '--stats-out', str(data_dir / 'stats.out'))
+        assert main(args) == 0
+        before = files(data_dir)
+
+        def interrupted(reports, kb, allowlist, tags_out, *sinks):
+            tags_out.write('partial\n')  # both outputs are staged, one is written to
+            raise KeyboardInterrupt
+        monkeypatch.setattr(labeler, 'label_reports', interrupted)
+        assert interrupted_run(args, capsys) == (130, 'error: interrupted\n')
+        assert files(data_dir) == before  # no .tmp file either
 
     def test_output_that_cannot_be_created_is_named_as_given(self, data_dir, capsys):
         inp = data_dir / 'samples.jsonl'
@@ -340,12 +390,12 @@ class TestLabelCommand:
             raise AssertionError('input read')
         monkeypatch.setattr(cli, '_read_reports', read_input)
         monkeypatch.setattr(cli, '_read_bytes', read_input)
-        before = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
+        before = files(data_dir)
         # the output's spelling differs from the input's, the real path is the same
         assert main(label_args(data_dir, '-i', str(inp), '--engines', str(data_dir / 'engines'),
                                output, str(data_dir / 'sub' / '..' / source))) == 1
         assert 'refusing to overwrite input file' in capsys.readouterr().err
-        after = {path.name: path.read_bytes() for path in data_dir.iterdir() if path.is_file()}
+        after = files(data_dir)
         assert after == before
 
     @pytest.mark.parametrize('source', ['taxonomy', 'tagging', 'expansion', 'engines'])
@@ -516,17 +566,45 @@ class TestUpdateCommand:
         for name in ('taxonomy', 'tagging', 'expansion'):
             assert (second / name).read_bytes() == (first / name).read_bytes()
 
-    def test_unchanged_artifacts_copied_verbatim(self, data_dir):
-        # weak relation only: nothing strong, so inputs (comments, spacing and
-        # all) must be copied through byte for byte
+    # knowledge base (empty: the base one), stats file, the outputs copied, changelog head
+    @pytest.mark.parametrize('kb,stats_data,copied,head', [
+        # weak relation only: the inputs, comments, spacing and all, are copied
+        ((), stats_text([('UNK:fynloski', 'FAM:darkkomet', 10, 20, 10)]).encode(),
+         cli.UPDATE_OUTPUT_NAMES[:3], 'relations all 1\nrelations strong 0\n'),
+        # the stats file label writes for a sample with one tag: its header alone
+        (SMALL_KB, stats_text([]).encode(), cli.UPDATE_OUTPUT_NAMES[:3], 'relations all 0\n'),
+        # BOM and CRLFs: a strong row aliases newfam, a weak and a FILE:OS row change nothing
+        ((codecs.BOM_UTF8 + b'FAM:zbot\r\nCLASS:worm\r\n',) + SMALL_KB[1:],
+         codecs.BOM_UTF8 + stats_text([('UNK:newfam', 'FAM:zbot', 30, 30, 30),
+                                       ('CLASS:worm', 'FAM:zbot', 5, 30, 1),
+                                       ('FAM:zbot', 'FILE:OS:windows', 30, 40, 30)]
+                                      ).replace('\n', '\r\n').encode(),
+         ('taxonomy', 'expansion'),
+         'relations all 3\nrelations strong 2\nrelations os_removed 1\n'),
+    ], ids=['weak_only', 'header_only', 'bom_crlf'])
+    def test_unchanged_artifacts_copied_verbatim(self, data_dir, kb, stats_data, copied, head):
+        write_kb(data_dir, kb)
         stats = data_dir / 'stats'
-        stats.write_text(stats_text([('UNK:fynloski', 'FAM:darkkomet', 10, 20, 10)]))
+        stats.write_bytes(stats_data)
         outdir = data_dir / 'out'
         assert main(update_args(data_dir, stats, outdir)) == 0
-        for name in ('taxonomy', 'tagging', 'expansion'):
+        for name in copied:
             assert (outdir / name).read_bytes() == (data_dir / name).read_bytes()
-        counts = read_counts(outdir / 'changelog.txt')
-        assert counts['relations all'] == 1 and counts['relations strong'] == 0
+        assert (outdir / 'changelog.txt').read_text().startswith(head)
+
+    def test_retired_family_rules_move_to_the_family_it_aliases(self, tmp_path):
+        # FAM:zeus retires into an alias of FAM:zbot; its own expansion rule and
+        # FAM:citadel's, which targets it, move to FAM:zbot
+        write_kb(tmp_path, (b'FAM:zeus\nFAM:zbot\nFAM:citadel\nCLASS:worm\n', b'',
+                            b'FAM:zeus\tworm\nFAM:citadel\tzeus\n'))
+        (tmp_path / 'stats').write_text(stats_text([('FAM:zeus', 'FAM:zbot', 30, 31, 30)]))
+        assert main(update_args(tmp_path, tmp_path / 'stats', tmp_path / 'out')) == 0
+        assert (tmp_path / 'out' / 'expansion').read_text() == (
+            'FAM:citadel\tFAM:zbot\nFAM:zbot\tCLASS:worm\n')
+        assert (tmp_path / 'out' / 'changelog.txt').read_text().endswith(
+            '\n\ntaxonomy - FAM:zeus\ntagging + zeus\nexpansion + FAM:citadel => FAM:zbot\n'
+            'expansion + FAM:zbot => CLASS:worm\nexpansion - FAM:citadel => FAM:zeus\n'
+            'expansion - FAM:zeus => CLASS:worm\n')
 
     def test_unchanged_artifact_is_the_version_parsed(self, data_dir, monkeypatch):
         # the expansion file is replaced while infer runs: the copy is still the
@@ -675,6 +753,25 @@ class TestUpdateCommand:
             ' invalid start byte\n' % (stats, rows_before + 2, len(head)))
         assert not outdir.exists()
 
+    def test_stats_invalid_utf8_found_in_memory_well_under_the_file_size(self, tmp_path):
+        stats = tmp_path / 'stats'
+        rows = [('UNK:tok%d' % k, 'FAM:zbot', 30, 40, 30) for k in range(50000)]
+        # the lines end in turn with each break parse_stats splits at: LF, CRLF, CR, U+2028
+        ends = itertools.cycle(['\n', '\r\n', '\r', '\u2028'])
+        head = ''.join(line + next(ends) for line in stats_text(rows).splitlines()).encode()
+        head += b'UNK:bad'
+        stats.write_bytes(head + b'\xff\tFAM:zbot\t30\t40\t30\t1.000000\t0.750000\n')
+        tracemalloc.start()
+        try:
+            message = cli._first_bad_byte(str(stats), None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert message == (
+            "%s: stats line 50002: 'utf-8' codec can't decode byte 0xff in position %d:"
+            ' invalid start byte' % (stats, len(head)))
+        assert len(head) > 2 ** 21 and peak < len(head) / 10
+
     def test_stats_invalid_utf8_position_counts_the_bom(self, data_dir, capsys):
         stats = data_dir / 'stats'
         rows = [('UNK:tok%d' % k, 'FAM:zbot', 30, 40, 30) for k in range(2)]
@@ -698,7 +795,7 @@ class TestUpdateCommand:
             changelog = outdir / 'changelog.txt'
             changelog.unlink()
             changelog.mkdir()
-        before = {path.name: path.read_bytes() for path in outdir.iterdir() if path.is_file()}
+        before = files(outdir)
         if broken == 'changelog_dir':
             capsys.readouterr()
             assert main(update_args(matrix_dir, matrix_dir / 'stats', outdir)) == 1
@@ -718,8 +815,24 @@ class TestUpdateCommand:
             monkeypatch.setattr(updater, 'format_changelog', format_changelog)
             with pytest.raises(expected):
                 main(update_args(matrix_dir, matrix_dir / 'stats', outdir))
-        assert {path.name: path.read_bytes() for path in outdir.iterdir()
-                if path.is_file()} == before
+        assert files(outdir) == before
+
+    # infer runs before the first output is staged, format_changelog once four are
+    @pytest.mark.parametrize('interrupted', ['infer', 'format_changelog'])
+    def test_interrupt_keeps_previous_outputs(self, matrix_dir, monkeypatch, capsys,
+                                              interrupted):
+        outdir = matrix_dir / 'out'
+        first = matrix_dir / 'first'
+        first.write_text(stats_text(MATRIX_ROWS[:1]))
+        assert main(update_args(matrix_dir, first, outdir)) == 0
+        before = files(outdir)
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(updater, interrupted, interrupt)
+        assert interrupted_run(update_args(matrix_dir, matrix_dir / 'stats', outdir),
+                               capsys) == (130, 'error: interrupted\n')
+        assert files(outdir) == before  # no .tmp file either
 
     def test_files_left_by_an_earlier_run_do_not_block_the_outputs(self, matrix_dir):
         outdir = matrix_dir / 'out'
