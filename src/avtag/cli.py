@@ -192,7 +192,7 @@ def run_label(args):
                 for path in (args.tags_out, args.compat_out, args.stats_out))
             labeled = labeler.label_reports(_read_reports(args.input, counts), kb, allowlist,
                                             tags_out, compat_out, counter)
-            del kb  # free the knowledge base before the stats write, where memory peaks
+            del kb  # free the knowledge base before the stats write, where a stats-only run peaks
             if labeled == 0:
                 return _fail('no samples parsed (%d lines read, %d skipped)'
                              % (counts['read'], counts['skipped']))

@@ -7,12 +7,14 @@ per-engine item extraction, taken before expansion, feeds the co-occurrence
 counters used by the update engine.  label_reports is the one loop that runs
 this over a stream of reports.  It ranks a sample only for a tags or compat
 sink, so a statistics-only run builds no ranking.  CooccurrenceCounter keeps
-one row of string-keyed pair counts per item; write_stats writes the stats
-file in sorted order, one write per less frequent endpoint t_i, formatting
-each distinct count triple once.  A pair whose t_i is the larger string waits
-for its group as one list slot, so writing needs little memory above the
-counter, and leaves the counter as it was.  The stats file is the one bridge
-to the update engine, which reads it back with updater.parse_stats.
+each item's sample count and each sample's sorted item list, and counts no
+pair while labeling; write_stats counts them, item by item, as it writes the
+stats file in sorted order, one write per less frequent endpoint t_i,
+formatting each distinct count triple once.  Most items of AV labels are seen
+in one sample, and such an item's pairs are read straight off that sample, so
+writing holds little more than the counter, and leaves it as it was.  The
+stats file is the one bridge to the update engine, which reads it back with
+updater.parse_stats.
 
 Expansion distributes over union, so each token's items are computed once per
 knowledge base and then looked up.  Labeling runs on a CompiledKB: a snapshot
@@ -32,7 +34,7 @@ from them.
 '''
 
 import itertools
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 
 from .taxonomy import UNKNOWN_CATEGORY
 from .tokenizer import tokenize
@@ -262,82 +264,92 @@ def format_compat_line(sample_id, family):
 
 
 class CooccurrenceCounter:
-    '''Streaming per-item and per-pair sample counters.
+    '''Streaming per-item sample counts plus each sample's item list.
 
-    item_counts maps each item string to its sample count; pair_counts holds
-    one row per item, {a: {b: |(a,b)|}} with a < b, so a pair costs one dict
-    slot, not a tuple of its own.  add_items ingests one sample's item set;
-    merge combines counters built over disjoint partitions (commutative and
-    associative, so parallel workers can each build one and merge in any order).
+    item_counts maps each item string to its sample count; samples holds the
+    sorted item list of every sample of two or more items, the only ones that
+    hold a pair.  No pair is counted until write_stats, so a pair costs
+    nothing while counting, and a pair with an item seen in one sample is
+    never stored at all.  add_items ingests one sample's item set; merge
+    combines counters built over disjoint partitions (commutative and
+    associative, so parallel workers can each build one and merge in any
+    order).
     '''
 
     def __init__(self):
         self.item_counts = Counter()
-        self.pair_counts = {}
+        self.samples = []
 
     def add_items(self, items):
         '''Counts one sample's items (strings or TagPath/UnknownToken items), each once.'''
         ordered = sorted(set(map(str, items)))
         self.item_counts.update(ordered)
-        rows = self.pair_counts
-        for index, a in enumerate(ordered[:-1], 1):
-            row = rows.get(a)
-            if row is None:
-                row = rows[a] = {}
-            for b in ordered[index:]:
-                row[b] = row.get(b, 0) + 1
+        if len(ordered) > 1:
+            self.samples.append(ordered)
 
     def merge(self, other):
         self.item_counts.update(other.item_counts)
-        rows = self.pair_counts
-        for a, other_row in other.pair_counts.items():
-            row = rows.get(a)
-            if row is None:
-                rows[a] = dict(other_row)
-            else:
-                for b, count_ab in other_row.items():
-                    row[b] = row.get(b, 0) + count_ab
+        self.samples.extend(other.samples)
         return self
+
+    @property
+    def pair_counts(self):
+        '''{a: {b: |(a,b)|}} with a < b, counted afresh from samples; a read-only view.'''
+        rows = {}
+        for ordered in self.samples:
+            for index, a in enumerate(ordered[:-1], 1):
+                row = rows.setdefault(a, {})
+                for b in ordered[index:]:
+                    row[b] = row.get(b, 0) + 1
+        return rows
 
     def write_stats(self, handle):
         '''Writes the stats file to a text handle; returns the row count.
 
         The file is STATS_HEADER, then one row per counted pair, sorted by
         (t_i, t_j), t_i the less frequent endpoint (ties: the smaller string).
-        Items are walked in sorted order and each one's rows go out as one
-        group, in one write.  A pair whose less frequent endpoint is the
-        larger string is reversed: it waits as that endpoint's key in
-        `pending`, and its count is read back from pair_counts at that
-        endpoint's turn, so no count is copied.  The count columns are
-        formatted once per distinct (|t_i|, |t_j|, |(t_i,t_j)|), cached per
+        One pass over the samples lists the samples that hold each item.  Items
+        are then walked in sorted order, and each one's rows, the pairs it is
+        t_i of, go out as one group, in one write.  An item seen in one sample
+        reads its rows off that sample, each with joint count 1; any other item
+        counts its partners over its samples in one Counter.  The count columns
+        are formatted once per distinct (|t_i|, |t_j|, |(t_i,t_j)|), cached per
         |t_i| by (|t_j|, |(t_i,t_j)|).  Writing leaves the counter unchanged.
         '''
         item_counts = self.item_counts
-        rows = self.pair_counts
-        pending = defaultdict(list)  # t_i -> the smaller endpoints t_j of its reversed pairs
+        once = {}  # an item seen in one sample -> that sample
+        # any other item -> the samples that hold it (those of one item hold no pair)
+        holders = {item: [] for item, count in item_counts.items() if count > 1}
+        for ordered in self.samples:
+            for item in ordered:
+                samples = holders.get(item)
+                if samples is None:
+                    once[item] = ordered
+                else:
+                    samples.append(ordered)
         counts_text = {}  # |t_i| -> {(|t_j|, |(t_i,t_j)|): its formatted columns}
         written = 0
         handle.write(STATS_HEADER + '\n')
-        for t_i in sorted(item_counts):
+        for t_i in sorted(itertools.chain(once, holders)):
             count_i = item_counts[t_i]
-            row = rows.get(t_i, ())
-            larger = []
-            for t_j in row:
-                if count_i <= item_counts[t_j]:
-                    larger.append(t_j)
-                else:
-                    pending[t_j].append(t_i)
             texts = counts_text.get(count_i)
             if texts is None:
                 texts = counts_text[count_i] = {}
             parts = []
-            # the smaller endpoints were pending in sorted order, before every larger one
-            for t_j in pending.pop(t_i, ()):
-                counts = (item_counts[t_j], rows[t_j][t_i])
-                parts.append(t_j + (texts.get(counts) or _counts_text(texts, count_i, counts)))
-            for t_j in sorted(larger):
-                counts = (item_counts[t_j], row[t_j])
-                parts.append(t_j + (texts.get(counts) or _counts_text(texts, count_i, counts)))
+            ordered = once.get(t_i)
+            if ordered is not None:
+                # every item of the sample is a partner, but one seen once that is not larger
+                for t_j in ordered:
+                    count_j = item_counts[t_j]
+                    if count_j > 1 or t_j > t_i:
+                        counts = (count_j, 1)
+                        parts.append(t_j + (texts.get(counts) or _counts_text(texts, 1, counts)))
+            else:
+                joint = Counter(itertools.chain.from_iterable(holders[t_i]))
+                key_i = (count_i, t_i)
+                for t_j in sorted([t_j for t_j in joint if (item_counts[t_j], t_j) > key_i]):
+                    counts = (item_counts[t_j], joint[t_j])
+                    parts.append(t_j + (texts.get(counts) or _counts_text(texts, count_i, counts)))
             if parts:
                 prefix = t_i + '\t'
                 handle.write(prefix + prefix.join(parts))

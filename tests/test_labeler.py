@@ -5,9 +5,11 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avtag import labeler
 from avtag.labeler import (
+    STATS_HEADER,
     CompiledKB,
     CooccurrenceCounter,
     SampleReport,
@@ -33,6 +35,13 @@ def paths(*texts):
 
 def report(labels, n=1):
     return SampleReport(sample_id(n), labels)
+
+
+class Discard:
+    '''A text handle that keeps nothing, so a traced write_stats holds no output.'''
+
+    def write(self, text):
+        pass
 
 
 class TestSampleReport:
@@ -321,11 +330,16 @@ class TestCooccurrence:
                 == [tuple(r) for r in backward])
 
 
-    def test_counter_memory_per_pair(self):
-        '''The counter holds under 64 bytes per distinct pair; a pair tuple alone is 56.'''
+    @staticmethod
+    def memory_samples():
+        '''1,500 samples of 12 items each, drawn from 4,000 unknown tokens.'''
         rng = random.Random(3)
         vocabulary = ['UNK:tok%05d' % n for n in range(4000)]
-        samples = [rng.sample(vocabulary, 12) for _ in range(1500)]
+        return [rng.sample(vocabulary, 12) for _ in range(1500)]
+
+    def test_counter_memory_per_pair(self):
+        '''The counter holds under 64 bytes per distinct pair; a pair tuple alone is 56.'''
+        samples = self.memory_samples()
         pairs = {pair for items in samples for pair in itertools.combinations(sorted(items), 2)}
         tracemalloc.start()
         try:
@@ -337,6 +351,26 @@ class TestCooccurrence:
             tracemalloc.stop()
         assert len(pairs) > 95000
         assert size / len(pairs) < 64
+
+    def test_counter_memory_per_sample_item(self):
+        '''The counter grows with the items it is given, not with their pairs: under 32
+        bytes per sample item (one dict slot per pair took 170 here), and writing holds
+        under 200 bytes per distinct item above it.'''
+        samples = self.memory_samples()
+        tracemalloc.start()
+        try:
+            counter = CooccurrenceCounter()
+            for items in samples:
+                counter.add_items(items)
+            size, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            counter.write_stats(Discard())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, samples)) == 18000 and len(counter.item_counts) > 3900
+        assert size / 18000 < 32
+        assert (peak - size) / len(counter.item_counts) < 200
 
 
 class TestFormatStats:
@@ -383,16 +417,8 @@ class TestWriteStats:
             counter.add_items(common + ['UNK:rare%05d' % (2 * n), 'UNK:rare%05d' % (2 * n + 1)])
         return counter
 
-    def test_reversed_pairs_wait_as_keys_only(self):
+    def test_write_peak_per_reversed_pair(self):
         '''Writing holds under 25 bytes per reversed pair above the counter.'''
-
-        class Discard:
-            def write(self, text):
-                pass
-
-            def writelines(self, lines):
-                pass
-
         counter = self.reversed_heavy_counter()
         item_counts = counter.item_counts
         reversed_pairs = sum(item_counts[a] > item_counts[b]
@@ -411,16 +437,80 @@ class TestWriteStats:
         counter = self.reversed_heavy_counter()
         counter.add_items(['FAM:zbot', 'UNK:rare00000'])
         item_counts = dict(counter.item_counts)
-        pair_counts = {a: dict(row) for a, row in counter.pair_counts.items()}
+        samples = [list(items) for items in counter.samples]
+        pair_counts = counter.pair_counts
         first, second = io.StringIO(), io.StringIO()
         rows = counter.write_stats(first)
         assert counter.write_stats(second) == rows == sum(map(len, pair_counts.values()))
         assert second.getvalue() == first.getvalue()
-        assert counter.item_counts == item_counts and counter.pair_counts == pair_counts
+        assert counter.item_counts == item_counts and counter.samples == samples
+        assert counter.pair_counts == pair_counts
         # a written counter still merges: twice itself counts every pair twice
         counter.merge(CooccurrenceCounter().merge(counter))
         assert counter.pair_counts == {a: {b: 2 * count for b, count in row.items()}
                                        for a, row in pair_counts.items()}
+
+
+#: endpoints of which some are prefixes of others
+STATS_ITEMS = ['UNK:abcd', 'UNK:abcde', 'FAM:zbot', 'FAM:zbota', 'CLASS:worm', 'FILE:OS:windows']
+
+
+def either_form(text):
+    '''An item as its string or as its parsed TagPath/UnknownToken.'''
+    return st.sampled_from([text, parse_item(text)])
+
+
+@st.composite
+def stats_corpora(draw):
+    '''(kind, samples): a corpus of item lists where some, every or no item is seen once.
+
+    A sample may be empty, hold one item, or name an item twice, in either form.
+    '''
+    kind = draw(st.sampled_from(['mixed', 'all_once', 'none_once']))
+    if kind == 'all_once':
+        sizes = draw(st.lists(st.integers(0, 5), max_size=8))
+        names = iter(draw(st.permutations(['UNK:tok%02d' % n for n in range(40)])))
+        samples = [[draw(either_form(next(names))) for _ in range(size)] for size in sizes]
+    else:
+        samples = draw(st.lists(st.lists(st.sampled_from(STATS_ITEMS).flatmap(either_form),
+                                         max_size=6), max_size=10))
+        if kind == 'none_once':  # every item then is in two samples at least
+            samples = draw(st.permutations(samples + samples))
+    return kind, samples
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(corpus=stats_corpora(), data=st.data())
+def test_write_stats_matches_brute_force(corpus, data):
+    '''write_stats text and row count against the per-pair oracle, for one counter and
+    for the merge of a random partition of the corpus, merged in random order.'''
+    kind, samples = corpus
+    item_sets = [set(map(str, items)) for items in samples]
+    item_counts = Counter(itertools.chain.from_iterable(item_sets))
+    if kind == 'all_once':
+        assert set(item_counts.values()) <= {1}
+    elif kind == 'none_once':
+        assert 1 not in item_counts.values()
+    want = brute_force_relations(item_sets)
+    text = STATS_HEADER + '\n' + ''.join(
+        '%s\t%s\t%d\t%d\t%d\t%.6f\t%.6f\n' % tuple(relation) for relation in want)
+
+    whole = CooccurrenceCounter()
+    for items in samples:
+        whole.add_items(items)
+    n_parts = data.draw(st.integers(1, 4))
+    owners = data.draw(st.lists(st.integers(0, n_parts - 1),
+                                min_size=len(samples), max_size=len(samples)))
+    parts = [CooccurrenceCounter() for _ in range(n_parts)]
+    for owner, items in zip(owners, samples):
+        parts[owner].add_items(items)
+    merged = CooccurrenceCounter()
+    for part in data.draw(st.permutations(parts)):
+        merged.merge(part)
+    for counter in (whole, merged):
+        out = io.StringIO()
+        assert counter.write_stats(out) == len(want)
+        assert out.getvalue() == text
 
 
 class TestLabelReports:
