@@ -11,11 +11,12 @@ import argparse
 import errno
 import json
 import os
+import signal
 import sys
 
 from . import labeler, updater
 from .ruleset import load_rules, serialize_rules
-from .taxonomy import TaxonomyError, load_taxonomy, serialize_taxonomy
+from .taxonomy import TaxonomyError, content_lines, load_taxonomy, serialize_taxonomy
 
 UPDATE_OUTPUT_NAMES = ('taxonomy', 'tagging', 'expansion', 'unhandled.tsv', 'changelog.txt')
 
@@ -120,12 +121,8 @@ def _load_kb(taxonomy_path, tagging_path, expansion_path):
 
 
 def _load_allowlist(path):
-    names = set()
-    for line in _decode(_read_bytes(path), path).splitlines():
-        line = line.strip()
-        if line and not line.startswith('#'):
-            names.add(line.lower())
-    return names
+    text = _decode(_read_bytes(path), path)
+    return {line.lower() for _, line in content_lines(text.splitlines())}
 
 
 def _fail(message):
@@ -305,8 +302,20 @@ def build_parser():
     return parser
 
 
+class _Terminated(BaseException):
+    '''SIGTERM during a command; like KeyboardInterrupt, no `except Exception` stops it.'''
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:  # SIGTERM unwinds the command like Ctrl-C
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:  # not the main thread, the only one that can set a handler
+        previous = None
     try:
         if args.command == 'label':
             return run_label(args)
@@ -314,6 +323,12 @@ def main(argv=None):
     except KeyboardInterrupt:  # Ctrl-C: staging has removed its temporary files
         _fail('interrupted')
         return 130
+    except _Terminated:
+        _fail('terminated')
+        return 128 + signal.SIGTERM
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == '__main__':

@@ -36,7 +36,7 @@ from them.
 import itertools
 from collections import Counter, namedtuple
 
-from .taxonomy import UNKNOWN_CATEGORY
+from .taxonomy import _UNKNOWN_PREFIX, UNKNOWN_CATEGORY
 from .tokenizer import tokenize
 
 #: unknown tokens shorter than this are dropped (after tagging, not before)
@@ -49,8 +49,6 @@ STATS_HEADER = 't_i\tt_j\t|t_i|\t|t_j|\t|(t_i,t_j)|\trel_ij\trel_ji'
 
 #: the count columns of one stats row: |t_i|, |t_j|, |(t_i,t_j)|, rel_ij, rel_ji
 _STATS_COUNTS = '\t%d\t%d\t%d\t%.6f\t%.6f'
-
-_UNKNOWN_PREFIX = UNKNOWN_CATEGORY + ':'
 
 #: token index lookup default: the token hits no tagging rule and no tag name
 _NOT_KNOWN = object()
@@ -291,17 +289,6 @@ class CooccurrenceCounter:
         self.item_counts.update(other.item_counts)
         self.samples.extend(other.samples)
         return self
-
-    @property
-    def pair_counts(self):
-        '''{a: {b: |(a,b)|}} with a < b, counted afresh from samples; a read-only view.'''
-        rows = {}
-        for ordered in self.samples:
-            for index, a in enumerate(ordered[:-1], 1):
-                row = rows.setdefault(a, {})
-                for b in ordered[index:]:
-                    row[b] = row.get(b, 0) + 1
-        return rows
 
     def write_stats(self, handle):
         '''Writes the stats file to a text handle; returns the row count.

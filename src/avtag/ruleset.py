@@ -17,7 +17,7 @@ of a tag or of a set.
 
 from collections import namedtuple
 
-from .taxonomy import TagPath, TaxonomyError, is_taggable
+from .taxonomy import TagPath, TaxonomyError, content_lines, is_taggable
 
 GENERIC_MARKER = 'GEN'
 
@@ -55,11 +55,11 @@ def _resolve_destination(text, taxonomy, what):
         except TaxonomyError as exc:
             raise RuleError('bad %s %r: %s' % (what, text, exc)) from None
         raise RuleError('unknown %s %s' % (what, path))
-    # a taxonomy node is a valid path, whose structural name starts A-Z
-    name = text.rpartition(':')[2]
-    if name[:1].isupper():
+    # tag names are unique, so a tag's name resolves to the node itself
+    path = taxonomy.resolve_name(text.rpartition(':')[2])
+    if path is None:  # the name index holds tags only
         raise RuleError('%s %s is structural, not a tag' % (what, text))
-    return taxonomy.resolve_name(name)  # tag names are unique: this is the node itself
+    return path
 
 
 def _split_line(line):
@@ -140,10 +140,7 @@ def load_rules(tagging_text, expansion_text, taxonomy):
     '''Parses and validates both rule files against a loaded taxonomy.'''
     raw_rules = {}
     line_of = {}
-    for lineno, raw in enumerate(tagging_text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith('#'):
-            continue
+    for lineno, line in content_lines(tagging_text.splitlines()):
         try:
             token, dest_texts = _split_line(line)
             if not is_taggable(token):
@@ -181,10 +178,7 @@ def load_rules(tagging_text, expansion_text, taxonomy):
 
     expansion = {}
     target_sets = {}  # each distinct target set -> the one frozenset the sources share
-    for lineno, raw in enumerate(expansion_text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith('#'):
-            continue
+    for lineno, line in content_lines(expansion_text.splitlines()):
         try:
             source_text, target_texts = _split_line(line)
             if ':' not in source_text:

@@ -20,6 +20,8 @@ CATEGORIES = ('BEH', 'CLASS', 'FAM', 'FILE')
 
 #: pseudo-category for unknown tokens; never a taxonomy node
 UNKNOWN_CATEGORY = 'UNK'
+#: what an unknown token's canonical string starts with: ``UNK:<token>``
+_UNKNOWN_PREFIX = UNKNOWN_CATEGORY + ':'
 
 _TAGGABLE_RE = re.compile(r'[a-z0-9]+')
 _STRUCTURAL_RE = re.compile(r'[A-Z][A-Z0-9]*')
@@ -131,20 +133,17 @@ class UnknownToken(str):
     category = UNKNOWN_CATEGORY
 
     def __new__(cls, text):
-        return str.__new__(cls, UNKNOWN_CATEGORY + ':' + text)
+        return str.__new__(cls, _UNKNOWN_PREFIX + text)
 
     def __getnewargs__(self):
         return (self.name,)
 
     @property
     def name(self):
-        return self[len(UNKNOWN_CATEGORY) + 1:]
+        return self[len(_UNKNOWN_PREFIX):]
 
     def __repr__(self):
         return 'UnknownToken(%r)' % (self.name,)
-
-
-_UNKNOWN_PREFIX = UNKNOWN_CATEGORY + ':'
 
 
 def parse_item(text):
@@ -290,17 +289,25 @@ class Taxonomy:
         return ancestors
 
 
+def content_lines(lines):
+    '''(line number from 1, stripped line) of each line neither blank nor a '#' comment.
+
+    Every line-oriented text file but the corpus is read through this: the
+    taxonomy, both rule files, the engine allowlist and the stats file.
+    '''
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith('#'):
+            yield lineno, line
+
+
 def load_taxonomy(text):
     '''Parses taxonomy file content: one canonical path per line.
 
-    Blank lines and '#' comments are ignored; duplicates are tolerated; listing
-    a nested path implies all of its ancestors.
+    Duplicates are tolerated; listing a nested path implies all of its ancestors.
     '''
     taxonomy = Taxonomy()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith('#'):
-            continue
+    for lineno, line in content_lines(text.splitlines()):
         try:
             taxonomy.add(TagPath.parse(line))
         except TaxonomyError as exc:

@@ -11,8 +11,8 @@ import itertools
 
 from .labeler import _STATS_COUNTS, STATS_HEADER
 from .ruleset import RuleError, _check_expansion_acyclic
-from .taxonomy import (UNKNOWN_CATEGORY, TagPath, TaxonomyError, UnknownToken, is_taggable,
-                       parse_item)
+from .taxonomy import (UNKNOWN_CATEGORY, TagPath, TaxonomyError, UnknownToken, content_lines,
+                       is_taggable, parse_item)
 
 DEFAULT_MIN_COUNT = 20
 DEFAULT_MIN_REL = 0.94
@@ -42,9 +42,11 @@ class Relation(collections.namedtuple(
         'Relation', 't_i t_j count_i count_j count_ij rel_ij rel_ji')):
     '''Seven-value co-occurrence record for one unordered item pair, as parse_stats reads it.
 
-    t_i is the less frequent item (ties broken lexicographically), therefore
-    rel_ij >= rel_ji always holds.  The endpoints are TagPath/UnknownToken
-    items, each its canonical string.
+    t_i is the less frequent item, therefore rel_ij >= rel_ji always holds.  Of
+    two equally frequent items, t_i is the one the stats row names first:
+    `label` writes the smaller string first, but parse_stats keeps a tied row's
+    order whichever it is, and that order picks the update action.  The
+    endpoints are TagPath/UnknownToken items, each its canonical string.
     '''
 
     __slots__ = ()
@@ -119,8 +121,8 @@ def parse_stats(lines, config=None, taxonomy=None):
     '''Parses stats TSV lines back into Relations; returns (rows, relations, strong).
 
     `lines` is any iterable of text lines, such as an open file.  Each is split
-    again with str.splitlines, so error line numbers count lines as
-    text.splitlines() does.  Every row is checked, in file order.  `rows`
+    again with str.splitlines, so rows are read and numbered as content_lines
+    reads the whole text's lines.  Every row is checked, in file order.  `rows`
     counts the relation rows and `strong` those that pass the `config`'s
     thresholds.  With a `config`, `relations` keeps the strong ones that have no
     endpoint under FILE:OS, the relations `update` mines, so memory grows with
@@ -132,7 +134,8 @@ def parse_stats(lines, config=None, taxonomy=None):
 
     The rel columns are recomputed from the integer counts so that threshold
     comparisons never depend on the 6-decimal formatting; rows violating
-    count_i <= count_j are normalized by swapping endpoints.
+    count_i <= count_j are normalized by swapping endpoints, and a row of equal
+    counts keeps its endpoints in file order.
     '''
     if isinstance(lines, str):
         raise TypeError('parse_stats takes an iterable of lines, not one str')
@@ -144,10 +147,7 @@ def parse_stats(lines, config=None, taxonomy=None):
     rows = strong = 0
     # ''.splitlines() is empty, but '' is one blank line in a list like text.splitlines()
     split = itertools.chain.from_iterable(line.splitlines() or (line,) for line in lines)
-    for lineno, raw in enumerate(split, 1):
-        line = raw.strip()
-        if not line or line.startswith('#'):
-            continue
+    for lineno, line in content_lines(split):
         fields = line.split('\t')
         if fields[0] == 't_i':
             continue

@@ -3,8 +3,10 @@ import errno
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -32,6 +34,25 @@ FAM:bebeg\tFAM:bitcoinminer\t1\t1\t1\t1.000000\t1.000000
 
 # a two-tag knowledge base, as bytes: taxonomy, tagging (zeus aliases FAM:zbot), expansion
 SMALL_KB = (b'FAM:zbot\nCLASS:worm\n', b'zeus\tFAM:zbot\n', b'')
+
+
+#: a `python -c` program that runs `avtag`, its first step after staging made to say so and wait
+SIGNALLED_RUN = '''
+import signal, sys, time
+from avtag import cli, labeler, updater
+
+def staged(*args):
+    print('staged', flush=True)
+    time.sleep(60)
+
+# Ctrl-C raises KeyboardInterrupt, also in a child of a shell's background job
+signal.signal(signal.SIGINT, signal.default_int_handler)
+if sys.argv[1] == 'label':
+    labeler.label_reports = staged  # called once every output is staged
+else:
+    updater.format_changelog = staged  # called once four of the five are
+sys.exit(cli.main(sys.argv[1:]))
+'''
 
 
 def label_args(data_dir, *extra):
@@ -77,6 +98,31 @@ def write_deep_chain(data_dir, chain):
     (data_dir / 'taxonomy').write_text(taxonomy_text)
     (data_dir / 'tagging').write_text(tagging if chain == 'tagging' else '')
     (data_dir / 'expansion').write_text(expansion if chain == 'expansion' else '')
+
+
+@pytest.mark.parametrize('brk', ['\x0b', '\x85', '\u2028'], ids=['VT', 'NEL', 'LS'])
+@pytest.mark.parametrize('name, line, error', [
+    ('taxonomy', 'FAM:Bad~name', '{path}: line 4: '),
+    ('tagging', 'notab', 'tagging line 4: '),
+    ('expansion', 'FAM:zbot', 'expansion line 4: '),
+    ('stats', 'FAM:zbot\tFAM:virut', 'stats line 4: '),
+    ('engines', 'FirstAV', None),
+])
+def test_text_files_share_one_line_rule(data_dir, name, line, error, brk):
+    '''Each line-oriented input skips blank and '#' lines, and numbers lines as
+    str.splitlines does: a \\x0b, \\x85 or U+2028 ends the comment before `line`.'''
+    path = data_dir / name
+    path.write_text('# a comment\n \t\n#c' + brk + line + '\n', encoding='utf-8')
+    if error is None:  # the allowlist has no bad line: it keeps `line` alone
+        assert cli._load_allowlist(str(path)) == {line.lower()}
+        return
+    with pytest.raises(ValueError) as err:
+        if name == 'stats':
+            with open(path, encoding='utf-8-sig') as handle:  # as `update` reads it
+                updater.parse_stats(handle)
+        else:
+            cli._load_kb(*(str(data_dir / kb) for kb in ('taxonomy', 'tagging', 'expansion')))
+    assert str(err.value).startswith(error.format(path=path))
 
 
 def write_lines(path, lines):
@@ -313,6 +359,19 @@ class TestLabelCommand:
         monkeypatch.setattr(labeler, 'label_reports', interrupted)
         assert interrupted_run(args, capsys) == (130, 'error: interrupted\n')
         assert files(data_dir) == before  # no .tmp file either
+
+    def test_sigterm_handler_lasts_the_command_on_the_main_thread_only(self, data_dir):
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        args = label_args(data_dir, '-i', str(inp), '--tags-out', str(data_dir / 'tags.out'))
+        previous = signal.getsignal(signal.SIGTERM)
+        assert main(args) == 0
+        assert signal.getsignal(signal.SIGTERM) is previous
+        codes = []  # off the main thread no handler can be set: the command runs without
+        thread = threading.Thread(target=lambda: codes.append(main(args)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and codes == [0]
 
     def test_output_that_cannot_be_created_is_named_as_given(self, data_dir, capsys):
         inp = data_dir / 'samples.jsonl'
@@ -949,3 +1008,31 @@ class TestModuleInvocation:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(['frobnicate'])
+
+    @pytest.mark.parametrize('command', ['label', 'update'])
+    @pytest.mark.parametrize('signum, code, message', [
+        (signal.SIGINT, 130, 'interrupted'), (signal.SIGTERM, 143, 'terminated'),
+    ], ids=['SIGINT', 'SIGTERM'])
+    def test_signal_keeps_previous_outputs(self, data_dir, command, signum, code, message):
+        '''A SIGINT or SIGTERM sent once the outputs are staged exits with its code and
+        one error line, and leaves the previous outputs and no temporary file.'''
+        inp = data_dir / 'samples.jsonl'
+        write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+        (data_dir / 'stats').write_text(stats_text([]))
+        out = data_dir / 'out'
+        out.mkdir()
+        args = (label_args(data_dir, '-i', str(inp), '--tags-out', str(out / 'tags'),
+                           '--stats-out', str(out / 'stats')) if command == 'label'
+                else update_args(data_dir, data_dir / 'stats', out))
+        assert main(args) == 0
+        before = files(out)
+        with subprocess.Popen([sys.executable, '-c', SIGNALLED_RUN, *args], text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                assert proc.stdout.readline() == 'staged\n'
+                proc.send_signal(signum)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()  # does nothing once it has exited
+        assert (proc.returncode, err) == (code, 'error: %s\n' % message)
+        assert files(out) == before  # no .tmp file either

@@ -315,9 +315,9 @@ class TestCooccurrence:
             for part in parts:
                 merged.merge(part)
             assert merged.item_counts == whole.item_counts
-            assert merged.pair_counts == whole.pair_counts
+            assert stats_file(merged) == stats_file(whole)
             assert ([tuple(r) for r in parse_stats(stats_file(merged).splitlines())[1]]
-                    == [tuple(r) for r in parse_stats(stats_file(whole).splitlines())[1]])
+                    == [tuple(r) for r in brute_force_relations(item_sets)])
 
     def test_sample_order_irrelevant(self, base_rules, base_taxonomy):
         reports = [report({'A': 'virut.zbot', 'B': 'virut.zbot'}, n)
@@ -421,8 +421,8 @@ class TestWriteStats:
         '''Writing holds under 25 bytes per reversed pair above the counter.'''
         counter = self.reversed_heavy_counter()
         item_counts = counter.item_counts
-        reversed_pairs = sum(item_counts[a] > item_counts[b]
-                             for a, row in counter.pair_counts.items() for b in row)
+        reversed_pairs = sum(item_counts[a] > item_counts[b] for ordered in counter.samples
+                             for a, b in itertools.combinations(ordered, 2))
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -438,17 +438,18 @@ class TestWriteStats:
         counter.add_items(['FAM:zbot', 'UNK:rare00000'])
         item_counts = dict(counter.item_counts)
         samples = [list(items) for items in counter.samples]
-        pair_counts = counter.pair_counts
+        want = [tuple(r) for r in brute_force_relations(samples)]
         first, second = io.StringIO(), io.StringIO()
         rows = counter.write_stats(first)
-        assert counter.write_stats(second) == rows == sum(map(len, pair_counts.values()))
+        assert counter.write_stats(second) == rows == len(want)
         assert second.getvalue() == first.getvalue()
+        assert [tuple(r) for r in parse_stats(first.getvalue().splitlines())[1]] == want
         assert counter.item_counts == item_counts and counter.samples == samples
-        assert counter.pair_counts == pair_counts
-        # a written counter still merges: twice itself counts every pair twice
+        # a written counter still merges: twice itself counts every item and pair twice
         counter.merge(CooccurrenceCounter().merge(counter))
-        assert counter.pair_counts == {a: {b: 2 * count for b, count in row.items()}
-                                       for a, row in pair_counts.items()}
+        doubled = parse_stats(stats_file(counter).splitlines())[1]
+        assert [r[:5] for r in doubled] == [(t_i, t_j, 2 * count_i, 2 * count_j, 2 * count_ij)
+                                            for t_i, t_j, count_i, count_j, count_ij, _, _ in want]
 
 
 #: endpoints of which some are prefixes of others
