@@ -188,18 +188,17 @@ class Taxonomy:
         dup._name_index = dict(self._name_index)
         return dup
 
-    def _missing(self, path, removed=None, pending=()):
+    def _missing(self, path):
         '''Prefixes of `path` that adding it would create, root first.
 
-        Raises the TaxonomyError of a name clash.  `removed` counts as already
-        removed and the nodes in `pending` as already added.
+        Raises the TaxonomyError of a name clash, with a present node or
+        within the path.
         '''
-        # the taxonomy, less a removed leaf, plus pending nodes is closed under
-        # prefixes, so the missing prefixes are those below the deepest present one
+        # the taxonomy is closed under prefixes, so the missing prefixes are
+        # those below the deepest present one
         missing = []
         prefix = path
-        while prefix not in pending and (prefix not in self._nodes
-                                         or (removed is not None and prefix == removed)):
+        while prefix not in self._nodes:
             missing.append(prefix)
             prefix = prefix.parent()
         missing.reverse()
@@ -208,9 +207,6 @@ class Taxonomy:
             name = prefix.rpartition(':')[2]
             if not name[:1].isupper():
                 clash = self._name_index.get(name)
-                if clash is None or clash == removed:
-                    clash = (next((node for node in pending if node.name == name), None)
-                             if pending else None)
                 if clash is not None:
                     raise TaxonomyError(
                         'name %r already used by %s (adding %s)' % (name, clash, prefix))
@@ -219,21 +215,12 @@ class Taxonomy:
                 names.add(name)
         return missing
 
-    def check_add(self, paths, removed=None):
-        '''Raises the TaxonomyError that adding `paths` in order would raise.
-
-        Changes nothing.  With `removed`, a removable leaf, the check is that of
-        removing it first: its name is free and its path may be created again.
-        '''
-        pending = set()
-        for path in paths:
-            pending.update(self._missing(path, removed, pending))
-
     def add(self, path):
         '''Adds a path plus any missing ancestors; returns the newly created nodes.
 
-        Validates name uniqueness for every node it would create before
-        mutating anything, so a failed add leaves the taxonomy untouched.
+        This is the one check of a new node: it validates name uniqueness for
+        every node it would create before mutating anything, so a failed add
+        leaves the taxonomy untouched.
         '''
         nodes = self._nodes
         parent, _, name = path.rpartition(':')

@@ -192,11 +192,13 @@ def resolve_item(item, taxonomy, rules):
 
     A tag still present in the taxonomy is canonical as-is, and so is a path
     whose name is structural, which no rule or tag can be named after.
-    Otherwise the item's name is chased through single-destination tagging
-    rules, then looked up in the taxonomy's name index; a name with no home is
-    an unknown token, the item itself when it is one.  Returns None when the
-    name hits a generic or multi-destination rule: such a token is already
-    fully covered, so relations about it carry no news.
+    Otherwise the item's name is read in one lookup, as tag_tokens reads a
+    token (rules hold no chains: load_rules collapses them, add_alias writes
+    none): a single-destination tagging rule gives its tag, any other name
+    goes to the taxonomy's name index, and a name with no home is an unknown
+    token, the item itself when it is one.  Returns None for a generic or
+    multi-destination rule: such a token is already fully covered, so
+    relations about it carry no news.
     '''
     name = item.name
     if item in taxonomy or name[:1].isupper():  # a valid structural name starts A-Z
@@ -207,16 +209,7 @@ def resolve_item(item, taxonomy, rules):
         if found is not None:
             return found
         return item if isinstance(item, UnknownToken) else UnknownToken(name)
-    seen = {name}
-    while len(dests) == 1:
-        (path,) = dests
-        if path.name in seen:
-            return None
-        seen.add(path.name)
-        dests = rules.tagging.get(path.name)
-        if dests is None:
-            return path
-    return None
+    return next(iter(dests)) if len(dests) == 1 else None
 
 
 def _known_resolved(a, b, taxonomy, rules, equivalence):
@@ -246,10 +239,11 @@ class _ActionError(Exception):
 class _WorkState:
     '''Mutable copies of the artifacts plus change tracking for one inference run.
 
-    Each action validates everything it would change before it changes
-    anything, without copying the artifacts, so a failed action leaves them
-    as they were.  Every one-tag tagging value an action writes for a tag is
-    one shared frozenset.  `sources`, built at the first retirement, is the
+    Each action applies in full or not at all, without copying the artifacts:
+    it makes its taxonomy change, which Taxonomy.add checks, and undoes it
+    if a later check fails, and it changes the rules only once all checks
+    pass.  Every one-tag tagging value an action writes for a tag is one
+    shared frozenset.  `sources`, built at the first retirement, is the
     expansion map's reverse index: each target -> the list of sources whose
     rule holds it (lists, a sixth of the memory of sets on the benchmark's
     knowledge base), kept in step with every edge added or removed since, so
@@ -282,15 +276,20 @@ class _WorkState:
         for source, target in added:
             sources.setdefault(target, []).append(source)
 
+    def _remove_nodes(self, added):
+        for node in reversed(added):  # Taxonomy.add lists a node's parent before it
+            self.taxonomy.remove(node)
+
     def add_nodes(self, *paths):
-        '''Adds taxonomy nodes; validates every path before touching anything.'''
+        '''Adds taxonomy nodes, path by path; a failed path removes the earlier ones' nodes.'''
+        added = []
         try:
-            if len(paths) > 1:  # add() checks one path itself before it changes anything
-                self.taxonomy.check_add(paths)
             for path in paths:
-                self.changes.taxonomy_added.extend(self.taxonomy.add(path))
+                added.extend(self.taxonomy.add(path))
         except TaxonomyError as exc:
+            self._remove_nodes(added)
             raise _ActionError(str(exc)) from None
+        self.changes.taxonomy_added.extend(added)
 
     def add_alias(self, token, dest):
         '''Adds tagging rule token -> dest; retires any tag named `token`.
@@ -318,28 +317,30 @@ class _WorkState:
                 raise _ActionError(
                     'rewriting rule %r to %s would alias the rule to itself'
                     % (dest.name, dest))
-        if dest not in self.taxonomy:
-            try:
-                self.taxonomy.check_add([dest], removed=old)
-            except TaxonomyError as exc:
-                raise _ActionError(str(exc)) from None
-        remapped = {}
-        edges_removed = edges_added = ()
-        if old is not None:
-            remapped, edges_removed, edges_added = _remap_expansion(
-                self.rules.expansion, old, dest, self._sources_of(old))
-        # load_rules collapses a destination named after a rule token, so such
-        # an alias would reload as a different rule
-        if dest.name in self.rules.tagging:
-            raise _ActionError('alias destination %s is named after tagging rule %r'
-                               % (dest, dest.name))
-
-        # all validations passed; commit
-        if old is not None:
+            # the retired leaf goes first, which frees its name and path for `dest`
             self.taxonomy.remove(old)
+        added = []
+        try:
+            added = self.taxonomy.add(dest)
+            remapped, edges_removed, edges_added = {}, (), ()
+            if old is not None:
+                remapped, edges_removed, edges_added = _remap_expansion(
+                    self.rules.expansion, old, dest, self._sources_of(old))
+            # load_rules collapses a destination named after a rule token, so
+            # such an alias would reload as a different rule
+            if dest.name in self.rules.tagging:
+                raise _ActionError('alias destination %s is named after tagging rule %r'
+                                   % (dest, dest.name))
+        except (TaxonomyError, _ActionError) as exc:
+            self._remove_nodes(added)
+            if old is not None:
+                self.taxonomy.add(old)
+            raise _ActionError(str(exc)) from None
+
+        # all validations passed; commit the rules and the log
+        if old is not None:
             self.changes.taxonomy_removed.append(old)
-        if dest not in self.taxonomy:
-            self.changes.taxonomy_added.extend(self.taxonomy.add(dest))
+        self.changes.taxonomy_added.extend(added)
         tagging = self.rules.tagging
         one_tag = tagging[token] = self._one_tag.setdefault(dest, frozenset((dest,)))
         self.changes.tagging_added.append(token)

@@ -5,8 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avtag.ruleset import RuleSet
 from avtag.taxonomy import (CATEGORIES, TagPath, Taxonomy, TaxonomyError, UnknownToken,
                             is_taggable, load_taxonomy, parse_item, serialize_taxonomy)
+from avtag.updater import ChangeLog, _ActionError, _WorkState
 
 from conftest import random_taxonomy
 
@@ -395,17 +397,23 @@ class TestAddReference:
 
 
 class TestCheckAdd:
+    '''A work state's taxonomy change fails as a probe copy's Taxonomy.add does, leaving no trace.'''
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(base=st.lists(paths, max_size=12), adds=st.lists(paths, min_size=1, max_size=3),
            data=st.data())
     def test_raises_what_a_probe_copy_raises(self, base, adds, data):
-        taxonomy = grown(base)
-        leaves = [node for node in taxonomy
-                  if not node.is_root and not taxonomy.has_children(node)]
+        state = _WorkState(grown(base), RuleSet())
+        taxonomy = state.taxonomy
+        # add_alias retires the leaf named after its token, which its destination is not
+        dest = adds[0]
+        leaves = [node for node in taxonomy if node.is_tag and node.name != dest.name
+                  and not taxonomy.has_children(node)] if dest.is_tag else []
         removed = data.draw(st.none() | st.sampled_from(leaves)) if leaves else None
         probe = taxonomy.copy()
         if removed is not None:
             probe.remove(removed)
+            adds = [dest]
         want = None
         try:
             for path in adds:
@@ -415,25 +423,36 @@ class TestCheckAdd:
         before = internals(taxonomy)
         got = None
         try:
-            taxonomy.check_add(adds, removed=removed)
-        except TaxonomyError as exc:
+            if removed is None:
+                state.add_nodes(*adds)
+            else:
+                state.add_alias(removed.name, dest)
+        except _ActionError as exc:
             got = str(exc)
         assert got == want
-        assert internals(taxonomy) == before
+        if got is None:
+            assert internals(taxonomy) == internals(probe)
+        else:
+            assert internals(taxonomy) == before
+            assert state.changes == ChangeLog()
 
     def test_removed_leaf_frees_its_name(self):
-        taxonomy = load_taxonomy('FAM:zbot\n')
-        with pytest.raises(TaxonomyError) as err:
-            taxonomy.check_add([TagPath.parse('CLASS:zbot')])
+        state = _WorkState(load_taxonomy('FAM:zbot\n'), RuleSet())
+        dest = TagPath.parse('CLASS:zbot:next')
+        with pytest.raises(_ActionError) as err:
+            state.add_nodes(dest)
         assert str(err.value) == "name 'zbot' already used by FAM:zbot (adding CLASS:zbot)"
-        taxonomy.check_add([TagPath.parse('CLASS:zbot')], removed=TagPath.parse('FAM:zbot'))
+        state.add_alias('zbot', dest)
+        assert state.changes.taxonomy_removed == [TagPath.parse('FAM:zbot')]
+        assert state.changes.taxonomy_added == [TagPath.parse('CLASS:zbot'), dest]
 
     def test_earlier_paths_count_as_added(self):
-        taxonomy = load_taxonomy('')
-        with pytest.raises(TaxonomyError) as err:
-            taxonomy.check_add([TagPath.parse('FAM:twin'), TagPath.parse('CLASS:b:twin')])
+        state = _WorkState(load_taxonomy(''), RuleSet())
+        with pytest.raises(_ActionError) as err:
+            state.add_nodes(TagPath.parse('FAM:twin'), TagPath.parse('CLASS:b:twin'))
         assert str(err.value) == "name 'twin' already used by FAM:twin (adding CLASS:b:twin)"
-        assert len(taxonomy) == len(CATEGORIES)
+        assert len(state.taxonomy) == len(CATEGORIES)
+        assert state.changes == ChangeLog()
 
 
 class TestRoundTrip:

@@ -13,6 +13,7 @@ reason.  The inputs must come out unchanged.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avtag.labeler import tag_tokens
 from avtag.ruleset import RuleError, _check_expansion_acyclic, load_rules, serialize_rules
 from avtag.taxonomy import (CATEGORIES, TagPath, TaxonomyError, UnknownToken, is_taggable,
                             load_taxonomy, serialize_taxonomy)
@@ -22,7 +23,7 @@ from avtag.updater import (_BOTTOM_BLOCK, _TOP_BLOCK, ChangeLog, Relation, Unhan
                            is_equivalent, parse_stats, resolve_item)
 
 from conftest import MATRIX_ROWS, MATRIX_TAXONOMY, stats_text
-from test_reference import STRUCTURAL, TAG_NAMES, knowledge_bases
+from test_reference import RULE_TOKENS, STRUCTURAL, TAG_NAMES, knowledge_bases
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +403,12 @@ def test_every_action_error_matches_reference():
 
 
 def test_failed_single_path_add_nodes_changes_nothing():
-    '''One path is checked by Taxonomy.add alone, with check_add's error text.'''
+    '''A failed add_nodes raises a probe copy's Taxonomy.add error text and changes nothing.'''
     taxonomy, rules = make_kb('FILE:OS:windows\nFAM:zbot\n', 'zeus\tFAM:zbot\n',
                               'FAM:zbot\twindows\n')
     path = P('FAM:windows:sub')  # FAM:windows comes first, and its name is taken
     with pytest.raises(TaxonomyError) as checked:
-        taxonomy.check_add([path])
+        taxonomy.copy().add(path)
     assert str(checked.value) == (
         "name 'windows' already used by FILE:OS:windows (adding FAM:windows)")
     state = _WorkState(taxonomy, rules)
@@ -418,6 +419,22 @@ def test_failed_single_path_add_nodes_changes_nothing():
     assert snapshot(state.taxonomy, state.rules) == before
     assert state.changes == ChangeLog()
     assert run_actions(taxonomy, rules, [('add_nodes', path)]) == [str(checked.value)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kb=knowledge_bases())
+def test_resolve_item_reads_a_token_as_tag_tokens(kb):
+    '''An unknown token resolves in one rule lookup, to the one tag that labeling gives it.'''
+    taxonomy, rules = kb
+    for token in TAG_NAMES + RULE_TOKENS + ['newfam']:
+        tags, _ = tag_tokens([token], rules, taxonomy)
+        got = resolve_item(UnknownToken(token), taxonomy, rules)
+        if len(tags) == 1:
+            assert got == next(iter(tags))
+        elif token in rules.tagging:  # a generic or multi-destination rule
+            assert got is None
+        else:
+            assert got == UnknownToken(token)
 
 
 def test_retired_tag_frees_its_name_and_path():

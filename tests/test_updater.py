@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avtag import updater
-from avtag.labeler import STATS_HEADER
+from avtag.labeler import STATS_HEADER, tag_tokens
 from avtag.ruleset import RuleSet, load_rules, serialize_rules
 from avtag.taxonomy import (TagPath, TaxonomyError, UnknownToken, load_taxonomy, parse_item,
                             serialize_taxonomy)
@@ -424,21 +424,23 @@ class TestResolveItem:
         got = resolve_item(UnknownToken('zeusgen'), state.taxonomy, state.rules)
         assert got == TagPath.parse('FAM:zbot')
 
-    def test_rule_chain_chased_defensively(self, base_taxonomy):
-        # loaded rules are always collapsed, but hand-built chains still resolve
+    def test_rule_chain_read_in_one_step(self, base_taxonomy):
+        # loaded rules hold no chains; a hand-built one is read as labeling reads it
         rules = RuleSet(tagging={
             'zeus': frozenset((TagPath.parse('FAM:zbot'),)),
             'zbot': frozenset((TagPath.parse('FAM:virut'),)),
         })
         got = resolve_item(UnknownToken('zeus'), base_taxonomy, rules)
-        assert got == TagPath.parse('FAM:virut')
+        assert got == TagPath.parse('FAM:zbot')
+        assert tag_tokens(['zeus'], rules, base_taxonomy) == ({got}, set())
 
-    def test_rule_cycle_resolves_to_none(self, base_taxonomy):
+    def test_rule_cycle_read_in_one_step(self, base_taxonomy):
         rules = RuleSet(tagging={
             'aaacyc': frozenset((TagPath(('FAM', 'bbbcyc')),)),
             'bbbcyc': frozenset((TagPath(('FAM', 'aaacyc')),)),
         })
-        assert resolve_item(UnknownToken('aaacyc'), base_taxonomy, rules) is None
+        got = resolve_item(UnknownToken('aaacyc'), base_taxonomy, rules)
+        assert got == TagPath(('FAM', 'bbbcyc'))
 
     def test_generic_rule_resolves_to_none(self, base_taxonomy, base_rules):
         assert resolve_item(UnknownToken('trojan'), base_taxonomy, base_rules) is None
