@@ -435,8 +435,9 @@ def _remap_expansion(expansion, old, new, referrers):
     return remapped, sorted(before - after), sorted(after - before)
 
 
-def _act_unk_fam(state, a, b):
-    state.add_alias(a.name, b)
+def _alias_onto(state, a, b):
+    # an unknown b gets no tag of its own: a becomes an alias of the family named after it
+    state.add_alias(a.name, b if isinstance(b, TagPath) else TagPath(('FAM', b.name)))
 
 
 def _act_unk_class_or_beh(state, a, b):
@@ -452,23 +453,19 @@ def _act_unk_unk(state, a, b):
     state.add_nodes(TagPath(('FAM', a.name)), TagPath(('FAM', b.name)))
 
 
-def _act_fam_unk(state, a, b):
-    state.add_alias(a.name, TagPath(('FAM', b.name)))
-
-
 def _act_file_unk(state, a, b):
     state.add_alias(a.name, a.parent().child(b.name))
 
 
 _TOP_BLOCK = {
-    ('UNK', 'FAM'): _act_unk_fam,
+    ('UNK', 'FAM'): _alias_onto,
     ('UNK', 'CLASS'): _act_unk_class_or_beh,
     ('UNK', 'BEH'): _act_unk_class_or_beh,
     ('UNK', 'FILE'): _act_unk_file,
     ('UNK', 'UNK'): _act_unk_unk,
-    ('FAM', 'UNK'): _act_fam_unk,
+    ('FAM', 'UNK'): _alias_onto,
     ('FILE', 'UNK'): _act_file_unk,
-    ('FAM', 'FAM'): _act_unk_fam,
+    ('FAM', 'FAM'): _alias_onto,
 }
 
 _BOTTOM_BLOCK = {
@@ -478,29 +475,26 @@ _BOTTOM_BLOCK = {
 
 
 def infer(strong, taxonomy, rules, config=None):
-    '''Runs the rule matrix over strong relations until nothing changes.
+    '''Runs the rule matrix over strong relations in rounds, until one consumes nothing.
 
-    Iterative phase: relations are visited in sorted canonical order against
-    the evolving artifacts; known relations are dropped, an equivalence
-    becomes an alias rule when t_i is an unknown token or both endpoints are
-    families, matrix rows for unknown tokens are applied, anything else is
-    kept for the next round.  Any other equivalence goes on as a one-way
-    relation, so that no class, behavior or file tag is retired into another
-    category.  A round that consumes nothing is followed by the terminal
-    round, the last: remaining tag-to-tag relations with a matrix row become
-    expansion rules; the rest is reported unhandled.
+    Each round visits the remaining relations in sorted canonical order and
+    resolves both endpoints against the evolving artifacts: known relations
+    are dropped, an equivalence becomes an alias rule when t_i is an unknown
+    token or both endpoints are families, matrix rows for unknown tokens are
+    applied, anything else is kept for the next round.  Any other equivalence
+    goes on as a one-way relation, so that no class, behavior or file tag is
+    retired into another category.  A round that consumes nothing is followed
+    by the terminal round, the last: remaining tag-to-tag relations with a
+    matrix row become expansion rules; the rest is reported unhandled.  An
+    action that fails is final for the run: its relation is reported
+    unhandled even when a later action would let it succeed (a family that
+    has children cannot retire, though its last child retires later in the
+    run), so running again on the results can still change them.
     '''
     if config is None:
         config = UpdateConfig()
     state = _WorkState(taxonomy, rules)
-    # each remaining relation with its resolved (t_i, t_j).  Endpoints are resolved
-    # again each round; the terminal round reuses the previous round's, since that
-    # round changed nothing and the expansion edges the terminal round adds do not
-    # affect resolution (they can make a later relation known, so that is checked).
-    # The first round resolves every relation, so it starts from no pairs
-    ordered = sorted(strong, key=Relation.key)
-    size = len(ordered)
-    remaining = zip(ordered, itertools.repeat(None), itertools.repeat(None))
+    remaining = sorted(strong, key=Relation.key)
     unhandled = []
     consumed_known = []
     consumed_equivalence = []
@@ -516,12 +510,11 @@ def infer(strong, taxonomy, rules, config=None):
             consumed.append(relation)
 
     terminal = False
-    while size:
+    while remaining:
         kept = []
-        for relation, a, b in remaining:
-            if not terminal:
-                a = resolve_item(relation.t_i, state.taxonomy, state.rules)
-                b = resolve_item(relation.t_j, state.taxonomy, state.rules)
+        for relation in remaining:
+            a = resolve_item(relation.t_i, state.taxonomy, state.rules)
+            b = resolve_item(relation.t_j, state.taxonomy, state.rules)
             equivalence = is_equivalent(relation, config)
             if _known_resolved(a, b, state.taxonomy, state.rules, equivalence):
                 consumed_known.append(relation)
@@ -534,17 +527,16 @@ def infer(strong, taxonomy, rules, config=None):
                     unhandled.append(Unhandled(
                         relation, 'no update rule for category pair (%s, %s)' % pair))
             elif equivalence and (a.category == UNKNOWN_CATEGORY or pair == ('FAM', 'FAM')):
-                dest = b if isinstance(b, TagPath) else TagPath(('FAM', b.name))
-                attempt(relation, consumed_equivalence, state.add_alias, a.name, dest)
+                attempt(relation, consumed_equivalence, _alias_onto, state, a, b)
             elif pair in _TOP_BLOCK:
                 attempt(relation, consumed_topblock, _TOP_BLOCK[pair], state, a, b)
             else:
-                kept.append((relation, a, b))
+                kept.append(relation)
         if terminal:
             break
         # a round that consumed nothing changed nothing: the terminal round follows
-        terminal = len(kept) == size
-        remaining, size = kept, len(kept)
+        terminal = len(kept) == len(remaining)
+        remaining = kept
 
     return UpdateResult(
         taxonomy=state.taxonomy,

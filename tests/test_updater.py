@@ -796,10 +796,10 @@ class TestFixedPoint:
         assert serialize_taxonomy(second.taxonomy) == serialize_taxonomy(first.taxonomy)
         assert serialize_rules(second.rules) == serialize_rules(first.rules)
 
-    def test_terminal_round_reuses_the_resolved_endpoints(self, matrix_taxonomy,
-                                                           monkeypatch):
-        '''The terminal round follows a round that changed nothing, so it resolves no
-        endpoint again; an expansion edge it adds still makes a later relation known.'''
+    def test_terminal_round_edge_makes_a_later_relation_known(self, matrix_taxonomy,
+                                                               monkeypatch):
+        '''Every round resolves both endpoints of each remaining relation; an expansion
+        edge the terminal round adds makes a later relation known.'''
         calls = []
 
         def counting_resolve_item(item, taxonomy, rules):
@@ -812,8 +812,8 @@ class TestFixedPoint:
                 ('FAM:zeus', 'CLASS:virus', 30, 300, 30),        # expansion, terminal
                 ('UNK:zeusalias', 'CLASS:virus', 30, 300, 30)]   # known after the above
         result = run_rows(rows, matrix_taxonomy, rules)
-        # round 1 resolves all four relations, round 2 the three it kept, terminal none
-        assert len(calls) == 2 * 4 + 2 * 3
+        # round 1 resolves all four relations, round 2 and the terminal round the three kept
+        assert len(calls) == 2 * 4 + 2 * 3 + 2 * 3
         assert [str(r.t_i) for r in result.consumed_equivalence + result.consumed_topblock] \
             == ['UNK:fynloski']
         assert [(str(a), str(b)) for a, b in result.changes.expansion_added] == [
@@ -831,6 +831,26 @@ class TestFixedPoint:
             if result.changes.total() == 0:
                 break
         assert totals == [20, 4, 0]
+
+    def test_nested_families_retire_one_per_run(self):
+        '''A failed action is final for its run: a family with children cannot retire
+        until they have, so a chain of nested families takes one run per family.'''
+        taxonomy = load_taxonomy('FAM:n003e:n010c:n015c\nFAM:n012d:n017c\n')
+        rules = RuleSet()
+        config = UpdateConfig(n=5, T=0.7)
+        rows = [('FAM:n003e:n010c:n015c', 'FAM:n012d:n017c', 18, 58, 18),
+                ('FAM:n003e:n010c', 'UNK:soup07tk', 58, 88, 55),
+                ('FAM:n003e', 'UNK:soup06tk', 27, 79, 24)]
+        totals, reasons = [], []
+        for _ in range(4):
+            result = run_rows(rows, taxonomy, rules, config)
+            totals.append(result.changes.total())
+            reasons.append([entry.reason for entry in result.unhandled])
+            taxonomy, rules = result.taxonomy, result.rules
+        assert totals == [2, 3, 3, 0]
+        assert reasons == [['cannot retire FAM:n003e: node has children',
+                            'cannot retire FAM:n003e:n010c: node has children'],
+                           ['cannot retire FAM:n003e: node has children'], [], []]
 
 
 def random_relations(rng, taxonomy, n_unknown=8, n_relations=25):
