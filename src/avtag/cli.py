@@ -9,7 +9,6 @@ directory, never over its inputs.
 
 import argparse
 import errno
-import json
 import os
 import signal
 import sys
@@ -132,6 +131,7 @@ def _fail(message):
 
 def _read_reports(paths, counts):
     '''Yields the report of every usable input line; counts the lines read and skipped.'''
+    import json  # here, the one user: `update` need not pay for the import
     for path in paths:
         with open(path, encoding='utf-8-sig') as handle:
             for lineno, raw in enumerate(handle, 1):

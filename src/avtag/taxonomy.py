@@ -125,7 +125,8 @@ class UnknownToken(str):
     Its value is the canonical string "UNK:<token>".  It shares the item
     protocol of TagPath: `category` (UNK) and `name` (the token).  Every tag
     category sorts before UNK, so sorted items put tags ahead of unknown
-    tokens.
+    tokens.  The constructor takes the token and checks that it is taggable,
+    as parse_item does.
     '''
 
     __slots__ = ()
@@ -133,6 +134,8 @@ class UnknownToken(str):
     category = UNKNOWN_CATEGORY
 
     def __new__(cls, text):
+        if not _TAGGABLE_RE.fullmatch(text):
+            raise TaxonomyError('bad unknown token %r' % (text,))
         return str.__new__(cls, _UNKNOWN_PREFIX + text)
 
     def __getnewargs__(self):
@@ -294,7 +297,19 @@ def load_taxonomy(text):
     Duplicates are tolerated; listing a nested path implies all of its ancestors.
     '''
     taxonomy = Taxonomy()
+    nodes, names = taxonomy._nodes, taxonomy._name_index
     for lineno, line in content_lines(text.splitlines()):
+        parent, _, name = line.rpartition(':')
+        # most lines: a valid new node with a free name under a present parent,
+        # inserted as Taxonomy.add would; any other line takes add's checks
+        if (parent in nodes and line not in nodes and name not in names
+                and _PATH_RE.fullmatch(line)):
+            path = str.__new__(TagPath, line)
+            nodes[path] = 0
+            if not name[:1].isupper():  # a valid structural name starts A-Z
+                names[name] = path
+            nodes[parent] += 1
+            continue
         try:
             taxonomy.add(TagPath.parse(line))
         except TaxonomyError as exc:

@@ -8,11 +8,12 @@ pair the matrix does not cover is reported for manual review.
 
 import collections
 import itertools
+import operator
 
 from .labeler import _STATS_COUNTS, STATS_HEADER
 from .ruleset import RuleError, _check_expansion_acyclic
-from .taxonomy import (UNKNOWN_CATEGORY, TagPath, TaxonomyError, UnknownToken, content_lines,
-                       is_taggable, parse_item)
+from .taxonomy import (_UNKNOWN_PREFIX, UNKNOWN_CATEGORY, TagPath, TaxonomyError, UnknownToken,
+                       content_lines, is_taggable, parse_item)
 
 DEFAULT_MIN_COUNT = 20
 DEFAULT_MIN_REL = 0.94
@@ -102,18 +103,26 @@ class _Items(dict):
     '''Parsed endpoints by their text: a missing key is parsed, stored and returned.
 
     With a taxonomy, a text that is one of its tags is stored as that node
-    object, so the relations hold no second copy of it.
+    object, so the relations hold no second copy of it.  `under_os` holds
+    the parsed endpoints at or below FILE:OS: operating-system tags co-occur
+    with all.
     '''
 
-    __slots__ = ('_resolve_name',)
+    __slots__ = ('_resolve_name', 'under_os')
 
     def __init__(self, taxonomy=None):
         super().__init__()
         self._resolve_name = {}.get if taxonomy is None else taxonomy.resolve_name
+        self.under_os = set()
 
     def __missing__(self, text):
+        if text.startswith(_UNKNOWN_PREFIX):  # no tag: the name index holds none of these
+            item = self[text] = parse_item(text)
+            return item
         node = self._resolve_name(text.rpartition(':')[2])  # the name index holds tags only
         item = self[text] = node if node == text else parse_item(text)
+        if (text + ':').startswith('FILE:OS:'):
+            self.under_os.add(item)
         return item
 
 
@@ -142,6 +151,7 @@ def parse_stats(lines, config=None, taxonomy=None):
     # every consistent row has count_i >= 1 and rel_ij > 0, so no config keeps all
     n, T = (1, 0) if config is None else config
     items = _Items(taxonomy)
+    under_os = items.under_os
     share = {}.setdefault  # each count of a kept row -> the one int the relations share
     relations = []
     rows = strong = 0
@@ -169,17 +179,12 @@ def parse_stats(lines, config=None, taxonomy=None):
         if count_i < n or rel_ij < T:
             continue
         strong += 1
-        if config is None or not (_under_os(t_i) or _under_os(t_j)):
+        if config is None or not (t_i in under_os or t_j in under_os):
             # tuple.__new__ skips the named tuple's Python-level __new__
             relations.append(tuple.__new__(Relation, (
                 t_i, t_j, share(count_i, count_i), share(count_j, count_j),
                 share(count_ij, count_ij), rel_ij, count_ij / count_j)))
     return rows, relations, strong
-
-
-def _under_os(item):
-    '''True for FILE:OS and every item below it: operating-system tags co-occur with all.'''
-    return (item + ':').startswith('FILE:OS:')
 
 
 def is_equivalent(relation, config):
@@ -435,13 +440,19 @@ def _remap_expansion(expansion, old, new, referrers):
     return remapped, sorted(before - after), sorted(after - before)
 
 
+def _family(unknown):
+    '''The FAM:<token> path of an unknown endpoint, unchecked: UnknownToken and
+    parse_item both check that the token is taggable.'''
+    return str.__new__(TagPath, 'FAM:' + unknown.name)
+
+
 def _alias_onto(state, a, b):
     # an unknown b gets no tag of its own: a becomes an alias of the family named after it
-    state.add_alias(a.name, b if isinstance(b, TagPath) else TagPath(('FAM', b.name)))
+    state.add_alias(a.name, b if isinstance(b, TagPath) else _family(b))
 
 
 def _act_unk_class_or_beh(state, a, b):
-    state.add_nodes(TagPath(('FAM', a.name)))
+    state.add_nodes(_family(a))
 
 
 def _act_unk_file(state, a, b):
@@ -450,7 +461,7 @@ def _act_unk_file(state, a, b):
 
 def _act_unk_unk(state, a, b):
     # both tokens become families; deliberately no alias between them
-    state.add_nodes(TagPath(('FAM', a.name)), TagPath(('FAM', b.name)))
+    state.add_nodes(_family(a), _family(b))
 
 
 def _act_file_unk(state, a, b):
@@ -485,16 +496,23 @@ def infer(strong, taxonomy, rules, config=None):
     goes on as a one-way relation, so that no class, behavior or file tag is
     retired into another category.  A round that consumes nothing is followed
     by the terminal round, the last: remaining tag-to-tag relations with a
-    matrix row become expansion rules; the rest is reported unhandled.  An
-    action that fails is final for the run: its relation is reported
+    matrix row become expansion rules; the rest is reported unhandled.
+
+    Running again on the results, with the same relations, can still change
+    them.  Mostly, an action consumes its relation while the updated
+    artifacts would read the same relation as another matrix row: a
+    relation of two unknown tokens makes both families, and a second run
+    reads (FAM, FAM) and aliases one onto the other; an (UNK, BEH) relation
+    adds a family, and a second run adds its expansion rule.  Less often, an
+    action fails, which is final for the run: its relation is reported
     unhandled even when a later action would let it succeed (a family that
     has children cannot retire, though its last child retires later in the
-    run), so running again on the results can still change them.
+    run).
     '''
     if config is None:
         config = UpdateConfig()
     state = _WorkState(taxonomy, rules)
-    remaining = sorted(strong, key=Relation.key)
+    remaining = sorted(strong, key=operator.itemgetter(0, 1))  # Relation.key, in C
     unhandled = []
     consumed_known = []
     consumed_equivalence = []

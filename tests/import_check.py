@@ -2,7 +2,9 @@
 
 Every command pays for what importing the CLI loads.  `dataclasses` alone
 pulls in `inspect`, `ast` and `dis`, so none of the four may be new after the
-import.  Modules loaded before it, by `site` or a .pth hook, do not count.
+import.  Nor may `json`: only `label`'s corpus reader needs it, and imports
+it there, so `update` does not pay for it.  Modules loaded before it, by
+`site` or a .pth hook, do not count.
 
     python tests/import_check.py
 
@@ -13,7 +15,7 @@ the installed package.
 
 import sys
 
-SLOW_MODULES = ('dataclasses', 'inspect', 'ast', 'dis')
+SLOW_MODULES = ('dataclasses', 'inspect', 'ast', 'dis', 'json')
 
 before = set(sys.modules)
 import avtag.cli  # noqa: E402  (the import under test)

@@ -1,6 +1,7 @@
 import codecs
 import errno
 import itertools
+import json
 import os
 import random
 import signal
@@ -256,6 +257,23 @@ class TestLabelCommand:
         assert main(label_args(data_dir, '-i', str(inp),
                                '--tags-out', str(tags))) == 0
         assert 'samples read 1, labeled 1, skipped 0' in capsys.readouterr().err
+
+    def test_corpus_lines_end_at_cr_lf_or_crlf_only(self, data_dir, capsys):
+        # a corpus line ends at CR, CRLF or LF, mixed in one file; U+2028, which
+        # str.splitlines would split at, is part of the JSON string that holds it
+        labels = {'A': 'Zbot', 'B': 'zbot'}
+        lines = [sample_line(sample_id(n), labels) for n in range(4)]
+        lines[3] = json.dumps({'sha256': sample_id(3),
+                               'av_labels': {'A': 'Zbot\u2028Zeus', 'B': 'zbot'}},
+                              ensure_ascii=False)
+        inp = data_dir / 'samples.jsonl'
+        inp.write_bytes((lines[0] + '\r' + lines[1] + '\r\n' + lines[2] + '\n'
+                         + lines[3] + '\r').encode())
+        tags = data_dir / 'tags.out'
+        assert main(label_args(data_dir, '-i', str(inp), '--tags-out', str(tags))) == 0
+        assert tags.read_text() == ''.join(
+            '%s\tFAM:zbot|2\n' % sample_id(n) for n in range(4))
+        assert 'samples read 4, labeled 4, skipped 0' in capsys.readouterr().err
 
     def test_no_parsable_samples_fails(self, data_dir, capsys):
         inp = data_dir / 'samples.jsonl'

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from avtag.ruleset import RuleSet
 from avtag.taxonomy import (CATEGORIES, TagPath, Taxonomy, TaxonomyError, UnknownToken,
-                            is_taggable, load_taxonomy, parse_item, serialize_taxonomy)
+                            content_lines, is_taggable, load_taxonomy, parse_item,
+                            serialize_taxonomy)
 from avtag.updater import ChangeLog, _ActionError, _WorkState
 
 from conftest import random_taxonomy
@@ -131,9 +132,12 @@ class TestItems:
         assert item.name == 'miner'
 
     def test_bad_unknown_token_rejected(self):
-        for text in ('UNK:Not-A-Token', 'UNK:abcd\n'):
+        for text in ('UNK:Not-A-Token', 'UNK:abcd\n', 'UNK:'):
             with pytest.raises(TaxonomyError):
                 parse_item(text)
+            with pytest.raises(TaxonomyError) as info:  # so infer's new families need no check
+                UnknownToken(text[4:])
+            assert str(info.value) == 'bad unknown token %r' % (text[4:],)
         with pytest.raises(TaxonomyError) as info:
             parse_item('UNK:Not-A-Token')
         assert str(info.value) == "bad unknown token 'Not-A-Token'"
@@ -353,6 +357,33 @@ def reference_add(taxonomy, path):
     return missing
 
 
+def reference_load(text):
+    '''load_taxonomy without its inline insert: every line goes through reference_add.'''
+    taxonomy = Taxonomy()
+    for lineno, line in content_lines(text.splitlines()):
+        try:
+            reference_add(taxonomy, TagPath.parse(line))
+        except TaxonomyError as exc:
+            raise TaxonomyError('line %d: %s' % (lineno, exc)) from None
+    return taxonomy
+
+
+def loaded(load, text):
+    '''outcome() of load(text): its nodes, name index and node types, or the error text.'''
+    def build():
+        nodes, names = internals(load(text))
+        return (nodes, names), {type(node) for node in list(nodes) + list(names.values())}
+    return outcome(build)
+
+
+# taxonomy file lines: valid paths (often children of one another, often
+# repeated), padded ones, comments, blank lines and bad paths
+taxonomy_lines = st.one_of(
+    paths, paths, paths, paths.map(lambda path: ' %s\t' % path),
+    st.sampled_from(['', '  ', '# FAM:a', '#FAM:a:a', 'FAM', 'FILE:OS', 'FAM:a:OS']),
+    path_texts)
+
+
 class TestAddReference:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.sampled_from(['add', 'add', 'remove']),
@@ -378,11 +409,23 @@ class TestAddReference:
         ('FAM:a:b\nFAM:a:a\n', "line 2: name 'a' already used by FAM:a (adding FAM:a:a)"),
         ('FAM:a\nFAM:b\nCLASS:a\n', "line 3: name 'a' already used by FAM:a (adding CLASS:a)"),
     ])
-    def test_load_matches_the_reference(self, monkeypatch, text, error):
-        got = outcome(lambda: internals(load_taxonomy(text)))
-        monkeypatch.setattr(Taxonomy, 'add', reference_add)
-        assert got == outcome(lambda: internals(load_taxonomy(text)))
+    def test_load_matches_the_reference(self, text, error):
+        got = loaded(load_taxonomy, text)
+        assert got == loaded(reference_load, text)
         assert got[1] == error
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False), st.lists(taxonomy_lines, max_size=5))
+    def test_load_matches_the_reference_on_random_lines(self, rng, noise):
+        # a valid file's lines, some twice, with noise, in any order
+        tree = serialize_taxonomy(random_taxonomy(rng, size=rng.randint(0, 15))).splitlines()
+        lines = tree + rng.sample(tree, min(3, len(tree))) + noise
+        rng.shuffle(lines)
+        text = '\n'.join(lines)
+        got = loaded(load_taxonomy, text)
+        assert got == loaded(reference_load, text)
+        if got[0] is not None:
+            assert got[0][1] == {TagPath}
 
     def test_new_node_under_a_present_parent_skips_the_prefix_walk(self, monkeypatch):
         taxonomy = load_taxonomy('FAM:a:b\n')

@@ -735,6 +735,32 @@ class TestAliasRewrites:
         assert tagging['ccalias'] == frozenset({TagPath.parse('FAM:virut')})
         assert rules == before
 
+    def test_retirements_rewrite_loaded_and_written_rules(self):
+        # FAM:zeus is held by loaded rules and by an alias written earlier in
+        # the run; retiring it moves them onto FAM:zbot, and retiring zbot then
+        # moves them, with an alias written in between, onto FAM:citadel
+        taxonomy = load_taxonomy('FAM:citadel\nFAM:virut\nFAM:zbot\nFAM:zeus\n')
+        rules = load_rules('zboth\tzeus,zbot\nzeusgen\tzeus\nzmulti\tzeus,virut\n',
+                           '', taxonomy)
+        state = _WorkState(taxonomy, rules)
+        want = {token: set(dests) for token, dests in rules.tagging.items()}
+        for token, dest in [('zeusvar', 'FAM:zeus'), ('zeus', 'FAM:zbot'),
+                            ('zbotvar', 'FAM:zbot'), ('zbot', 'FAM:citadel')]:
+            dest = TagPath.parse(dest)
+            old = state.taxonomy.resolve_name(token)
+            state.add_alias(token, dest)
+            for dests in want.values():  # a full scan: each rule that held `old` holds `dest`
+                if old in dests:
+                    dests.discard(old)
+                    dests.add(dest)
+            want[token] = {dest}
+            assert state.rules.tagging == want
+        assert {token: sorted(dests) for token, dests in state.rules.tagging.items()} == {
+            'zboth': ['FAM:citadel'], 'zeusgen': ['FAM:citadel'],
+            'zmulti': ['FAM:citadel', 'FAM:virut'], 'zeusvar': ['FAM:citadel'],
+            'zeus': ['FAM:citadel'], 'zbotvar': ['FAM:citadel'], 'zbot': ['FAM:citadel']}
+        assert state.changes.taxonomy_removed == ['FAM:zeus', 'FAM:zbot']
+
     def test_expansion_source_follows_retired_tag(self):
         taxonomy = load_taxonomy('BEH:infosteal\nFAM:zbot\nFAM:zeus\n')
         rules = load_rules('', 'FAM:zeus\tinfosteal\n', taxonomy)
