@@ -9,6 +9,7 @@ directory, never over its inputs.
 
 import argparse
 import errno
+import io
 import os
 import signal
 import sys
@@ -25,11 +26,11 @@ def _read_bytes(path):
         return handle.read()
 
 
-def _decode(data, path):
+def _decode(data, path, what):
     try:
         return data.decode('utf-8-sig')  # -sig: drops a leading BOM
-    except UnicodeDecodeError as exc:
-        raise ValueError('%s: %s' % (path, exc)) from None
+    except UnicodeDecodeError:
+        raise ValueError(_first_bad_byte(io.BytesIO(data), path, what)) from None
 
 
 class _Staging:
@@ -80,38 +81,39 @@ class _Staging:
                 pass
 
 
-def _first_bad_byte(path, error):
-    '''`<path>: stats line N: <error>` for the first byte of a stats file not in UTF-8.
+def _first_bad_byte(handle, path, what):
+    '''`<path>: <what> N: <error>` for the first byte from a binary `handle` not in UTF-8.
 
-    Reads the file line by line.  N counts lines as parse_stats does; the
-    position counts from the file's first byte, a BOM included.  Falls back to
-    the reader's `error`.
+    `what` words the line as the file's other errors do (`line`, `tagging line`,
+    `stats line`, ...).  Reads line by line.  N counts lines as str.splitlines
+    counts the file's; the position counts from the handle's first byte, a BOM
+    included.  None when every byte decodes.
     '''
     lineno = offset = 0
-    with open(path, 'rb') as handle:
-        # a binary line ends at LF, which is never inside a UTF-8 sequence, so each
-        # decodes alone, and str.splitlines counts its lines as it would the file's
-        for raw in handle:
-            try:
-                lineno += len(raw.decode('utf-8').splitlines())
-            except UnicodeDecodeError as exc:
-                # a character after the decodable text puts it on the bad byte's line
-                lineno += len((raw[:exc.start].decode('utf-8') + '.').splitlines())
-                # worded as str(exc) words it, with positions counted from the file's start
-                start, end = offset + exc.start, offset + exc.end
-                where = ('byte 0x%02x in position %d' % (raw[exc.start], start)
-                         if end == start + 1 else 'bytes in position %d-%d' % (start, end - 1))
-                return "%s: stats line %d: 'utf-8' codec can't decode %s: %s" % (
-                    path, lineno, where, exc.reason)
-            offset += len(raw)
-    return '%s: %s' % (path, error)
+    # a binary line ends at LF, which is never inside a UTF-8 sequence, so each
+    # decodes alone, and str.splitlines counts its lines as it would the file's
+    for raw in handle:
+        try:
+            lineno += len(raw.decode('utf-8').splitlines())
+        except UnicodeDecodeError as exc:
+            # a character after the decodable text puts it on the bad byte's line
+            lineno += len((raw[:exc.start].decode('utf-8') + '.').splitlines())
+            # worded as str(exc) words it, with positions counted from the file's start
+            start, end = offset + exc.start, offset + exc.end
+            where = ('byte 0x%02x in position %d' % (raw[exc.start], start)
+                     if end == start + 1 else 'bytes in position %d-%d' % (start, end - 1))
+            return "%s: %s %d: 'utf-8' codec can't decode %s: %s" % (
+                path, what, lineno, where, exc.reason)
+        offset += len(raw)
+    return None
 
 
 def _load_kb(taxonomy_path, tagging_path, expansion_path):
     '''Reads each knowledge-base file once: (taxonomy, rules, the three files' bytes).'''
     paths = (taxonomy_path, tagging_path, expansion_path)
     data = [_read_bytes(path) for path in paths]
-    texts = [_decode(raw, path) for raw, path in zip(data, paths)]
+    texts = [_decode(raw, path, what) for raw, path, what
+             in zip(data, paths, ('line', 'tagging line', 'expansion line'))]
     try:
         taxonomy = load_taxonomy(texts[0])
     except TaxonomyError as exc:  # a rule error names its file and line itself
@@ -120,7 +122,7 @@ def _load_kb(taxonomy_path, tagging_path, expansion_path):
 
 
 def _load_allowlist(path):
-    text = _decode(_read_bytes(path), path)
+    text = _decode(_read_bytes(path), path, 'line')
     return {line.lower() for _, line in content_lines(text.splitlines())}
 
 
@@ -225,7 +227,9 @@ def run_update(args):
                 relations_all, relations, relations_strong = updater.parse_stats(
                     handle, config, taxonomy)
             except UnicodeDecodeError as exc:  # its position counts from the reader's chunk
-                raise ValueError(_first_bad_byte(args.stats, exc)) from None
+                with open(args.stats, 'rb') as raw:
+                    error = _first_bad_byte(raw, args.stats, 'stats line')
+                raise ValueError(error or '%s: %s' % (args.stats, exc)) from None
             except ValueError as exc:
                 raise ValueError('%s: %s' % (args.stats, exc)) from None
     except (OSError, ValueError) as exc:  # ValueError: also a file that is not UTF-8

@@ -72,10 +72,11 @@ def _split_line(line):
 def _collapse_aliases(raw_rules, line_of):
     '''Rewrites destinations that are themselves rule tokens, transitively.
 
-    After collapse no destination's name appears as another rule's token, so
-    tagging is a single map lookup and downstream consumers only ever see
-    canonical tags.  Chains through a generic token contribute nothing.
-    Tokens with equal destination sets share one frozenset.
+    After collapse no destination's name is a rule's token, its own included
+    (every such destination is followed), so tagging is a single map lookup,
+    no token maps to a tag named after itself, and downstream consumers only
+    ever see canonical tags.  Chains through a generic token contribute
+    nothing.  Tokens with equal destination sets share one frozenset.
     '''
     resolved = {}
     shared = {}  # each distinct destination set -> the one frozenset the tokens share
@@ -86,7 +87,7 @@ def _collapse_aliases(raw_rules, line_of):
             return resolved[token]
         if token in visiting:
             chain = ' -> '.join(visiting + [token])
-            raise RuleError('line %d: alias cycle %s' % (line_of[token], chain))
+            raise RuleError('tagging line %d: alias cycle %s' % (line_of[token], chain))
         visiting.append(token)
         flat = set()
         for dest in raw_rules[token]:
@@ -169,12 +170,6 @@ def load_rules(tagging_text, expansion_text, taxonomy):
         line_of[token] = lineno
 
     tagging = _collapse_aliases(raw_rules, line_of)
-    for token, dests in tagging.items():
-        for dest in dests:
-            if dest.name == token:
-                raise RuleError(
-                    'tagging line %d: collapsed rule %r maps to tag named after itself'
-                    % (line_of[token], token))
 
     expansion = {}
     target_sets = {}  # each distinct target set -> the one frozenset the sources share

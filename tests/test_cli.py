@@ -126,6 +126,29 @@ def test_text_files_share_one_line_rule(data_dir, name, line, error, brk):
     assert str(err.value).startswith(error.format(path=path))
 
 
+# after the BOM: (the file's bytes, the bad byte's line, its offset in the file)
+@pytest.mark.parametrize('data, lineno, position', [
+    (b'FAM:a\nFAM:\xff\n', 2, 13), (b'FAM:a\r\n# c\x0bFAM:\xff\n', 3, 18)])
+@pytest.mark.parametrize('name, what', [
+    ('taxonomy', 'line'), ('tagging', 'tagging line'), ('expansion', 'expansion line'),
+    ('engines', 'line')])
+def test_bad_byte_in_a_knowledge_base_file_names_its_line(data_dir, capsys, name, what,
+                                                           data, lineno, position):
+    '''A knowledge-base or engines file words a bad byte as the stats file does:
+    its line, counted as its other errors count it, and its offset, the BOM included.'''
+    path = data_dir / name
+    path.write_bytes(codecs.BOM_UTF8 + data)
+    inp = data_dir / 'samples.jsonl'
+    write_lines(inp, [sample_line(GOLDEN_SAMPLE_ID, GOLDEN_LABELS)])
+    tags = data_dir / 'tags.out'
+    assert main(label_args(data_dir, '-i', str(inp), '--engines', str(data_dir / 'engines'),
+                           '--tags-out', str(tags))) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: %s %d: 'utf-8' codec can't decode byte 0xff in position %d:"
+        ' invalid start byte\n' % (path, what, lineno, position))
+    assert not tags.exists()
+
+
 def write_lines(path, lines):
     path.write_text(''.join(line + '\n' for line in lines))
 
@@ -553,6 +576,17 @@ class TestLabelCommand:
             "error: tagging line 1: alias chain too deep\n")
         assert not tags.exists()
 
+    def test_alias_cycle_names_its_tagging_line(self, tmp_path, capsys):
+        # the cycle a tagging file needs for a token to map to a tag named after itself
+        write_kb(tmp_path, (b'FAM:a\nFAM:t\n', b't\tFAM:a\na\tFAM:t\n', b''))
+        inp = tmp_path / 'samples.jsonl'
+        write_lines(inp, [sample_line(sample_id(1), {'A': 't', 'B': 't'})])
+        tags = tmp_path / 'tags.out'
+        assert main(label_args(tmp_path, '-i', str(inp), '--tags-out', str(tags))) == 1
+        assert capsys.readouterr().err == (
+            'error: tagging line 1: alias cycle t -> a -> t\n')
+        assert not tags.exists()
+
     def test_missing_input_file_fails(self, data_dir, capsys):
         tags = data_dir / 'tags.out'
         assert main(label_args(data_dir, '-i', str(data_dir / 'nosuch.jsonl'),
@@ -840,7 +874,8 @@ class TestUpdateCommand:
         stats.write_bytes(head + b'\xff\tFAM:zbot\t30\t40\t30\t1.000000\t0.750000\n')
         tracemalloc.start()
         try:
-            message = cli._first_bad_byte(str(stats), None)
+            with open(stats, 'rb') as handle:
+                message = cli._first_bad_byte(handle, str(stats), 'stats line')
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -157,6 +157,11 @@ class TestExpansionParse:
         with pytest.raises(RuleError):
             load_rules('', 'CLASS:worm\tselfpropagate\nCLASS:worm\tbot\n', taxonomy)
 
+    def test_source_without_targets_rejected(self, taxonomy):
+        with pytest.raises(RuleError) as err:
+            load_rules('', 'FAM:zbot\t,\n', taxonomy)
+        assert str(err.value) == 'expansion line 1: no targets for FAM:zbot'
+
     def test_cycle_rejected(self, taxonomy):
         with pytest.raises(RuleError) as err:
             load_rules('', 'FAM:zeus\tbot\nCLASS:bot\tzeus\n', taxonomy)
